@@ -21,7 +21,8 @@
 #                     benchmarks, as a compile-and-run sanity check
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the sharded-vs-sequential cache
-#                     differential and the v1 trace codec round-trip;
+#                     differential, the v1 trace codec round-trip and the
+#                     template counter against its brute-force oracles;
 #                     FUZZTIME bounds each target (default 10s)
 #   make fuzz-smoke-v2  bounded fuzz of the v2 (columnar) trace codec:
 #                     encode/decode round-trip incl. misalignment and
@@ -103,6 +104,7 @@ bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedVsSequential$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
 
 fuzz-smoke-v2:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace

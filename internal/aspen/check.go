@@ -114,7 +114,11 @@ func checkPattern(m *Model, d *Data, vars env) error {
 		if len(p.Ranges) > 0 && len(p.Dims) == 0 {
 			return errAt(p.Pos, "data %q: ranged template requires dims", d.Name)
 		}
-		if _, err := expandTemplate(p, vars); err != nil {
+		repeats, err := templateRepeats(p, vars)
+		if err != nil {
+			return err
+		}
+		if _, err := expandTemplate(p, vars, repeats); err != nil {
 			return err
 		}
 	default:

@@ -3,11 +3,13 @@ package aspen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/dvf"
+	"github.com/resilience-models/dvf/internal/mathx"
 	"github.com/resilience-models/dvf/internal/patterns"
 )
 
@@ -608,17 +610,11 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 	if elem == 0 {
 		return nil, errAt(p.Pos, "template element size must be positive")
 	}
-	repeats := 1
-	if p.Repeats != nil {
-		repeats, err = evalInt(p.Repeats, vars, "repeat count", p.Pos)
-		if err != nil {
-			return nil, err
-		}
-		if repeats < 1 {
-			repeats = 1
-		}
+	repeats, err := templateRepeats(p, vars)
+	if err != nil {
+		return nil, err
 	}
-	elems, err := expandTemplate(p, vars)
+	elems, err := expandTemplate(p, vars, repeats)
 	if err != nil {
 		return nil, err
 	}
@@ -635,6 +631,15 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 		Name:  "template",
 		Bytes: size,
 		F: func(cfg cache.Config) (float64, error) {
+			// An element wider than a line touches one block per line it
+			// spans; bound those visits too (to within the one extra line
+			// a misaligned element may touch) before the counter grows a
+			// node per block.
+			span := mathx.CeilDiv(int64(elem), int64(cfg.LineSize))
+			if int64(len(elems))*int64(repeats) > maxTemplateAccesses/span {
+				return 0, errAt(p.Pos, "template of %d-byte elements on %d-byte lines exceeds the %d block-visit limit",
+					elem, cfg.LineSize, int64(maxTemplateAccesses))
+			}
 			ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
 			for rep := 0; rep < repeats; rep++ {
 				for _, e := range elems {
@@ -650,9 +655,31 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 	}, nil
 }
 
+// templateRepeats evaluates a template's repeat count, 1 when absent.
+func templateRepeats(p *TemplatePattern, vars env) (int, error) {
+	if p.Repeats == nil {
+		return 1, nil
+	}
+	repeats, err := evalInt(p.Repeats, vars, "repeat count", p.Pos)
+	if err != nil {
+		return 0, err
+	}
+	return max(repeats, 1), nil
+}
+
+// maxTemplateAccesses bounds the work a template may ask for: its element
+// accesses times its repeat count (the bundled models need at most about
+// 25 thousand). Checking it against each range's bounds keeps a hostile
+// range, say 1..1e12 in a hundred-byte model, from being materialized
+// before it is rejected.
+const maxTemplateAccesses = 1 << 22
+
 // expandTemplate linearizes the ranged groups and explicit list into a
-// single element-index sequence (ranges first, in declaration order).
-func expandTemplate(p *TemplatePattern, vars env) ([]int64, error) {
+// single element-index sequence (ranges first, in declaration order). The
+// sequence, replayed repeats times, must stay within maxTemplateAccesses;
+// each range's size is checked from its bounds before it is expanded.
+func expandTemplate(p *TemplatePattern, vars env, repeats int) ([]int64, error) {
+	budget := int64(maxTemplateAccesses / repeats) // accesses one repeat may use
 	var elems []int64
 	if len(p.Ranges) > 0 && len(p.Dims) == 0 {
 		return nil, errAt(p.Pos, "ranged templates require a dims declaration")
@@ -687,11 +714,20 @@ func expandTemplate(p *TemplatePattern, vars env) ([]int64, error) {
 				return nil, errAt(r.Pos, "range group members advance unevenly (%d vs %d steps)", count, got)
 			}
 		}
+		if count > (budget-int64(len(elems)))/int64(len(from)) {
+			return nil, errAt(r.Pos, "range of %d steps x %d references, repeated %d times, exceeds the %d-access template limit",
+				count, len(from), repeats, int64(maxTemplateAccesses))
+		}
+		elems = slices.Grow(elems, int(count)*len(from))
 		for g := int64(0); g < count; g++ {
 			for i := range from {
 				elems = append(elems, from[i]+g*step)
 			}
 		}
+	}
+	if int64(len(elems)+len(p.List)) > budget {
+		return nil, errAt(p.Pos, "template of %d accesses, repeated %d times, exceeds the %d-access template limit",
+			len(elems)+len(p.List), repeats, int64(maxTemplateAccesses))
 	}
 	for _, le := range p.List {
 		v, err := evalExpr(le, vars)

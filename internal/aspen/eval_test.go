@@ -1,7 +1,9 @@
 package aspen
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -398,5 +400,48 @@ model m {
 func TestEvalNaNGuard(t *testing.T) {
 	if v, err := EvalExpr(&NumLit{Value: math.NaN()}, nil); err != nil || !math.IsNaN(v) {
 		t.Errorf("NaN literal should evaluate to NaN: %g %v", v, err)
+	}
+}
+
+// TestTemplateWorkBoundedBeforeExpansion feeds hundred-byte models whose
+// templates ask for far more work than maxTemplateAccesses: a 1e12-element
+// range, a range within the limit until its repeat count multiplies it
+// past, and one element that spans 2.5e8 cache lines. Evaluate must reject
+// each with a positioned error before materializing the work, and Check
+// must already reject the two that are too long at any line size.
+func TestTemplateWorkBoundedBeforeExpansion(t *testing.T) {
+	cases := []struct {
+		name, pattern, want string
+		checkRejects        bool
+	}{
+		{"range 1..1e12", `template(8) { dims (1e12) range (R(1)) : 1 : (R(1e12)) }`, "template limit", true},
+		{"range x repeats", `template(8) { dims (1e6) range (R(0)) : 1 : (R(999999)) repeat 5 }`, "template limit", true},
+		{"wide element", `template(2e9) { list (0) }`, "block-visit limit", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := mustParse(t, `model m {
+ machine { cache { assoc 1 sets 1 line 8 } }
+ data X { size 8e12 pattern `+c.pattern+` }
+}`)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			checkErr := Check(m)
+			_, evalErr := Evaluate(m)
+			runtime.ReadMemStats(&after)
+			errs := []error{evalErr}
+			if c.checkRejects {
+				errs = append(errs, checkErr)
+			}
+			for _, err := range errs {
+				var se *SyntaxError
+				if !errors.As(err, &se) || !strings.Contains(se.Msg, c.want) || se.Pos.Line != 3 {
+					t.Errorf("got %v, want a %q error positioned on line 3", err, c.want)
+				}
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("rejecting the template allocated %d bytes, want under 1 MiB", grew)
+			}
+		})
 	}
 }

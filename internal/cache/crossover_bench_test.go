@@ -96,3 +96,35 @@ func BenchmarkEngineCrossover(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulatorAccess measures the per-reference Access path that
+// dvf-verify drives through a trace.ConsumerFunc, one op per reference, on
+// the same mixed stream and owners as the crossover benchmark:
+//
+//	go test ./internal/cache/ -run xxx -bench SimulatorAccess
+func BenchmarkSimulatorAccess(b *testing.B) {
+	whole := crossoverStream(1 << 16).Batch
+	for _, c := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"small", cache.Small}, {"large", cache.Large}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := cache.NewSimulator(c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			access := func(i int) {
+				r, owner := whole.At(i & (1<<16 - 1))
+				s.Access(r.Addr, r.Size, r.Write, cache.StructID(owner))
+			}
+			for i := 0; i < whole.Len(); i++ {
+				access(i) // warm: the sets' lazy storage and the stats entries
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				access(i)
+			}
+		})
+	}
+}

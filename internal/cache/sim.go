@@ -63,11 +63,19 @@ type line struct {
 // bit-identical to this sequential engine — to parallelize one replay
 // across cores.
 type Simulator struct {
-	cfg        Config
-	lineShift  uint
-	setMask    uint64
-	sets       [][]line // sets[i] ordered most- to least-recently used
-	perStruct  map[StructID]*Stats
+	cfg       Config
+	lineShift uint
+	setMask   uint64
+	tagShift  uint
+	sets      [][]line // sets[i] ordered most- to least-recently used
+
+	// Per-structure counters: IDs in [0, denseStructIDs) index dense
+	// directly; any other ID (negative, or large, as a hand-written or
+	// hostile trace file may carry) lives in sparse. An entry is nil until
+	// its ID is first seen, so memory follows the IDs seen, never an ID's
+	// value.
+	dense      []*Stats
+	sparse     map[StructID]*Stats
 	total      Stats
 	structName map[StructID]string
 
@@ -76,6 +84,11 @@ type Simulator struct {
 	tk       *tracez.Track
 	progress *tracez.Counter
 }
+
+// denseStructIDs bounds the slice-indexed per-structure counters. A
+// trace.Registry numbers structures 1, 2, ... in allocation order, so
+// every structure of a real workload lands in the dense range.
+const denseStructIDs = 256
 
 // progressMask throttles the traced progress counter: one sample every
 // 2^20 accesses keeps a multi-hundred-million-reference replay's trace
@@ -95,8 +108,10 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		cfg:        cfg,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:    uint64(cfg.Sets - 1),
+		tagShift:   uint(bits.TrailingZeros(uint(cfg.Sets))),
 		sets:       make([][]line, cfg.Sets),
-		perStruct:  make(map[StructID]*Stats),
+		dense:      make([]*Stats, denseStructIDs),
+		sparse:     make(map[StructID]*Stats),
 		structName: make(map[StructID]string),
 	}
 	return s, nil
@@ -133,7 +148,7 @@ func (s *Simulator) accessBlock(blk uint64, write bool, owner StructID) {
 	}
 
 	setIdx := blk & s.setMask
-	tag := blk >> uint(bits.TrailingZeros(uint(s.cfg.Sets)))
+	tag := blk >> s.tagShift
 	set := s.sets[setIdx]
 
 	for i := range set {
@@ -206,26 +221,49 @@ func (s *Simulator) Reset() {
 	for i := range s.sets {
 		s.sets[i] = s.sets[i][:0]
 	}
-	s.perStruct = make(map[StructID]*Stats)
+	clear(s.dense)
+	s.sparse = make(map[StructID]*Stats)
 	s.total = Stats{}
 }
 
+// stats returns id's counters, creating them on first sight. The dense
+// probe is small enough to inline into accessBlock; only a first sight or
+// an out-of-range ID takes the call to newStats.
 func (s *Simulator) stats(id StructID) *Stats {
-	st, ok := s.perStruct[id]
-	if !ok {
-		//dvf:allow hotalloc one allocation per structure ID on first sight, not per access; steady-state replay never takes this branch
-		st = &Stats{}
-		s.perStruct[id] = st
+	if uint32(id) < denseStructIDs {
+		if st := s.dense[id]; st != nil {
+			return st
+		}
+	}
+	return s.newStats(id)
+}
+
+// newStats is the slow path of stats: a dense ID's first sight, or any
+// ID outside the dense range.
+func (s *Simulator) newStats(id StructID) *Stats {
+	if st, ok := s.sparse[id]; ok {
+		return st
+	}
+	//dvf:allow hotalloc one allocation per structure ID on first sight, not per access; steady-state replay never takes this branch
+	st := &Stats{}
+	if uint32(id) < denseStructIDs {
+		s.dense[id] = st
+	} else {
+		s.sparse[id] = st
 	}
 	return st
 }
 
 // StructStats returns the counters attributed to id (zero Stats if unseen).
 func (s *Simulator) StructStats(id StructID) Stats {
-	if st, ok := s.perStruct[id]; ok {
-		return *st
+	st := s.sparse[id]
+	if uint32(id) < denseStructIDs {
+		st = s.dense[id]
 	}
-	return Stats{}
+	if st == nil {
+		return Stats{}
+	}
+	return *st
 }
 
 // TotalStats returns the counters aggregated over all structures.
@@ -233,8 +271,13 @@ func (s *Simulator) TotalStats() Stats { return s.total }
 
 // PerStructStats returns a copy of every structure's counters.
 func (s *Simulator) PerStructStats() map[StructID]Stats {
-	out := make(map[StructID]Stats, len(s.perStruct))
-	for id, st := range s.perStruct {
+	out := make(map[StructID]Stats, len(s.sparse))
+	for id, st := range s.dense {
+		if st != nil {
+			out[StructID(id)] = *st
+		}
+	}
+	for id, st := range s.sparse {
 		out[id] = *st
 	}
 	return out

@@ -293,54 +293,59 @@ func (c *CG) templateModel(iters int, structure string) patterns.Estimator {
 			if err != nil {
 				return 0, err
 			}
+			// The regions are resolved once, up front: touch runs for every
+			// element of every phase, so it takes the region itself rather
+			// than a name to look up.
 			reg := trace.NewRegistry()
-			layout := map[string]trace.Region{
-				"A": reg.Alloc("A", uint64(n)*uint64(n)*elem8),
-				"x": reg.Alloc("x", uint64(n)*elem8),
-				"p": reg.Alloc("p", uint64(n)*elem8),
-				"r": reg.Alloc("r", uint64(n)*elem8),
-				"q": reg.Alloc("q", uint64(n)*elem8),
-			}
-			touch := func(name string, i int, write bool) {
-				r := layout[name]
-				sim.Access(r.Base+uint64(i)*elem8, elem8, write, cache.StructID(r.ID))
+			A := reg.Alloc("A", uint64(n)*uint64(n)*elem8)
+			x := reg.Alloc("x", uint64(n)*elem8)
+			p := reg.Alloc("p", uint64(n)*elem8)
+			r := reg.Alloc("r", uint64(n)*elem8)
+			q := reg.Alloc("q", uint64(n)*elem8)
+			touch := func(rg *trace.Region, i int, write bool) {
+				sim.Access(rg.Base+uint64(i)*elem8, elem8, write, cache.StructID(rg.ID))
 			}
 			// Initial rho = r.r.
 			for i := 0; i < n; i++ {
-				touch("r", i, false)
+				touch(&r, i, false)
 			}
 			for it := 0; it < iters; it++ {
 				for i := 0; i < n; i++ { // q = A p
 					for j := 0; j < n; j++ {
-						touch("A", i*n+j, false)
-						touch("p", j, false)
+						touch(&A, i*n+j, false)
+						touch(&p, j, false)
 					}
-					touch("q", i, true)
+					touch(&q, i, true)
 				}
 				for i := 0; i < n; i++ { // p.q
-					touch("p", i, false)
-					touch("q", i, false)
+					touch(&p, i, false)
+					touch(&q, i, false)
 				}
 				for i := 0; i < n; i++ { // x += alpha p
-					touch("x", i, false)
-					touch("p", i, false)
-					touch("x", i, true)
+					touch(&x, i, false)
+					touch(&p, i, false)
+					touch(&x, i, true)
 				}
 				for i := 0; i < n; i++ { // r -= alpha q
-					touch("r", i, false)
-					touch("q", i, false)
-					touch("r", i, true)
+					touch(&r, i, false)
+					touch(&q, i, false)
+					touch(&r, i, true)
 				}
 				for i := 0; i < n; i++ { // rho' = r.r
-					touch("r", i, false)
+					touch(&r, i, false)
 				}
 				for i := 0; i < n; i++ { // p = r + beta p
-					touch("r", i, false)
-					touch("p", i, false)
-					touch("p", i, true)
+					touch(&r, i, false)
+					touch(&p, i, false)
+					touch(&p, i, true)
 				}
 			}
-			return float64(sim.StructStats(cache.StructID(layout[structure].ID)).Misses), nil
+			for _, rg := range reg.Regions() {
+				if rg.Name == structure {
+					return float64(sim.StructStats(cache.StructID(rg.ID)).Misses), nil
+				}
+			}
+			return 0, nil
 		},
 	}
 }

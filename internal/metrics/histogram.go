@@ -153,7 +153,8 @@ func (s HistogramSnapshot) Mean() float64 {
 
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1) from the
 // bucket counts: the upper edge of the bucket containing the q-th
-// observation, exact to within the 2x bucket width.
+// observation, exact to within the 2x bucket width, clamped to [Min, Max]
+// so the bound never leaves the observed range.
 func (s HistogramSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
@@ -166,17 +167,21 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 	for i := 0; i < histBuckets; i++ {
 		seen += s.Buckets[i]
 		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			upper := int64(math.MaxInt64)
-			if i < 64 {
-				upper = (int64(1) << i) - 1
-			}
-			return upper
+			return min(max(bucketHigh(i), s.Min), s.Max)
 		}
 	}
 	return s.Max
+}
+
+// bucketHigh returns the largest value landing in bucket i.
+func bucketHigh(i int) int64 {
+	switch {
+	case i <= 0:
+		return 0
+	case i >= 64:
+		return math.MaxInt64
+	}
+	return 1<<i - 1
 }
 
 // diff returns the per-interval delta s - base: counts, sums and buckets

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -140,9 +141,10 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := s.Quantile(0.50); got != 511 {
 		t.Errorf("p50 = %d, want 511", got)
 	}
-	// p100 lands in bucket [512,1024) with upper edge 1023.
-	if got := s.Quantile(1.0); got != 1023 {
-		t.Errorf("p100 = %d, want 1023", got)
+	// p100 lands in bucket [512,1024), whose upper edge 1023 is clamped to
+	// the largest observation.
+	if got := s.Quantile(1.0); got != 1000 {
+		t.Errorf("p100 = %d, want 1000", got)
 	}
 	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %d, want 0", got)
@@ -162,8 +164,8 @@ func TestSnapshotQuantileFields(t *testing.T) {
 		t.Errorf("snapshot fields (%d,%d,%d) disagree with Quantiles (%d,%d,%d)",
 			s.P50, s.P90, s.P99, p50, p90, p99)
 	}
-	if s.P50 != 511 || s.P90 != 1023 || s.P99 != 1023 {
-		t.Errorf("quantiles of 1..1000 = (%d,%d,%d), want (511,1023,1023)",
+	if s.P50 != 511 || s.P90 != 1000 || s.P99 != 1000 {
+		t.Errorf("quantiles of 1..1000 = (%d,%d,%d), want (511,1000,1000)",
 			s.P50, s.P90, s.P99)
 	}
 	// Diffing against a prefix must recompute quantiles from the interval
@@ -172,12 +174,44 @@ func TestSnapshotQuantileFields(t *testing.T) {
 	for i := int64(0); i < 5000; i++ {
 		h.Observe(1 << 20)
 	}
+	// The interval's bucket [2^20, 2^21) would bound p50 by 2^21-1; the
+	// clamp to Max brings it down to the one value observed there.
 	d := h.snapshot().diff(base)
-	if d.P50 != (1<<21)-1 {
-		t.Errorf("interval p50 = %d, want %d", d.P50, int64(1<<21)-1)
+	if d.P50 != 1<<20 {
+		t.Errorf("interval p50 = %d, want %d", d.P50, int64(1<<20))
 	}
 	if (HistogramSnapshot{}).withQuantiles().P99 != 0 {
 		t.Error("empty snapshot grew a p99")
+	}
+}
+
+// TestQuantileWithinObservedRange is the quantile property: for any set
+// of observations, Min <= Quantile(q) <= Max and Quantile is monotone in q.
+func TestQuantileWithinObservedRange(t *testing.T) {
+	prop := func(raw []int64, shift uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		h := newHistogram()
+		for _, v := range raw {
+			// Spread the values over every bucket, negatives included.
+			h.Observe(v >> (shift % 64))
+		}
+		s := h.snapshot()
+		prev := int64(math.MinInt64)
+		for i := 0; i <= 100; i++ {
+			q := float64(i) / 100
+			got := s.Quantile(q)
+			if got < s.Min || got > s.Max || got < prev {
+				t.Logf("q=%.2f: %d outside [%d, %d] or below %d", q, got, s.Min, s.Max, prev)
+				return false
+			}
+			prev = got
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -23,7 +23,10 @@ import (
 // We measure the reuse distance as the LRU stack distance (the number of
 // distinct blocks touched in between), which is the distance that decides
 // residency in an LRU cache; the raw index distance the paper sketches is
-// available via DistanceRaw for comparison.
+// available via DistanceRaw for comparison. TemplateCounter decides step 2
+// with an LRU stack-property counter rather than computing distances: a
+// reuse misses in an LRU cache of C blocks exactly when its stack distance
+// is at least C.
 type Template struct {
 	// Blocks is the cache-block access template. Use ElementTemplate to
 	// derive it from element indices.
@@ -95,67 +98,59 @@ func ElementTemplate(elems []int64, elemSize, lineSize int) ([]int64, error) {
 // TemplateCounter is the streaming form of the two-step algorithm, letting
 // callers (like the Aspen evaluator) feed very long templates without
 // materializing them.
+//
+// Stack-distance mode runs a fully associative LRU cache of capacity
+// blocks. This is exact by the LRU stack property: a block's stack
+// distance is its depth in the recency stack, so a reuse has distance
+// >= capacity exactly when the block has fallen out of the top capacity
+// entries, i.e. out of the cache. Each distinct block owns one node in an
+// intrusive recency list, so a visit costs O(1) and memory grows with the
+// distinct blocks, not with the visits. Raw-distance mode needs no list:
+// the node records the block's last visit time.
 type TemplateCounter struct {
 	capacity int
 	raw      bool
 	misses   int64
 	visits   int64
 
-	// LRU stack distance machinery: each block's last visit time, plus a
-	// Fenwick (binary indexed) tree over visit times marking which times
-	// are the *latest* visit of some block. The number of marked times
-	// greater than lastTime(b) is exactly the number of distinct blocks
-	// seen since b's previous visit.
-	lastVisit map[int64]int64
-	fenwick   []int64
-	timeCap   int
+	// Block -> node index. dense[b] holds 1 + the node of block b, or 0
+	// while b is unseen; blocks it does not cover live in sparse. dense
+	// grows only while it stays within denseSlack of twice the distinct
+	// count, so hostile block ids fall back to the map and memory stays
+	// O(distinct blocks).
+	dense    []int32
+	sparse   map[int64]int32
+	nodes    []tcNode // one per distinct block; int32 indexes reach 2^31 of them
+	mru, lru int32    // ends of the resident list, noNode when empty
+	resident int
 }
+
+// denseSlack is how far past twice the distinct count the dense block
+// index may reach: room for a template that opens with scattered blocks
+// (an FFT bit reversal, a stencil's far neighbours) before filling in.
+const denseSlack = 4096
+
+// tcNode is one distinct block: its links in the resident list (stack
+// mode) or its last visit time (raw mode).
+type tcNode struct {
+	prev, next int32 // toward mru / toward lru; noNode at the ends
+	last       int64
+}
+
+const (
+	noNode   int32 = -1
+	detached int32 = -2 // prev of a block that is not resident
+)
 
 // NewTemplateCounter creates a counter with the given capacity in blocks.
 // raw selects the paper's raw index distance instead of stack distance.
 func NewTemplateCounter(capacityBlocks int, raw bool) *TemplateCounter {
 	return &TemplateCounter{
-		capacity:  capacityBlocks,
-		raw:       raw,
-		lastVisit: make(map[int64]int64),
-		fenwick:   make([]int64, 1),
-		timeCap:   0,
-	}
-}
-
-func (tc *TemplateCounter) fenwickAdd(i int, delta int64) {
-	for ; i < len(tc.fenwick); i += i & (-i) {
-		tc.fenwick[i] += delta
-	}
-}
-
-func (tc *TemplateCounter) fenwickSum(i int) int64 {
-	var s int64
-	for ; i > 0; i -= i & (-i) {
-		s += tc.fenwick[i]
-	}
-	return s
-}
-
-// growTo ensures the Fenwick tree can index time n. Growing rebuilds the
-// tree from the current mark set (one mark per block at its last visit
-// time): a Fenwick node covers a range of earlier indices, so freshly
-// appended zero nodes would otherwise report wrong prefix sums. Doubling
-// keeps the rebuild cost amortized O(1) per visit.
-func (tc *TemplateCounter) growTo(n int) {
-	if n < len(tc.fenwick) {
-		return
-	}
-	newLen := len(tc.fenwick)
-	if newLen < 2 {
-		newLen = 2
-	}
-	for newLen <= n {
-		newLen *= 2
-	}
-	tc.fenwick = make([]int64, newLen)
-	for _, t := range tc.lastVisit {
-		tc.fenwickAdd(int(t), 1)
+		capacity: capacityBlocks,
+		raw:      raw,
+		sparse:   make(map[int64]int32),
+		mru:      noNode,
+		lru:      noNode,
 	}
 }
 
@@ -163,33 +158,119 @@ func (tc *TemplateCounter) growTo(n int) {
 // as a main-memory access (first touch or reuse beyond capacity).
 func (tc *TemplateCounter) Visit(block int64) bool {
 	tc.visits++
-	now := tc.visits // 1-based time
-	tc.growTo(int(now))
-
-	prev, seen := tc.lastVisit[block]
-	miss := false
-	if !seen {
-		miss = true // step 1: first appearance
+	i, seen := tc.find(block)
+	var miss bool
+	if tc.raw {
+		// step 2 on the raw index distance: entries strictly in between.
+		n := &tc.nodes[i]
+		miss = !seen || tc.visits-n.last-1 >= int64(tc.capacity)
+		n.last = tc.visits
 	} else {
-		var distance int64
-		if tc.raw {
-			distance = now - prev - 1
-		} else {
-			// Distinct blocks visited strictly after prev: marked times in
-			// (prev, now).
-			distance = tc.fenwickSum(int(now-1)) - tc.fenwickSum(int(prev))
-		}
-		if distance >= int64(tc.capacity) {
-			miss = true // step 2: reuse distance exceeds capacity
-		}
-		tc.fenwickAdd(int(prev), -1)
+		// step 1 (first appearance) and step 2 (evicted, so its stack
+		// distance reached capacity) are both "not resident".
+		miss = tc.nodes[i].prev == detached
+		tc.touch(i)
 	}
-	tc.lastVisit[block] = now
-	tc.fenwickAdd(int(now), 1)
 	if miss {
 		tc.misses++
 	}
 	return miss
+}
+
+// find returns block's node, creating it on first sight.
+func (tc *TemplateCounter) find(block int64) (i int32, seen bool) {
+	if uint64(block) < uint64(len(tc.dense)) || tc.growDense(block) {
+		if i := tc.dense[block]; i != 0 {
+			return i - 1, true
+		}
+		i = tc.newNode()
+		tc.dense[block] = i + 1
+		return i, false
+	}
+	if i, ok := tc.sparse[block]; ok {
+		return i, true
+	}
+	i = tc.newNode()
+	tc.sparse[block] = i
+	return i, false
+}
+
+// newNode appends a detached node, doubling the backing array when full:
+// append's gentler growth for large slices would copy the nodes more often.
+func (tc *TemplateCounter) newNode() int32 {
+	if len(tc.nodes) == cap(tc.nodes) {
+		grown := make([]tcNode, len(tc.nodes), max(2*cap(tc.nodes), 64))
+		copy(grown, tc.nodes)
+		tc.nodes = grown
+	}
+	tc.nodes = append(tc.nodes, tcNode{prev: detached, next: noNode})
+	return int32(len(tc.nodes) - 1)
+}
+
+// growDense extends the dense index to cover block, if that keeps it
+// within its memory bound, moving the sparse entries it comes to cover.
+func (tc *TemplateCounter) growDense(block int64) bool {
+	limit := 2*int64(len(tc.nodes)) + denseSlack
+	if block < 0 || block >= limit {
+		return false
+	}
+	n := min(max(2*int64(len(tc.dense)), block+1), limit)
+	grown := make([]int32, n)
+	copy(grown, tc.dense)
+	for b, i := range tc.sparse {
+		if b >= 0 && b < n {
+			grown[b] = i + 1
+			delete(tc.sparse, b)
+		}
+	}
+	tc.dense = grown
+	return true
+}
+
+// touch makes node i the most recently used resident block, evicting the
+// least recently used one when that overfills the capacity.
+func (tc *TemplateCounter) touch(i int32) {
+	if tc.capacity <= 0 {
+		return
+	}
+	n := &tc.nodes[i]
+	switch {
+	case tc.mru == i:
+		return
+	case n.prev == detached:
+		tc.resident++
+	default:
+		tc.unlink(i)
+	}
+	n.prev, n.next = noNode, tc.mru
+	if tc.mru != noNode {
+		tc.nodes[tc.mru].prev = i
+	}
+	tc.mru = i
+	if tc.lru == noNode {
+		tc.lru = i
+	}
+	if tc.resident > tc.capacity {
+		victim := tc.lru
+		tc.unlink(victim)
+		tc.nodes[victim].prev = detached
+		tc.resident--
+	}
+}
+
+// unlink detaches resident node i from the list.
+func (tc *TemplateCounter) unlink(i int32) {
+	n := &tc.nodes[i]
+	if n.prev != noNode {
+		tc.nodes[n.prev].next = n.next
+	} else {
+		tc.mru = n.next
+	}
+	if n.next != noNode {
+		tc.nodes[n.next].prev = n.prev
+	} else {
+		tc.lru = n.prev
+	}
 }
 
 // Misses returns the accumulated estimate of main-memory accesses.
@@ -199,7 +280,7 @@ func (tc *TemplateCounter) Misses() int64 { return tc.misses }
 func (tc *TemplateCounter) Visits() int64 { return tc.visits }
 
 // DistinctBlocks returns how many unique blocks have been visited.
-func (tc *TemplateCounter) DistinctBlocks() int { return len(tc.lastVisit) }
+func (tc *TemplateCounter) DistinctBlocks() int { return len(tc.nodes) }
 
 // RepeatedTraversalMisses is a closed-form shortcut for the common
 // template "traverse the whole structure, passes times": the first pass

@@ -10,7 +10,7 @@ import (
 )
 
 // naiveStackMisses is a brute-force reference for the two-step algorithm
-// with LRU stack distance, used to validate the Fenwick implementation.
+// with LRU stack distance, used to validate the TemplateCounter.
 func naiveStackMisses(blocks []int64, capacity int) int64 {
 	var misses int64
 	last := map[int64]int{}
@@ -26,6 +26,22 @@ func naiveStackMisses(blocks []int64, capacity int) int64 {
 			if len(distinct) >= capacity {
 				misses++
 			}
+		}
+		last[b] = i
+	}
+	return misses
+}
+
+// naiveRawMisses is the raw-index-distance counterpart of
+// naiveStackMisses: a reuse misses when at least capacity template entries
+// lie between it and the block's previous visit.
+func naiveRawMisses(blocks []int64, capacity int) int64 {
+	var misses int64
+	last := map[int64]int{}
+	for i, b := range blocks {
+		prev, seen := last[b]
+		if !seen || i-prev-1 >= capacity {
+			misses++
 		}
 		last[b] = i
 	}
