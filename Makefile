@@ -17,13 +17,15 @@
 #   make test         the tier-1 test run
 #   make race         full suite under the race detector (slow: the
 #                     experiments package replays every figure)
-#   make bench-smoke  one iteration of the sequential-vs-sharded replay
-#                     benchmarks, as a compile-and-run sanity check
+#   make bench-smoke  one iteration of the cache simulator's batched and
+#                     per-reference replay benchmarks, as a compile-and-run
+#                     sanity check
 #   make bench        full benchmark suite (regenerates every figure)
-#   make fuzz-smoke   bounded fuzz of the sharded-vs-sequential cache
-#                     differential, the v1 trace codec round-trip and the
-#                     template counter against its brute-force oracles;
-#                     FUZZTIME bounds each target (default 10s)
+#   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
+#                     differential, the v1 trace codec round-trip, the
+#                     template counter against its brute-force oracles and
+#                     bench manifest decoding for -compare; FUZZTIME
+#                     bounds each target (default 10s)
 #   make fuzz-smoke-v2  bounded fuzz of the v2 (columnar) trace codec:
 #                     encode/decode round-trip incl. misalignment and
 #                     truncation, and v1-vs-v2 record equivalence
@@ -96,15 +98,16 @@ race:
 	$(GO) test -race ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench=Sharded -benchtime=1x .
+	$(GO) test -run '^$$' -bench='BenchmarkBatchReplay|BenchmarkSimulatorAccess' -benchtime=1x ./internal/cache
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzShardedVsSequential$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
+	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
 
 fuzz-smoke-v2:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace

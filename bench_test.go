@@ -7,8 +7,6 @@ package dvf_test
 // `go test -bench=. -benchmem` doubles as the reproduction harness.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/cache"
@@ -162,52 +160,6 @@ func BenchmarkTableVIIProtection(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkShardedReplay compares the sequential simulator against the
-// set-sharded parallel engine replaying the same prerecorded trace, for
-// the two trace-heaviest kernels (CG and MG). Each kernel is recorded
-// once; every sub-benchmark then replays the identical reference stream
-// through cache.NewEngine at a different worker count, so the numbers
-// isolate the engine's cost from trace generation. workers=1 is the
-// sequential baseline; on a multi-core machine the sharded variants
-// should scale with the worker count (the engines are proven
-// bit-identical, so this is purely a throughput comparison).
-func BenchmarkShardedReplay(b *testing.B) {
-	cases := []struct {
-		name string
-		k    kernels.Kernel
-	}{
-		{"CG", kernels.NewCG(700, 5)},
-		{"MG", kernels.NewMG(32, 2)},
-	}
-	workerCounts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, c := range cases {
-		rec := &trace.Recorder{}
-		if _, err := c.k.Run(rec); err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range workerCounts {
-			w := w
-			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng, err := cache.NewEngine(cache.Profile16KB, w)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for j, r := range rec.Refs {
-						eng.Access(r.Addr, r.Size, r.Write, cache.StructID(rec.Owners[j]))
-					}
-					eng.Drain()
-					eng.Close()
-				}
-				b.ReportMetric(float64(rec.Len())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
-			})
-		}
 	}
 }
 

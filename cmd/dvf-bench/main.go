@@ -1,13 +1,10 @@
 // Command dvf-bench benchmarks the trace→cache→DVF pipeline and writes a
 // schema-versioned run manifest, the machine-readable perf trajectory CI
 // gates on. Each selected kernel's trace is recorded once (struct-of-
-// arrays), then replayed in RefBatch blocks through the sequential, the
-// set-sharded and the auto-selected engine on every selected cache; per
-// cell the manifest records refs, wall time, ns/ref and the simulation
-// counters (the engines must agree bit for bit — every bench run doubles
-// as a differential test). The "auto" cells measure what
-// cache.NewAutoEngine actually picks for the trace, so a baseline compare
-// proves the adaptive choice is at parity-or-better at every trace size.
+// arrays), then replayed in RefBatch blocks through the cache simulator
+// on every selected cache; per cell the manifest records refs, wall time,
+// ns/ref and the simulation counters. Affine kernels also get an
+// "analytic" cell timing the trace-free solve.
 //
 // Benchmark and record:
 //
@@ -60,7 +57,6 @@ func main() {
 	log.SetPrefix("dvf-bench: ")
 	kernelsFlag := flag.String("kernels", "", "comma-separated Table II codes (default: full verification suite)")
 	cachesFlag := flag.String("caches", "", "comma-separated Table IV caches (default: small,large)")
-	workers := flag.Int("workers", 0, "sharded-engine workers (0 = one per CPU)")
 	benchtime := flag.String("benchtime", "1x", "replay iterations per cell, Go-style 'Nx' (best-of)")
 	outDir := flag.String("out", ".", "directory for the BENCH_<timestamp>.json manifest ('' = don't write)")
 	serveBench := flag.Bool("serve", false, "also benchmark the dvf-serve HTTP hot path (the serve/loadtest/serve cell)")
@@ -87,7 +83,6 @@ func main() {
 	opts := bench.Options{
 		Kernels: splitList(*kernelsFlag),
 		Configs: configs,
-		Workers: *workers,
 		Iters:   iters,
 		Sink:    o.Sink(),
 	}
@@ -108,7 +103,6 @@ func main() {
 		cell, err := bench.RunServe(bench.ServeOptions{
 			Requests: *serveRequests,
 			Clients:  *serveClients,
-			Workers:  *workers,
 			Sink:     opts.Sink,
 			Logf:     opts.Logf,
 		})

@@ -2,7 +2,7 @@
 // any dvf binary's -trace-out flag — into a terminal report: per-phase
 // self/total time across every track, the counter tracks present, and
 // the top-N individual spans by duration. It answers "where did the run
-// spend its time, and which shard or driver stalled" without opening a
+// spend its time, and which driver stalled" without opening a
 // trace UI.
 //
 //	dvf-flame run.json             fold and report

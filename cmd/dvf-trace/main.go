@@ -15,13 +15,8 @@
 //	dvf-trace -replay ft.trace -all
 //
 // Replay reads either container version (sniffed from the magic), memory-
-// maps the file, and feeds the engine RefBatch blocks — zero-copy for v2
-// traces on little-endian machines. The engine is chosen adaptively from
-// the trace's record count (-workers=-1, the default): sequential below
-// the sharding crossover, set-sharded above it. -workers=1 forces the
-// sequential simulator, 0 one shard worker per CPU. Every choice produces
-// a bit-identical report — the cache decomposes exactly by set index — so
-// the flag only trades wall-clock time.
+// maps the file, and feeds the cache simulator RefBatch blocks — zero-copy
+// for v2 traces on little-endian machines.
 //
 // Trace-free analysis:
 //
@@ -70,7 +65,6 @@ func main() {
 	replay := flag.String("replay", "", "trace file to replay")
 	cacheName := flag.String("cache", "small", "cache to replay against")
 	all := flag.Bool("all", false, "replay against every Table IV cache")
-	workers := flag.Int("workers", -1, "replay workers (-1 = auto from trace size, 0 = one per CPU, 1 = sequential)")
 	engine := flag.String("engine", "replay", "analysis engine: replay (trace-driven) or analytic (trace-free, affine kernels)")
 	o := obs.AddFlags(nil)
 	flag.Parse()
@@ -114,7 +108,7 @@ func main() {
 			configs = append(configs, cfg)
 		}
 		for _, cfg := range configs {
-			if err := doReplay(*replay, cfg, *workers, o.Sink(), o.Tracer()); err != nil {
+			if err := doReplay(*replay, cfg, o.Sink(), o.Tracer()); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -248,29 +242,21 @@ func kernelRegistry(info *kernels.RunInfo, rec *trace.Recorder) *trace.Registry 
 	return reg
 }
 
-func doReplay(path string, cfg cache.Config, workers int, sink metrics.Sink, tz tracez.Recorder) error {
+func doReplay(path string, cfg cache.Config, sink metrics.Sink, tz tracez.Recorder) error {
 	tf, err := trace.OpenTraceFile(path)
 	if err != nil {
 		return err
 	}
 	defer tf.Close()
-	var sim cache.Engine
-	if workers < 0 {
-		sim, err = cache.NewAutoEngine(cfg, cache.AutoHint{Refs: tf.NumRefs()})
-	} else {
-		sim, err = cache.NewEngine(cfg, workers)
-	}
+	sim, err := cache.NewSimulator(cfg)
 	if err != nil {
 		return err
 	}
-	defer sim.Close()
-	sim.Instrument(sink)
 	sim.Trace(tz)
 	consume := trace.InstrumentedBatch(trace.BatchConsumerFunc(sim.AccessBatch), sink, "trace.replay")
 	sw := sink.Timer("trace.replay_ns").Start()
 	sp := tz.Track("trace.replay").Begin("replay " + cfg.Name)
 	err = tf.Replay(trace.DefaultBatch, consume.AccessBatch)
-	sim.Drain()
 	sp.End()
 	sw.Stop()
 	if err != nil {

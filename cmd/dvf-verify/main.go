@@ -8,13 +8,11 @@
 //	            solved symbolically and checked against the sequential
 //	            simulator, exiting nonzero on any tolerance breach
 //	-csv        emit machine-readable CSV instead of the table
-//	-workers N  simulation parallelism: 0 (default) fans the twelve
-//	            (kernel, cache) cells out concurrently, 1 falls back to
-//	            the strictly sequential path, N>1 bounds the fan-out to N
-//	            cells and replays each on the set-sharded engine with N
-//	            workers, -1 fans the cells out and lets each pick its
-//	            engine adaptively (cache.NewAutoEngine). The output is
-//	            identical for every setting.
+//	-workers N  how many (kernel, cache) cells run at once: 0 (default)
+//	            fans all twelve out concurrently, 1 runs them one after
+//	            another with no goroutines, N>1 keeps at most N in
+//	            flight. Each cell replays on its own sequential cache
+//	            simulator; the output is identical for every setting.
 //	-metrics X  dump a pipeline metrics snapshot on exit (internal/obs)
 //	-pprof P    write P.cpu.pprof and P.heap.pprof profiles
 package main
@@ -32,7 +30,7 @@ import (
 func main() {
 	engine := flag.String("engine", "replay", "verification engine: replay or analytic")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of the table")
-	workers := flag.Int("workers", 0, "simulation workers (0 = parallel default, 1 = sequential, -1 = auto engine)")
+	workers := flag.Int("workers", 0, "cells run at once (0 = all, 1 = one after another)")
 	o := obs.AddFlags(nil)
 	flag.Parse()
 	defer o.Start()()

@@ -32,7 +32,7 @@ func TestAnalyticSpeedupAtLargeTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cache.Large
-	seq, err := replayCell("CG", cfg, rec, 1, 3, nil)
+	seq, err := replayCell("CG", cfg, rec, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

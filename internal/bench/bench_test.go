@@ -14,7 +14,6 @@ func smallOptions(sink metrics.Sink) Options {
 	return Options{
 		Kernels: []string{"VM"},
 		Configs: []cache.Config{cache.Small},
-		Workers: 2,
 		Iters:   1,
 		Sink:    sink,
 	}
@@ -22,9 +21,8 @@ func smallOptions(sink metrics.Sink) Options {
 
 // TestRunProducesManifest runs the real pipeline end to end and checks the
 // manifest invariants the CI artifact relies on: schema tag, environment
-// stamps, one sequential plus one sharded plus one auto cell per
-// (kernel, cache) with identical simulation counters, and a populated
-// metrics snapshot.
+// stamps, one sequential replay cell per (kernel, cache) plus an analytic
+// cell for affine kernels, and a populated metrics snapshot.
 func TestRunProducesManifest(t *testing.T) {
 	sink := metrics.New()
 	m, err := Run(smallOptions(sink))
@@ -37,8 +35,8 @@ func TestRunProducesManifest(t *testing.T) {
 	if m.GoVersion == "" || m.GOMAXPROCS <= 0 || m.NumCPU <= 0 {
 		t.Errorf("environment stamps missing: %+v", m)
 	}
-	if len(m.Cells) != 4 {
-		t.Fatalf("cells = %d, want 4 (analytic + auto + sequential + sharded; VM is affine)", len(m.Cells))
+	if len(m.Cells) != 2 {
+		t.Fatalf("cells = %d, want 2 (analytic + sequential; VM is affine)", len(m.Cells))
 	}
 	for i := 1; i < len(m.Cells); i++ {
 		if m.Cells[i-1].Key() >= m.Cells[i].Key() {
@@ -50,9 +48,9 @@ func TestRunProducesManifest(t *testing.T) {
 	for _, c := range m.Cells {
 		byEngine[c.Engine] = c
 	}
-	auto, seq, shard := byEngine["auto"], byEngine["sequential"], byEngine["sharded"]
-	if auto.Kernel == "" || seq.Kernel == "" || shard.Kernel == "" {
-		t.Fatalf("missing engine cells, got %+v", m.Cells)
+	seq := byEngine["sequential"]
+	if seq.Kernel == "" || seq.Workers != 1 {
+		t.Fatalf("missing sequential cell, got %+v", m.Cells)
 	}
 	an := byEngine["analytic"]
 	if an.Kernel == "" {
@@ -70,19 +68,8 @@ func TestRunProducesManifest(t *testing.T) {
 	if seq.Refs <= 0 || seq.WallNs <= 0 || seq.NsPerRef <= 0 {
 		t.Errorf("sequential cell not measured: %+v", seq)
 	}
-	if seq.Stats != shard.Stats || seq.Stats != auto.Stats {
-		t.Errorf("engines diverged: seq %+v, sharded %+v, auto %+v", seq.Stats, shard.Stats, auto.Stats)
-	}
-	// VM's trace sits far below the sharding crossover, so the auto cell
-	// must have been replayed on the sequential engine (1 worker).
-	if auto.Workers != 1 {
-		t.Errorf("auto cell ran %d workers on a Small-tier trace, want 1 (sequential)", auto.Workers)
-	}
 	if seq.Stats.Accesses == 0 || seq.Stats.Misses == 0 {
 		t.Errorf("replay simulated nothing: %+v", seq.Stats)
-	}
-	if len(m.Speedups) != 1 {
-		t.Errorf("speedups = %d, want 1", len(m.Speedups))
 	}
 	if m.Metrics.Counters["bench.record.refs"] != seq.Refs {
 		t.Errorf("metrics snapshot recorded %d refs, cells say %d",
@@ -138,12 +125,12 @@ func syntheticManifest(nsPerRef map[string]float64) *Manifest {
 func TestCompareFlagsInjectedRegression(t *testing.T) {
 	old := syntheticManifest(map[string]float64{
 		"VM/small/sequential": 10.0,
-		"VM/small/sharded":    4.0,
+		"VM/small/analytic":   4.0,
 	})
-	// 25% regression on the sequential cell, sharded unchanged.
+	// 25% regression on the sequential cell, analytic unchanged.
 	new := syntheticManifest(map[string]float64{
 		"VM/small/sequential": 12.5,
-		"VM/small/sharded":    4.0,
+		"VM/small/analytic":   4.0,
 	})
 	res := Compare(old, new, CompareOptions{MaxRegressPct: 20})
 	if !res.Failed() {

@@ -7,6 +7,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,13 +32,13 @@ const Schema = "dvf-bench/v1"
 type Cell struct {
 	Kernel   string      `json:"kernel"`
 	Cache    string      `json:"cache"`
-	Engine   string      `json:"engine"` // "sequential" or "sharded"
+	Engine   string      `json:"engine"` // "sequential", "analytic" or "serve"
 	Workers  int         `json:"workers"`
 	Iters    int         `json:"iters"`
 	Refs     int64       `json:"refs"`
 	WallNs   int64       `json:"wall_ns"`
 	NsPerRef float64     `json:"ns_per_ref"`
-	Stats    cache.Stats `json:"stats"` // total counters, for cross-engine identity checks
+	Stats    cache.Stats `json:"stats"` // total replay counters; zero on analytic and serve cells
 }
 
 // Key returns the identity under which cells are matched across manifests.
@@ -45,18 +46,9 @@ func (c Cell) Key() string {
 	return fmt.Sprintf("%s/%s/%s", c.Kernel, c.Cache, c.Engine)
 }
 
-// Speedup records the sharded engine's advantage over the sequential one
-// for the same (kernel, cache) replay.
-type Speedup struct {
-	Kernel  string  `json:"kernel"`
-	Cache   string  `json:"cache"`
-	Workers int     `json:"workers"`
-	Factor  float64 `json:"factor"` // sequential wall / sharded wall
-}
-
 // Manifest is one dvf-bench run: the environment it ran in, every
-// benchmarked cell, the derived speedups, and the pipeline's own metrics
-// snapshot (fan-out batching, drain latency, memory high-water marks).
+// benchmarked cell, and the pipeline's own metrics snapshot (recording
+// and replay counters, memory high-water marks).
 type Manifest struct {
 	Schema     string           `json:"schema"`
 	Timestamp  string           `json:"timestamp"` // RFC3339 UTC
@@ -67,7 +59,6 @@ type Manifest struct {
 	NumCPU     int              `json:"num_cpu"`
 	GitRev     string           `json:"git_rev,omitempty"` // short commit hash, "" outside a checkout
 	Cells      []Cell           `json:"cells"`
-	Speedups   []Speedup        `json:"speedups,omitempty"`
 	Metrics    metrics.Snapshot `json:"metrics"`
 }
 
@@ -123,10 +114,28 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// ReadManifest decodes a manifest and validates its schema tag.
+// maxManifestBytes bounds what ReadManifest will read. A full run's
+// manifest is tens of kilobytes; anything past this limit is refused
+// rather than decoded.
+const maxManifestBytes = 4 << 20
+
+// ReadManifest decodes a manifest and validates its schema tag. It fails
+// closed on hostile input: it reads at most maxManifestBytes (4 MiB), and it
+// rejects anything but whitespace after the JSON object.
 func ReadManifest(r io.Reader) (*Manifest, error) {
+	lr := &io.LimitedReader{R: r, N: maxManifestBytes + 1}
+	dec := json.NewDecoder(lr)
 	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	err := dec.Decode(&m)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the manifest object")
+		}
+	}
+	if lr.N <= 0 {
+		return nil, fmt.Errorf("bench: manifest exceeds %d bytes", maxManifestBytes)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("bench: decoding manifest: %w", err)
 	}
 	if m.Schema != Schema {

@@ -17,20 +17,17 @@ import (
 type Options struct {
 	Kernels []string                         // Table II codes; nil/empty = the full verification suite
 	Configs []cache.Config                   // nil/empty = both Table IV verification caches
-	Workers int                              // sharded engine workers; <= 0 auto-scales to NumCPU
 	Iters   int                              // replay iterations per cell (best-of); <= 0 means 1
 	Sink    metrics.Sink                     // pipeline observability; nil disables
 	Logf    func(format string, args ...any) // progress output; nil discards
 }
 
 // Run records each selected kernel's trace once (in struct-of-arrays
-// form), then replays the identical reference stream through the
-// sequential, set-sharded and auto-selected engines on every selected
-// cache, timing each replay. Replay is batched — DefaultBatch-sized
-// RefBatch views into the recording, the same hot path dvf-trace -replay
-// uses. Per (kernel, cache) it verifies all engines produced bit-identical
-// aggregate counters — a live differential check riding along with every
-// benchmark run — and derives the sharded speedup.
+// form), then replays the reference stream through the cache simulator on
+// every selected cache, timing each replay. Replay is batched —
+// DefaultBatch-sized RefBatch views into the recording, the same hot path
+// dvf-trace -replay uses. Affine kernels also get an analytic cell timing
+// the trace-free solve.
 func Run(o Options) (*Manifest, error) {
 	codes := o.Kernels
 	if len(codes) == 0 {
@@ -45,10 +42,6 @@ func Run(o Options) (*Manifest, error) {
 	iters := o.Iters
 	if iters <= 0 {
 		iters = 1
-	}
-	shardWorkers := o.Workers
-	if shardWorkers == 1 {
-		shardWorkers = 0 // a 1-worker "sharded" run is just the sequential engine
 	}
 	logf := o.Logf
 	if logf == nil {
@@ -71,35 +64,14 @@ func Run(o Options) (*Manifest, error) {
 		logf("%s: recorded %d references", code, rec.Len())
 
 		for _, cfg := range configs {
-			seq, err := replayCell(k.Name(), cfg, rec, 1, iters, o.Sink)
+			seq, err := replayCell(k.Name(), cfg, rec, iters, o.Sink)
 			if err != nil {
 				return nil, err
 			}
-			shard, err := replayCell(k.Name(), cfg, rec, shardWorkers, iters, o.Sink)
-			if err != nil {
-				return nil, err
-			}
-			auto, err := replayCell(k.Name(), cfg, rec, autoWorkers, iters, o.Sink)
-			if err != nil {
-				return nil, err
-			}
-			if seq.Stats != shard.Stats || seq.Stats != auto.Stats {
-				return nil, fmt.Errorf("bench: %s on %s: engine stats diverge: seq %+v, sharded %+v, auto %+v",
-					code, cfg.Name, seq.Stats, shard.Stats, auto.Stats)
-			}
-			m.Cells = append(m.Cells, seq, shard, auto)
-			factor := 0.0
-			if shard.WallNs > 0 {
-				factor = float64(seq.WallNs) / float64(shard.WallNs)
-			}
-			m.Speedups = append(m.Speedups, Speedup{
-				Kernel: code, Cache: cfg.Name, Workers: shard.Workers, Factor: factor,
-			})
-			logf("%s on %-22s seq %8.2f ns/ref   sharded(%d) %8.2f ns/ref   auto %8.2f ns/ref   speedup %.2fx",
-				code, cfg.Name, seq.NsPerRef, shard.Workers, shard.NsPerRef, auto.NsPerRef, factor)
-			// Fourth cell: the trace-free analytic engine, where the kernel's
-			// affine structure admits one. It is deliberately outside the
-			// bit-identity check above — it predicts miss counts within a
+			m.Cells = append(m.Cells, seq)
+			logf("%s on %-22s sequential %8.2f ns/ref", code, cfg.Name, seq.NsPerRef)
+			// Second cell: the trace-free analytic engine, where the kernel's
+			// affine structure admits one. It predicts miss counts within a
 			// documented tolerance instead of replaying, and its Stats stay
 			// zero so nobody mistakes the prediction for replay counters.
 			if d, ok := kernels.Affine(k); ok {
@@ -123,49 +95,27 @@ func Run(o Options) (*Manifest, error) {
 	// selections then produce comparable manifests regardless of how the
 	// caller spelled the selection.
 	sort.Slice(m.Cells, func(i, j int) bool { return m.Cells[i].Key() < m.Cells[j].Key() })
-	sort.Slice(m.Speedups, func(i, j int) bool {
-		a, b := m.Speedups[i], m.Speedups[j]
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		return a.Cache < b.Cache
-	})
 	return m, nil
 }
 
-// autoWorkers is replayCell's sentinel for "let cache.NewAutoEngine pick
-// from the recording's length" — the choice dvf-trace -replay makes by
-// default. Auto cells keep the stable engine label "auto" in the manifest
-// regardless of which engine the heuristic built, so baselines compare
-// like against like across machines.
-const autoWorkers = -1
-
-// replayCell replays one recorded stream through one engine configuration
-// iters times and keeps the best wall time. workers==1 selects the
-// sequential engine, workers==autoWorkers the adaptive choice; anything
-// else the sharded one. The stream is fed in DefaultBatch-sized RefBatch
-// views — the batched hot path.
-func replayCell(kernel string, cfg cache.Config, rec *trace.BatchRecorder, workers, iters int, sink metrics.Sink) (Cell, error) {
+// replayCell replays one recorded stream through a fresh cache simulator
+// iters times and keeps the best wall time. The stream is fed in
+// DefaultBatch-sized RefBatch views — the batched hot path.
+func replayCell(kernel string, cfg cache.Config, rec *trace.BatchRecorder, iters int, sink metrics.Sink) (Cell, error) {
 	cell := Cell{
-		Kernel: kernel,
-		Cache:  cfg.Name,
-		Iters:  iters,
-		Refs:   int64(rec.Len()),
+		Kernel:  kernel,
+		Cache:   cfg.Name,
+		Engine:  "sequential",
+		Workers: 1,
+		Iters:   iters,
+		Refs:    int64(rec.Len()),
 	}
 	whole := rec.Batch
-	var last cache.Engine
 	for it := 0; it < iters; it++ {
-		var eng cache.Engine
-		var err error
-		if workers == autoWorkers {
-			eng, err = cache.NewAutoEngine(cfg, cache.AutoHint{Refs: int64(rec.Len())})
-		} else {
-			eng, err = cache.NewEngine(cfg, workers)
-		}
+		sim, err := cache.NewSimulator(cfg)
 		if err != nil {
 			return Cell{}, err
 		}
-		eng.Instrument(sink)
 		t0 := time.Now()
 		var view trace.RefBatch
 		for lo := 0; lo < whole.Len(); lo += trace.DefaultBatch {
@@ -174,30 +124,14 @@ func replayCell(kernel string, cfg cache.Config, rec *trace.BatchRecorder, worke
 				hi = whole.Len()
 			}
 			view = whole.Slice(lo, hi)
-			eng.AccessBatch(&view)
+			sim.AccessBatch(&view)
 		}
-		eng.Drain()
 		wall := time.Since(t0).Nanoseconds()
 		if it == 0 || wall < cell.WallNs {
 			cell.WallNs = wall
 		}
-		if last != nil {
-			last.Close()
-		}
-		last = eng
+		cell.Stats = sim.TotalStats()
 	}
-	cell.Stats = last.TotalStats()
-	cell.Workers = engineWorkers(last)
-	// Label from what NewEngine actually built: on a single-core machine an
-	// auto-scaled "sharded" request degenerates to the sequential engine.
-	cell.Engine = "sequential"
-	if cell.Workers > 1 {
-		cell.Engine = "sharded"
-	}
-	if workers == autoWorkers {
-		cell.Engine = "auto"
-	}
-	last.Close()
 	if cell.Refs > 0 {
 		cell.NsPerRef = float64(cell.WallNs) / float64(cell.Refs)
 	}
@@ -208,7 +142,7 @@ func replayCell(kernel string, cfg cache.Config, rec *trace.BatchRecorder, worke
 // analyticCell times the trace-free analytic solve for one affine kernel
 // on one cache, best of iters. Refs carries the recorded reference count
 // the solve replaces, so NsPerRef is directly comparable with the replay
-// engines' cells; WallNs is the cost of one whole solve, microseconds
+// cells; WallNs is the cost of one whole solve, microseconds
 // where a replay takes milliseconds.
 func analyticCell(kernel string, cfg cache.Config, d *analytic.Descriptor, refs int64, iters int) (Cell, error) {
 	cell := Cell{
@@ -235,14 +169,6 @@ func analyticCell(kernel string, cfg cache.Config, d *analytic.Descriptor, refs 
 	return cell, nil
 }
 
-// engineWorkers reports the actual worker count an engine runs with.
-func engineWorkers(e cache.Engine) int {
-	if s, ok := e.(*cache.ShardedSim); ok {
-		return s.Workers()
-	}
-	return 1
-}
-
 // RenderSummary writes the human-readable table for a manifest. The
 // first write error is returned; later lines are skipped.
 func RenderSummary(w io.Writer, m *Manifest) error {
@@ -259,9 +185,6 @@ func RenderSummary(w io.Writer, m *Manifest) error {
 		ew.printf("%-6s %-22s %-10s %8d %12d %12s %10.2f\n",
 			c.Kernel, c.Cache, c.Engine, c.Workers, c.Refs,
 			time.Duration(c.WallNs).Round(time.Microsecond), c.NsPerRef)
-	}
-	for _, s := range m.Speedups {
-		ew.printf("speedup %-6s %-22s sharded(%d) %.2fx\n", s.Kernel, s.Cache, s.Workers, s.Factor)
 	}
 	for _, name := range sortedKeys(m.Metrics.Histograms) {
 		h := m.Metrics.Histograms[name]

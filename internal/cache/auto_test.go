@@ -1,107 +1,62 @@
 package cache
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
+// TestAutoChoiceCrossover pins that the crossover is gone: on every cache
+// geometry, including the core counts where the old heuristic sharded
+// long traces, AutoChoice picks the sequential simulator.
 func TestAutoChoiceCrossover(t *testing.T) {
-	cfg := Small
-	cases := []struct {
-		name   string
-		hint   AutoHint
-		numCPU int
-		want   int
-	}{
-		{"unknown length", AutoHint{}, 16, 1},
-		{"small trace many cores", AutoHint{Refs: 100_000}, 16, 1},
-		{"just below crossover", AutoHint{Refs: AutoShardMinRefs - 1}, 16, 1},
-		{"at crossover", AutoHint{Refs: AutoShardMinRefs}, 16, 16},
-		{"huge trace", AutoHint{Refs: 1 << 30}, 8, 8},
-		{"huge trace few cores", AutoHint{Refs: 1 << 30}, 2, 1},
-		{"huge trace below cpu floor", AutoHint{Refs: 1 << 30}, AutoShardMinCPUs - 1, 1},
-		{"worker cap respected", AutoHint{Refs: 1 << 30, Workers: 4}, 16, 4},
-		{"worker cap above cpus", AutoHint{Refs: 1 << 30, Workers: 64}, 8, 8},
-		{"single worker requested", AutoHint{Refs: 1 << 30, Workers: 1}, 16, 1},
-	}
-	for _, c := range cases {
-		if got := AutoChoice(cfg, c.hint, c.numCPU); got != c.want {
-			t.Errorf("%s: AutoChoice(%+v, %d cpus) = %d, want %d", c.name, c.hint, c.numCPU, got, c.want)
-		}
-	}
-}
-
-// TestAutoNeverShardsSmallTier is the satellite guarantee that the auto
-// engine cannot reintroduce the small-trace regression: for every trace
-// length in the Small benchmark tier (and up to the crossover), on any
-// core count, AutoChoice selects the sequential simulator — which is, by
-// identity, never slower than the sequential simulator. The Table IV
-// kernel runs all sit under the crossover too, so `dvf-bench` auto cells
-// are sequential on every machine.
-func TestAutoNeverShardsSmallTier(t *testing.T) {
-	cfg := Small
-	for _, refs := range []int64{0, 1, 1 << 10, 1 << 16, 1 << 20, 5_065_500, AutoShardMinRefs - 1} {
-		for _, cpus := range []int{1, 2, 4, 8, 64} {
-			if got := AutoChoice(cfg, AutoHint{Refs: refs}, cpus); got != 1 {
-				t.Errorf("AutoChoice(refs=%d, cpus=%d) = %d workers; Small-tier traces must stay sequential", refs, cpus, got)
+	for _, cfg := range []Config{Small, Large, Profile16KB, Profile128KB, Profile1MB, Profile8MB} {
+		for _, cpus := range []int{0, 1, 2, 3, 4, 8, 16, 64} {
+			if got := AutoChoice(cfg, AutoHint{}, cpus); got != 1 {
+				t.Errorf("AutoChoice(%s, %d cpus) = %d workers, want 1", cfg.Name, cpus, got)
 			}
 		}
 	}
 }
 
+// TestAutoNeverShardsSmallTier pins the compatibility shim: AutoChoice
+// picks the sequential simulator (one worker) on every core count.
+func TestAutoNeverShardsSmallTier(t *testing.T) {
+	for _, cpus := range []int{1, 2, 4, 8, 64} {
+		if got := AutoChoice(Small, AutoHint{}, cpus); got != 1 {
+			t.Errorf("AutoChoice(%d cpus) = %d workers, want 1", cpus, got)
+		}
+	}
+}
+
 func TestNewAutoEngineSmallIsSequential(t *testing.T) {
-	e, err := NewAutoEngine(Small, AutoHint{Refs: 100_000})
+	e, err := NewAutoEngine(Small, AutoHint{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	if _, ok := e.(*Simulator); !ok {
-		t.Fatalf("NewAutoEngine picked %T for a Small-tier trace, want *Simulator", e)
+		t.Fatalf("NewAutoEngine built %T, want *Simulator", e)
+	}
+	if _, err := NewAutoEngine(Config{Name: "bad", Associativity: 0, Sets: 4, LineSize: 16}, AutoHint{}); err == nil {
+		t.Error("NewAutoEngine accepted an invalid geometry")
 	}
 }
 
-func TestNewAutoEngineLargeShardsWhenCoresAllow(t *testing.T) {
-	e, err := NewAutoEngine(Small, AutoHint{Refs: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if runtime.NumCPU() >= AutoShardMinCPUs {
-		if _, ok := e.(*ShardedSim); !ok {
-			t.Fatalf("NewAutoEngine picked %T for a %d-core machine at 2^30 refs, want *ShardedSim", e, runtime.NumCPU())
-		}
-	} else {
-		if _, ok := e.(*Simulator); !ok {
-			t.Fatalf("NewAutoEngine picked %T on a %d-core machine, want *Simulator below the core floor", e, runtime.NumCPU())
-		}
-	}
-}
-
-// TestAutoEngineStatsMatchExplicit pins that the auto choice is purely a
-// performance decision: auto and both explicit engines produce identical
-// stats for the same stream.
+// TestAutoEngineStatsMatchExplicit pins that the auto engine replays
+// exactly like an explicitly built simulator.
 func TestAutoEngineStatsMatchExplicit(t *testing.T) {
-	cfg := Small
 	feed := func(e Engine) {
 		for i := 0; i < 50_000; i++ {
 			e.Access(uint64(i*13)%(1<<20), 8, i%3 == 0, StructID(i%4))
 		}
 		e.Flush()
 	}
-	seq, err := NewSimulator(cfg)
+	seq := mustSim(t, Small)
+	feed(seq)
+	auto, err := NewAutoEngine(Small, AutoHint{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(seq)
-	for _, hint := range []AutoHint{{}, {Refs: 50_000}, {Refs: 1 << 30}} {
-		auto, err := NewAutoEngine(cfg, hint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(auto)
-		if got, want := auto.TotalStats(), seq.TotalStats(); got != want {
-			t.Errorf("hint %+v: auto totals %+v != sequential %+v", hint, got, want)
-		}
-		auto.Close()
+	defer auto.Close()
+	feed(auto)
+	if got, want := auto.TotalStats(), seq.TotalStats(); got != want {
+		t.Errorf("auto totals %+v != sequential %+v", got, want)
 	}
 }

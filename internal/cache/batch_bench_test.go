@@ -1,0 +1,107 @@
+// BenchmarkBatchReplay measures the sequential simulator's batched replay
+// at three trace-size tiers:
+//
+//	go test ./internal/cache/ -run xxx -bench BatchReplay -benchtime 2s
+//
+// Each benchmark replays a pre-recorded synthetic stream through
+// AccessBatch in DefaultBatch-sized views, so the numbers are the batched
+// hot path dvf-trace -replay and dvf-bench use.
+package cache_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/resilience-models/dvf/internal/cache"
+	"github.com/resilience-models/dvf/internal/trace"
+)
+
+// replayStream records a mixed sequential/random stream of n refs with
+// a handful of owners — dense enough to exercise hits, sparse enough to
+// keep evicting.
+func replayStream(n int) *trace.BatchRecorder {
+	rng := rand.New(rand.NewSource(42))
+	br := &trace.BatchRecorder{}
+	for i := 0; i < n; i++ {
+		var addr uint64
+		if i%4 == 0 {
+			addr = uint64(rng.Intn(64 << 20))
+		} else {
+			addr = uint64(i*8) % (16 << 20)
+		}
+		br.Access(trace.Ref{Addr: addr, Size: 8, Write: i%5 == 0}, int32(i%4))
+	}
+	return br
+}
+
+func BenchmarkBatchReplay(b *testing.B) {
+	tiers := []struct {
+		name string
+		refs int
+	}{
+		{"Small", 1 << 16},
+		{"Medium", 1 << 20},
+		{"Large", 1 << 22},
+	}
+	for _, tier := range tiers {
+		whole := replayStream(tier.refs).Batch
+		b.Run(tier.name, func(b *testing.B) {
+			s, err := cache.NewSimulator(cache.Small)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			off := 0
+			var view trace.RefBatch
+			for done := 0; done < b.N; {
+				n := trace.DefaultBatch
+				if n > whole.Len()-off {
+					n = whole.Len() - off
+				}
+				if n > b.N-done {
+					n = b.N - done
+				}
+				view = whole.Slice(off, off+n)
+				s.AccessBatch(&view)
+				done += n
+				off += n
+				if off >= whole.Len() {
+					off = 0
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSimulatorAccess measures the per-reference Access path that
+// dvf-verify drives through a trace.ConsumerFunc, one op per reference, on
+// the same mixed stream and owners as BenchmarkBatchReplay:
+//
+//	go test ./internal/cache/ -run xxx -bench SimulatorAccess
+func BenchmarkSimulatorAccess(b *testing.B) {
+	whole := replayStream(1 << 16).Batch
+	for _, c := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"small", cache.Small}, {"large", cache.Large}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := cache.NewSimulator(c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			access := func(i int) {
+				r, owner := whole.At(i & (1<<16 - 1))
+				s.Access(r.Addr, r.Size, r.Write, cache.StructID(owner))
+			}
+			for i := 0; i < whole.Len(); i++ {
+				access(i) // warm: the sets' lazy storage and the stats entries
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				access(i)
+			}
+		})
+	}
+}

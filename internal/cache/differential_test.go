@@ -1,176 +1,209 @@
-package cache
+// Differential wall of the batched replay paths: for every registered
+// kernel, replaying the stream through AccessBatch — directly and through
+// a v2 trace encode/decode round trip — must produce exactly the
+// per-reference replay's per-structure counters (Accesses, Hits, Misses,
+// Writebacks and Evictions), totals and report on every cache geometry.
+//
+// This file lives in package cache_test because it drives the real Table II
+// kernels, and the kernels package (via patterns) imports cache.
+package cache_test
 
 import (
-	"math/rand"
+	"bytes"
+	"sync"
 	"testing"
-	"testing/quick"
+
+	"github.com/resilience-models/dvf/internal/cache"
+	"github.com/resilience-models/dvf/internal/kernels"
+	"github.com/resilience-models/dvf/internal/trace"
 )
 
-// refCache is a deliberately naive, obviously-correct set-associative LRU
-// cache used as a differential oracle for the production simulator. It
-// keeps per-set slices ordered oldest-first and scans linearly.
-type refCache struct {
-	cfg   Config
-	sets  [][]refLine
-	stats map[StructID]*Stats
-}
-
-type refLine struct {
-	block uint64
-	owner StructID
-	dirty bool
-}
-
-func newRefCache(cfg Config) *refCache {
-	return &refCache{
-		cfg:   cfg,
-		sets:  make([][]refLine, cfg.Sets),
-		stats: map[StructID]*Stats{},
+// diffKernels returns one modest-sized instance per kernel registered in
+// internal/kernels/registry.go (the Table II codes). The sizes are scaled
+// down from the verification suite so the full kernel × config matrix
+// stays fast enough to run under -race, while every access pattern class
+// — streaming, template+reuse, random tree walk, stencil, butterfly and
+// random lookup — is still replayed.
+func diffKernels() []kernels.Kernel {
+	return []kernels.Kernel{
+		kernels.NewVM(1000),
+		kernels.NewCG(100, 3),
+		kernels.NewNB(300),
+		kernels.NewMG(16, 1),
+		kernels.NewFT(512),
+		kernels.NewMC(1000),
 	}
 }
 
-func (r *refCache) stat(id StructID) *Stats {
-	s, ok := r.stats[id]
-	if !ok {
-		s = &Stats{}
-		r.stats[id] = s
+// TestDiffKernelsCoverRegistry pins diffKernels to the registry: if a new
+// kernel code appears in Table II, this test fails until the differential
+// suite covers it.
+func TestDiffKernelsCoverRegistry(t *testing.T) {
+	covered := map[string]bool{}
+	for _, k := range diffKernels() {
+		covered[k.Name()] = true
 	}
-	return s
-}
-
-func (r *refCache) access(addr uint64, size uint32, write bool, owner StructID) {
-	if size == 0 {
-		size = 1
+	for _, row := range kernels.TableIIRows() {
+		if !covered[row.Code] {
+			t.Errorf("kernel %s is registered but missing from the differential suite", row.Code)
+		}
 	}
-	first := addr / uint64(r.cfg.LineSize)
-	last := (addr + uint64(size) - 1) / uint64(r.cfg.LineSize)
-	for blk := first; blk <= last; blk++ {
-		r.accessBlock(blk, write, owner)
+	if len(covered) < len(kernels.TableIIRows()) {
+		t.Errorf("suite covers %d kernels, registry has %d", len(covered), len(kernels.TableIIRows()))
 	}
 }
 
-func (r *refCache) accessBlock(blk uint64, write bool, owner StructID) {
-	st := r.stat(owner)
-	st.Accesses++
-	setIdx := int(blk % uint64(r.cfg.Sets))
-	set := r.sets[setIdx]
-	for i := range set {
-		if set[i].block == blk {
-			// Hit: move to the back (most recently used).
-			line := set[i]
-			if write {
-				line.dirty = true
+// diffConfigs returns the three cache geometries of the differential
+// matrix: the Table IV verification cache, the smallest-line profiling
+// cache (8 B lines maximize multi-line splits), and a tiny direct-mapped
+// cache that makes every reference a potential eviction.
+func diffConfigs() []cache.Config {
+	return []cache.Config{
+		cache.Small,
+		cache.Profile16KB,
+		{Name: "direct-mapped", Associativity: 1, Sets: 4, LineSize: 32},
+	}
+}
+
+// recordOnce caches each kernel's reference stream so the matrix replays a
+// recording instead of re-running the kernel per cell.
+var (
+	recMu   sync.Mutex
+	recMap  = map[string]*trace.Recorder{}
+	ownersM = map[string][]cache.StructID{}
+)
+
+func recordKernel(t *testing.T, k kernels.Kernel) (*trace.Recorder, []cache.StructID) {
+	t.Helper()
+	recMu.Lock()
+	defer recMu.Unlock()
+	if rec, ok := recMap[k.Name()]; ok {
+		return rec, ownersM[k.Name()]
+	}
+	rec := &trace.Recorder{}
+	if _, err := k.Run(rec); err != nil {
+		t.Fatalf("running %s: %v", k.Name(), err)
+	}
+	seen := map[cache.StructID]bool{cache.Unattributed: true}
+	var ids []cache.StructID
+	for _, o := range rec.Owners {
+		if !seen[cache.StructID(o)] {
+			seen[cache.StructID(o)] = true
+			ids = append(ids, cache.StructID(o))
+		}
+	}
+	ids = append(ids, cache.Unattributed)
+	recMap[k.Name()] = rec
+	ownersM[k.Name()] = ids
+	return rec, ids
+}
+
+func replay(e *cache.Simulator, rec *trace.Recorder) {
+	for i, r := range rec.Refs {
+		e.Access(r.Addr, r.Size, r.Write, cache.StructID(rec.Owners[i]))
+	}
+	e.Flush()
+}
+
+// batchOf converts a cached recording to struct-of-arrays form, memoized
+// per kernel alongside the Recorder cache.
+var batchMap = map[string]*trace.BatchRecorder{}
+
+func batchKernel(t *testing.T, k kernels.Kernel) (*trace.BatchRecorder, []cache.StructID) {
+	t.Helper()
+	rec, ids := recordKernel(t, k)
+	recMu.Lock()
+	defer recMu.Unlock()
+	if br, ok := batchMap[k.Name()]; ok {
+		return br, ids
+	}
+	br := &trace.BatchRecorder{}
+	for i, r := range rec.Refs {
+		br.Access(r, rec.Owners[i])
+	}
+	batchMap[k.Name()] = br
+	return br, ids
+}
+
+// replayBatched feeds the stream through AccessBatch in DefaultBatch-sized
+// views — the exact shape the batched drivers (TraceFile.Replay, dvf-bench)
+// produce.
+func replayBatched(e *cache.Simulator, br *trace.BatchRecorder) {
+	whole := br.Batch
+	var view trace.RefBatch
+	for lo := 0; lo < whole.Len(); lo += trace.DefaultBatch {
+		hi := lo + trace.DefaultBatch
+		if hi > whole.Len() {
+			hi = whole.Len()
+		}
+		view = whole.Slice(lo, hi)
+		e.AccessBatch(&view)
+	}
+	e.Flush()
+}
+
+// TestBatchReplayDifferentialAllKernels is the batched test wall: for
+// every registered kernel × geometry, replaying the stream through
+// AccessBatch — directly and through a v2 encode/decode round trip — must
+// reproduce the per-reference replay's Stats and report byte-for-byte.
+func TestBatchReplayDifferentialAllKernels(t *testing.T) {
+	for _, k := range diffKernels() {
+		k := k
+		t.Run(k.Name(), func(t *testing.T) {
+			rec, ids := recordKernel(t, k)
+			br, _ := batchKernel(t, k)
+
+			// The v2 container round trip shared by all geometries.
+			var v2buf bytes.Buffer
+			w := trace.NewWriterV2(&v2buf, trace.NewRegistry())
+			w.AccessBatch(&br.Batch)
+			if err := w.Flush(); err != nil {
+				t.Fatalf("encoding %s as v2: %v", k.Name(), err)
 			}
-			set = append(append(set[:i:i], set[i+1:]...), line)
-			r.sets[setIdx] = set
-			st.Hits++
-			return
-		}
-	}
-	st.Misses++
-	if len(set) == r.cfg.Associativity {
-		victim := set[0]
-		vs := r.stat(victim.owner)
-		vs.Evictions++
-		if victim.dirty {
-			vs.Writebacks++
-		}
-		set = set[1:]
-	}
-	r.sets[setIdx] = append(set, refLine{block: blk, owner: owner, dirty: write})
-}
-
-func (r *refCache) flush() {
-	for i := range r.sets {
-		for _, line := range r.sets[i] {
-			if line.dirty {
-				r.stat(line.owner).Writebacks++
+			v2tr, err := trace.DecodeV2(v2buf.Bytes())
+			if err != nil {
+				t.Fatalf("decoding %s v2 container: %v", k.Name(), err)
 			}
-		}
-		r.sets[i] = nil
-	}
-}
 
-// TestSimulatorMatchesReferenceLRU drives identical random streams through
-// the production simulator and the naive oracle, demanding identical
-// per-structure counters.
-func TestSimulatorMatchesReferenceLRU(t *testing.T) {
-	configs := []Config{
-		{Name: "t1", Associativity: 1, Sets: 4, LineSize: 16},
-		{Name: "t2", Associativity: 2, Sets: 8, LineSize: 32},
-		{Name: "t3", Associativity: 4, Sets: 2, LineSize: 8},
-		Small,
-	}
-	f := func(seed int64, pick uint8) bool {
-		cfg := configs[int(pick)%len(configs)]
-		sim, err := NewSimulator(cfg)
-		if err != nil {
-			return false
-		}
-		oracle := newRefCache(cfg)
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 3000; i++ {
-			addr := uint64(rng.Intn(1 << 14))
-			size := uint32(rng.Intn(24) + 1)
-			write := rng.Intn(3) == 0
-			owner := StructID(rng.Intn(3) + 1)
-			sim.Access(addr, size, write, owner)
-			oracle.access(addr, size, write, owner)
-		}
-		sim.Flush()
-		oracle.flush()
-		for id := StructID(1); id <= 3; id++ {
-			if sim.StructStats(id) != *oracle.stat(id) {
-				t.Logf("cfg %s struct %d: sim %+v oracle %+v",
-					cfg.Name, id, sim.StructStats(id), *oracle.stat(id))
-				return false
+			for _, cfg := range diffConfigs() {
+				seq, err := cache.NewSimulator(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replay(seq, rec)
+				seqReport := seq.Report()
+
+				check := func(label string, e *cache.Simulator) {
+					t.Helper()
+					for _, id := range ids {
+						if got, want := e.StructStats(id), seq.StructStats(id); got != want {
+							t.Errorf("%s on %s, %s, struct %d: %+v != per-reference %+v",
+								k.Name(), cfg.Name, label, id, got, want)
+						}
+					}
+					if got, want := e.TotalStats(), seq.TotalStats(); got != want {
+						t.Errorf("%s on %s, %s: totals %+v != %+v", k.Name(), cfg.Name, label, got, want)
+					}
+					if got := e.Report(); got != seqReport {
+						t.Errorf("%s on %s, %s: reports differ", k.Name(), cfg.Name, label)
+					}
+				}
+
+				seqBatch, err := cache.NewSimulator(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayBatched(seqBatch, br)
+				check("sequential batched", seqBatch)
+
+				v2seq, err := cache.NewSimulator(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v2tr.Batches(trace.DefaultBatch, v2seq.AccessBatch)
+				v2seq.Flush()
+				check("v2 round-trip", v2seq)
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSimulatorMatchesReferenceOnAdversarialStreams covers access shapes
-// random fuzzing rarely generates: exact-capacity loops, ping-pong pairs,
-// and strided writes with flushes in between.
-func TestSimulatorMatchesReferenceOnAdversarialStreams(t *testing.T) {
-	cfg := Config{Name: "adv", Associativity: 2, Sets: 4, LineSize: 16}
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := newRefCache(cfg)
-	do := func(addr uint64, size uint32, write bool, owner StructID) {
-		sim.Access(addr, size, write, owner)
-		oracle.access(addr, size, write, owner)
-	}
-	// Exact-capacity round robin (capacity 128 B): loops forever hit after
-	// the cold pass.
-	for pass := 0; pass < 3; pass++ {
-		for off := uint64(0); off < 128; off += 16 {
-			do(off, 16, pass == 0, 1)
-		}
-	}
-	// One block over capacity: LRU thrash.
-	for pass := 0; pass < 3; pass++ {
-		for off := uint64(0); off < 144; off += 16 {
-			do(off, 16, false, 2)
-		}
-	}
-	// Ping-pong between two aliasing blocks plus a straddling access.
-	for i := 0; i < 20; i++ {
-		do(0, 1, true, 3)
-		do(64, 1, false, 3)
-		do(15, 4, false, 3) // straddles lines 0 and 1
-	}
-	sim.Flush()
-	oracle.flush()
-	for id := StructID(1); id <= 3; id++ {
-		if sim.StructStats(id) != *oracle.stat(id) {
-			t.Errorf("struct %d: sim %+v oracle %+v", id, sim.StructStats(id), *oracle.stat(id))
-		}
+		})
 	}
 }

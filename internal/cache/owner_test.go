@@ -20,9 +20,9 @@ var hostileOwners = []StructID{
 }
 
 // TestHostileOwnersMatchMapOnlyReference drives one stream over the
-// hostile owners through Access, AccessBatch and the sharded engine, and
-// requires each to agree with the map-only reference cache on every
-// structure's Stats, the totals and the rendered report.
+// hostile owners through Access and AccessBatch, and requires each to
+// agree with the map-only reference cache on every structure's Stats,
+// the totals and the rendered report.
 func TestHostileOwnersMatchMapOnlyReference(t *testing.T) {
 	cfg := tiny()
 	rng := rand.New(rand.NewSource(5))
@@ -52,17 +52,11 @@ func TestHostileOwnersMatchMapOnlyReference(t *testing.T) {
 	})
 	batched := mustSim(t, cfg)
 	batched.AccessBatch(&batch)
-	sharded, err := NewShardedSim(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	sharded.AccessBatch(&batch)
 
 	for _, e := range []struct {
 		name string
-		eng  Engine
-	}{{"Access", perRef}, {"AccessBatch", batched}, {"sharded", sharded}} {
+		eng  *Simulator
+	}{{"Access", perRef}, {"AccessBatch", batched}} {
 		e.eng.Flush()
 		for id, name := range names {
 			e.eng.Label(id, name)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/resilience-models/dvf/internal/metrics"
+	"github.com/resilience-models/dvf/internal/trace"
 	"github.com/resilience-models/dvf/internal/tracez"
 )
 
@@ -58,10 +59,7 @@ type line struct {
 
 // Simulator is a write-back, write-allocate, set-associative LRU cache.
 // A Simulator's methods must not be called concurrently: drive one
-// simulator per goroutine, or use ShardedSim — which partitions the sets
-// of a single geometry across several internal Simulators and is proven
-// bit-identical to this sequential engine — to parallelize one replay
-// across cores.
+// simulator per goroutine.
 type Simulator struct {
 	cfg       Config
 	lineShift uint
@@ -100,10 +98,8 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Set backing storage is allocated lazily, on a set's first miss: a
-	// ShardedSim builds one full-geometry Simulator per shard but feeds
-	// each only its own slice of the sets, so eager allocation would
-	// multiply the footprint by the shard count for no benefit.
+	// Set backing storage is allocated lazily, on a set's first miss, so
+	// a short trace on a large geometry pays only for the sets it touches.
 	s := &Simulator{
 		cfg:        cfg,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
@@ -136,6 +132,27 @@ func (s *Simulator) Access(addr uint64, size uint32, write bool, owner StructID)
 	last := (addr + uint64(size) - 1) >> s.lineShift
 	for blk := first; blk <= last; blk++ {
 		s.accessBlock(blk, write, owner)
+	}
+}
+
+// AccessBatch replays a whole batch, splitting multi-line references
+// exactly like Access: one bounds-checked loop over the two columns
+// instead of a call per reference. The batch is not retained. It
+// implements trace.BatchConsumer.
+//
+//dvf:hotpath
+func (s *Simulator) AccessBatch(b *trace.RefBatch) {
+	for i := range b.Addrs {
+		size, write, owner := trace.UnpackMeta(b.Metas[i])
+		if size == 0 {
+			size = 1
+		}
+		addr := b.Addrs[i]
+		first := addr >> s.lineShift
+		last := (addr + uint64(size) - 1) >> s.lineShift
+		for blk := first; blk <= last; blk++ {
+			s.accessBlock(blk, write, StructID(owner))
+		}
 	}
 }
 
@@ -283,18 +300,13 @@ func (s *Simulator) PerStructStats() map[StructID]Stats {
 	return out
 }
 
-// Drain is a no-op on the sequential simulator; it exists so Simulator and
-// ShardedSim share the Engine interface (the sharded engine uses Drain as
-// its feed/worker barrier).
+// Drain is a no-op: every Access has been simulated when it returns. It
+// is part of Engine, kept so callers of the old API still build.
 func (s *Simulator) Drain() {}
 
-// Close is a no-op on the sequential simulator (Engine interface).
+// Close is a no-op: the simulator holds no workers. It is part of
+// Engine, kept so callers of the old API still build.
 func (s *Simulator) Close() {}
-
-// Instrument is a no-op on the sequential simulator: its counters are the
-// Stats themselves, exported on demand by PublishStats. It exists so both
-// engines share the Engine interface.
-func (s *Simulator) Instrument(sink metrics.Sink) {}
 
 // Trace attaches a timeline to the simulator: a "cache.sim" track with
 // spans around Flush and Reset, and a "cache.sim.accesses" progress
@@ -354,8 +366,8 @@ func (s *Simulator) Report() string {
 	return renderReport(s.cfg, s.PerStructStats(), s.total, s.structName)
 }
 
-// renderReport is the shared report formatter: both engines render through
-// it, so a sharded replay's report is byte-identical to the sequential one.
+// renderReport formats a per-structure summary table; the reference
+// oracle in the tests renders through it too.
 func renderReport(cfg Config, perStruct map[StructID]Stats, total Stats, names map[StructID]string) string {
 	ids := make([]StructID, 0, len(perStruct))
 	for id := range perStruct {

@@ -90,19 +90,15 @@ func VerifyKernel(k Kernel, cfg CacheConfig) ([]VerificationRow, error) {
 	return experiments.VerifyKernel(k, cfg)
 }
 
-// AutoWorkers is the worker-count sentinel that lets the toolkit pick the
-// replay engine adaptively (cache.NewAutoEngine): sequential below the
-// sharding crossover, set-sharded above it. Pass it wherever a workers
-// count is accepted (VerifyKernelWorkers, the experiment drivers, the
-// CLIs' -workers flags).
-const AutoWorkers = experiments.AutoWorkers
+// AutoWorkers is a worker count kept so callers of the old API still
+// build. Passed to VerifyKernelWorkers it is ignored; as a figure
+// driver's cell count it means "no bound", like 0.
+const AutoWorkers = -1
 
-// VerifyKernelWorkers is VerifyKernel with an explicit replay-engine
-// worker count: 1 sequential, >1 set-sharded, 0 one worker per CPU, and
-// AutoWorkers the adaptive crossover choice. The rows are bit-identical
-// for every setting.
+// VerifyKernelWorkers is VerifyKernel; workers is ignored. It exists so
+// callers of the old API still build.
 func VerifyKernelWorkers(k Kernel, cfg CacheConfig, workers int) ([]VerificationRow, error) {
-	return experiments.VerifyKernelWorkers(k, cfg, workers)
+	return experiments.VerifyKernel(k, cfg)
 }
 
 // Affine reports whether the kernel has a static affine access pattern,

@@ -57,65 +57,27 @@ func (res *Fig4Result) MaxAbsErrorPct() float64 {
 	return max
 }
 
-// AutoWorkers is the sentinel worker count that delegates engine choice
-// to cache.NewAutoEngine: each cell's replay engine is picked from the
-// crossover heuristic instead of a hand-chosen worker count, and the cell
-// fan-out itself runs unbounded (ParallelObs treats negative counts like
-// 0). Live kernel streams have unknown length up front, so the auto
-// choice is the sequential simulator — the engine that is never the
-// wrong pick — while batched trace replays (dvf-trace, dvf-bench) hint
-// the auto engine with the trace's actual record count.
-const AutoWorkers = -1
-
-// VerifyKernel runs one kernel traced through the sequential cache
-// simulator on cfg and compares the per-structure CGPMAC estimates against
-// the simulated miss counts — the Figure 4 procedure for a single
-// (kernel, cache) cell.
+// VerifyKernel runs one kernel traced through the cache simulator on cfg
+// and compares the per-structure CGPMAC estimates against the simulated
+// miss counts — the Figure 4 procedure for a single (kernel, cache) cell.
 func VerifyKernel(k kernels.Kernel, cfg cache.Config) ([]Fig4Row, error) {
-	return VerifyKernelWorkers(k, cfg, 1)
+	return VerifyKernelObs(k, cfg, nil, nil)
 }
 
-// VerifyKernelWorkers is VerifyKernel with an explicit simulation-engine
-// worker count: 1 selects the sequential Simulator, anything else the
-// set-sharded parallel engine (0 = one worker per CPU, AutoWorkers = the
-// adaptive crossover choice). The row values are identical either way —
-// the sharded engine is bit-identical by set decomposition — only the
-// wall-clock time changes.
-func VerifyKernelWorkers(k kernels.Kernel, cfg cache.Config, workers int) ([]Fig4Row, error) {
-	return VerifyKernelSink(k, cfg, workers, nil)
-}
-
-// VerifyKernelSink is VerifyKernelWorkers with observability: a live sink
+// VerifyKernelObs is VerifyKernel with observability. A live metrics sink
 // receives the kernel's reference-stream counters (trace.Instrumented), a
-// "experiments.kernel_run_ns" timing of the traced run, the engine's
-// batching/drain instruments and its final per-cell cache counters. The
-// rows are byte-identical with or without a sink — instrumentation only
-// observes the stream, never reorders it — which the metrics golden guard
-// test asserts for every figure.
-func VerifyKernelSink(k kernels.Kernel, cfg cache.Config, workers int, ms metrics.Sink) ([]Fig4Row, error) {
-	return VerifyKernelObs(k, cfg, workers, ms, nil)
-}
-
-// VerifyKernelObs is VerifyKernelSink with a timeline recorder: the cell
-// gets its own track ("fig4 CG/Verify256KB") carrying a "run" span
-// around the traced kernel execution and a "model" span around the
-// estimator evaluation, and the replay engine's own tracks (shard
-// workers, drain barrier) attach via Engine.Trace. The rows are
-// byte-identical with or without a recorder — the tracing guard test
-// asserts this for every figure.
-func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, workers int, ms metrics.Sink, tz tracez.Recorder) ([]Fig4Row, error) {
-	var sim cache.Engine
-	var err error
-	if workers == AutoWorkers {
-		sim, err = cache.NewAutoEngine(cfg, cache.AutoHint{})
-	} else {
-		sim, err = cache.NewEngine(cfg, workers)
-	}
+// "experiments.kernel_run_ns" timing of the traced run and the cell's
+// final cache counters. A timeline recorder gives the cell its own track
+// ("fig4 CG/Verify256KB") carrying a "run" span around the traced kernel
+// execution and a "model" span around the estimator evaluation, plus the
+// simulator's own track (Simulator.Trace). The rows are byte-identical
+// with or without either — the metrics and tracing guard tests assert
+// this for every figure.
+func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, ms metrics.Sink, tz tracez.Recorder) ([]Fig4Row, error) {
+	sim, err := cache.NewSimulator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer sim.Close()
-	sim.Instrument(ms)
 	sim.Trace(tz)
 	tk := tz.Track("fig4 " + k.Name() + "/" + cfg.Name)
 	var sink trace.Consumer = trace.ConsumerFunc(func(r trace.Ref, owner int32) {
@@ -166,28 +128,18 @@ func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, workers int, ms metrics
 // deterministic cache-major, Table II order.
 func RunFig4() (*Fig4Result, error) { return RunFig4Workers(0) }
 
-// RunFig4Workers is RunFig4 with an explicit worker count:
-//
-//	workers == 1  everything strictly sequential — cells run one after
-//	              another on the sequential Simulator, no goroutines at
-//	              all (the drivers' -workers=1 fallback path);
-//	workers == 0  the default: all cells fan out concurrently, each on a
-//	              sequential engine (twelve cells already saturate the
-//	              machine);
-//	workers  > 1  at most `workers` cells in flight, each replaying on a
-//	              set-sharded engine with `workers` shard workers — the
-//	              setting that exercises ShardedSim end to end.
-//	AutoWorkers   cells fan out unbounded, each replaying on whatever
-//	              engine cache.NewAutoEngine picks (sequential for live
-//	              kernel streams, whose length is unknown up front).
-//
-// The rows are identical for every setting; only wall-clock time changes.
+// RunFig4Workers is RunFig4 with an explicit bound on the cells in
+// flight: 1 runs them one after another with no goroutines at all, 0 (or
+// a negative count) fans all twelve out at once, and anything else keeps
+// at most `workers` running (see ParallelObs). Each cell replays on its
+// own sequential simulator. The rows are identical for every setting;
+// only wall-clock time changes.
 func RunFig4Workers(workers int) (*Fig4Result, error) {
 	return RunFig4Sink(workers, nil)
 }
 
 // RunFig4Sink is RunFig4Workers with a metrics sink threaded through the
-// fan-out (ParallelSink) and every verification cell (VerifyKernelSink).
+// fan-out (ParallelSink) and every verification cell (VerifyKernelObs).
 // A nil sink reproduces RunFig4Workers exactly; a live sink adds
 // per-task/per-cell observability without changing a single output byte.
 func RunFig4Sink(workers int, ms metrics.Sink) (*Fig4Result, error) {
@@ -208,14 +160,10 @@ func RunFig4Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig4Result, 
 			cells = append(cells, cell{cfg: cfg, k: k})
 		}
 	}
-	engineWorkers := workers
-	if workers == 0 {
-		engineWorkers = 1 // concurrent cells already cover the cores
-	}
 	rows := make([][]Fig4Row, len(cells))
 	err := ParallelObs(len(cells), workers, ms, tz, func(i int) error {
 		var err error
-		rows[i], err = VerifyKernelObs(cells[i].k, cells[i].cfg, engineWorkers, ms, tz)
+		rows[i], err = VerifyKernelObs(cells[i].k, cells[i].cfg, ms, tz)
 		return err
 	})
 	if err != nil {

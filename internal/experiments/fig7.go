@@ -39,9 +39,8 @@ func Fig7Degradations() []float64 {
 // specifies for Section V).
 //
 // Unlike Figures 4-6 this experiment is purely analytical — one untraced
-// kernel run feeds two closed-form sweeps — so there is no reference
-// stream to shard and no fan-out to bound; the drivers' -workers flag does
-// not apply here.
+// kernel run feeds two closed-form sweeps — so there are no cells to fan
+// out; the drivers' -workers flag does not apply here.
 func RunFig7() (*Fig7Result, error) { return RunFig7Sink(nil) }
 
 // RunFig7Sink is RunFig7 with a metrics sink timing the single untraced

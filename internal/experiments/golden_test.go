@@ -70,14 +70,9 @@ func TestGoldenFig4CSV(t *testing.T) {
 	if par := render(0); !bytes.Equal(seq, par) {
 		t.Error("parallel Fig4 CSV differs from the sequential run")
 	}
-	// workers=4 routes every cell through the set-sharded engine.
-	if sharded := render(4); !bytes.Equal(seq, sharded) {
-		t.Error("sharded-engine Fig4 CSV differs from the sequential run")
-	}
-	// AutoWorkers lets every cell pick its engine from the crossover
-	// heuristic — the dvf-verify -workers=-1 path.
-	if auto := render(AutoWorkers); !bytes.Equal(seq, auto) {
-		t.Error("auto-engine Fig4 CSV differs from the sequential run")
+	// workers=4 is the bounded fan-out: at most four cells in flight.
+	if bounded := render(4); !bytes.Equal(seq, bounded) {
+		t.Error("4-cell fan-out Fig4 CSV differs from the sequential run")
 	}
 }
 
@@ -104,9 +99,6 @@ func TestGoldenFig5CSV(t *testing.T) {
 	if par := render(0); !bytes.Equal(seq, par) {
 		t.Error("parallel Fig5 CSV differs from the sequential run")
 	}
-	if auto := render(AutoWorkers); !bytes.Equal(seq, auto) {
-		t.Error("auto-workers Fig5 CSV differs from the sequential run")
-	}
 }
 
 func TestGoldenFig6CSV(t *testing.T) {
@@ -131,9 +123,6 @@ func TestGoldenFig6CSV(t *testing.T) {
 	goldenCompare(t, "fig6.csv", seq)
 	if par := render(0); !bytes.Equal(seq, par) {
 		t.Error("parallel Fig6 CSV differs from the sequential run")
-	}
-	if auto := render(AutoWorkers); !bytes.Equal(seq, auto) {
-		t.Error("auto-workers Fig6 CSV differs from the sequential run")
 	}
 }
 

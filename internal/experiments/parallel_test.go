@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"github.com/resilience-models/dvf/internal/cache"
-	"github.com/resilience-models/dvf/internal/kernels"
 )
 
 func TestParallelRunsEveryIndexOnce(t *testing.T) {
@@ -86,48 +82,5 @@ func TestParallelHonorsWorkerBound(t *testing.T) {
 func TestParallelZeroTasks(t *testing.T) {
 	if err := Parallel(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestRaceVerifyCellsSharded is the race-detector target for the Figure 4
-// shape end to end: concurrent verification cells, each feeding its own
-// set-sharded engine, exactly as RunFig4Workers(w>1) does — but on a cheap
-// kernel so it stays fast under -race.
-func TestRaceVerifyCellsSharded(t *testing.T) {
-	err := Parallel(4, 2, func(i int) error {
-		rows, err := VerifyKernelWorkers(kernels.NewVM(2000), cache.Small, 2+i%3)
-		if err != nil {
-			return err
-		}
-		if len(rows) != 3 {
-			return fmt.Errorf("cell %d: %d rows, want 3", i, len(rows))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestVerifyKernelWorkersIdenticalRows pins the engine-equivalence claim
-// at the experiment layer: the same cell produces identical Fig4Rows on
-// the sequential and sharded engines.
-func TestVerifyKernelWorkersIdenticalRows(t *testing.T) {
-	k := kernels.NewFT(2048)
-	seq, err := VerifyKernel(k, cache.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := VerifyKernelWorkers(kernels.NewFT(2048), cache.Small, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(shard) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq), len(shard))
-	}
-	for i := range seq {
-		if seq[i] != shard[i] {
-			t.Errorf("row %d: sequential %+v != sharded %+v", i, seq[i], shard[i])
-		}
 	}
 }

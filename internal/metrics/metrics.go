@@ -14,7 +14,7 @@
 // not perturb simulation results either.
 //
 // Instruments are named hierarchically with dot-separated lowercase paths
-// ("trace.fanout.refs", "cache.drain_ns"). Durations are recorded as
+// ("trace.replay.refs", "trace.replay_ns"). Durations are recorded as
 // nanosecond histograms under a "_ns" suffix by convention.
 package metrics
 

@@ -1,10 +1,5 @@
 package trace
 
-import (
-	"sync"
-	"unsafe"
-)
-
 // RefBatch is a struct-of-arrays block of memory references, the unit the
 // batched replay hot path moves around instead of one Ref at a time. Two
 // parallel uint64 columns hold the stream: Addrs carries the simulated
@@ -16,9 +11,7 @@ import (
 // written to disk with two bulk column writes.
 //
 // A RefBatch is a pair of slice headers: slicing (Slice) and passing by
-// value are cheap and share the backing arrays. Batches used on the replay
-// hot path come from a BatchPool so the backing arenas are recycled
-// instead of reallocated.
+// value are cheap and share the backing arrays.
 type RefBatch struct {
 	Addrs []uint64 // simulated virtual addresses
 	Metas []uint64 // packed size/owner/write words, same length as Addrs
@@ -39,6 +32,11 @@ const (
 	MaxBatchRefSize = 1<<metaSizeBits - 1
 	metaOwnerShift  = 32
 )
+
+// DefaultBatch is the replay batch size: large enough that per-batch
+// overhead vanishes from profiles, small enough that one batch's columns
+// (~64 KB) stay cache-resident.
+const DefaultBatch = 4096
 
 // PackMeta packs one reference's size, write flag and owner into a meta
 // word. Sizes above MaxBatchRefSize panic: the batch layout (and the v2
@@ -76,16 +74,15 @@ func (b *RefBatch) Reset() {
 	b.Metas = b.Metas[:0]
 }
 
-// Append adds one reference to the batch. On pooled batches fed in
-// DefaultBatch-sized blocks the append stays within the arena capacity;
-// free-standing batches (e.g. a BatchRecorder) grow amortized like any
-// slice.
+// Append adds one reference to the batch. A batch allocated with spare
+// capacity appends without allocating; otherwise (e.g. a BatchRecorder)
+// the columns grow amortized like any slice.
 //
 //dvf:hotpath
 func (b *RefBatch) Append(r Ref, owner int32) {
-	//dvf:allow hotalloc pooled batches carry full arena capacity so append never grows; growth only happens on free-standing recorder batches off the hot path
+	//dvf:allow hotalloc growth is amortized and happens only on batches built without spare capacity, such as recorder batches off the replay path
 	b.Addrs = append(b.Addrs, r.Addr)
-	//dvf:allow hotalloc same arena-capacity argument as the address column
+	//dvf:allow hotalloc same amortized-growth argument as the address column
 	b.Metas = append(b.Metas, PackMeta(r.Size, r.Write, owner))
 }
 
@@ -119,10 +116,9 @@ func (b *RefBatch) Each(fn func(Ref, int32)) {
 }
 
 // BatchConsumer is the block-granular sibling of Consumer: implementations
-// receive whole reference batches. Consumers that also implement
-// BatchConsumer are fed batches directly by the batched replay paths
-// (FanOut workers, engine AccessBatch), skipping the per-reference
-// interface call.
+// receive whole reference batches. The batched replay paths (TraceFile.Replay
+// into Simulator.AccessBatch) feed them directly, skipping the
+// per-reference interface call.
 type BatchConsumer interface {
 	AccessBatch(b *RefBatch)
 }
@@ -167,79 +163,3 @@ func (br *BatchRecorder) AccessBatch(b *RefBatch) {
 //
 //dvf:hotpath
 func (br *BatchRecorder) Len() int { return br.Batch.Len() }
-
-// BatchPool recycles fixed-capacity RefBatches across producers and
-// consumers — the arena/freelist behind the batched fan-out. Each pooled
-// batch owns a single contiguous uint64 slab split into its two columns,
-// so one Get costs at most one allocation (and, in steady state, none:
-// batches drained by shard workers come back through Put).
-type BatchPool struct {
-	capacity int
-	pool     sync.Pool
-}
-
-// NewBatchPool returns a pool of batches with the given per-batch
-// capacity. capacity <= 0 selects DefaultBatch.
-func NewBatchPool(capacity int) *BatchPool {
-	if capacity <= 0 {
-		capacity = DefaultBatch
-	}
-	p := &BatchPool{capacity: capacity}
-	p.pool.New = func() any {
-		// One arena slab per batch: the address column is the first half,
-		// the meta column the second. Full capacity up front means Append
-		// never regrows either column.
-		slab := make([]uint64, 2*capacity)
-		return &RefBatch{
-			Addrs: slab[0:0:capacity],
-			Metas: slab[capacity : capacity : 2*capacity],
-		}
-	}
-	return p
-}
-
-// Capacity returns the per-batch reference capacity.
-//
-//dvf:hotpath
-func (p *BatchPool) Capacity() int { return p.capacity }
-
-// Get returns an empty batch with the pool's capacity.
-//
-//dvf:hotpath
-func (p *BatchPool) Get() *RefBatch {
-	b := p.pool.Get().(*RefBatch)
-	b.Reset()
-	return b
-}
-
-// Put returns a batch to the pool. Only batches carrying the pool's own
-// arena shape are recycled: both columns must have exactly the pool's
-// capacity — an oversized foreign batch would silently change the
-// pool's arena size for every later Get, an undersized one would make
-// Append regrow — and they must live in one contiguous slab, metas
-// directly after addrs, the layout NewBatchPool allocates. Anything
-// else (views over a mapped v2 trace, recorder batches, hand-assembled
-// batches whose capacity merely coincides) is dropped, so the pool can
-// never hand out an aliased, oversized or undersized arena.
-//
-//dvf:hotpath
-func (p *BatchPool) Put(b *RefBatch) {
-	if b == nil || cap(b.Addrs) != p.capacity || cap(b.Metas) != p.capacity {
-		return
-	}
-	if !sameSlab(b.Addrs, b.Metas) {
-		return
-	}
-	p.pool.Put(b)
-}
-
-// sameSlab reports whether the meta column starts exactly one capacity
-// past the addr column — the single-slab arena layout the pool's New
-// allocates. A mapped-trace view or a hand-built batch can match the
-// pool's capacity, but it cannot fake contiguity without actually being
-// one slab, which is what makes recycling it safe: a batch that passes
-// here is indistinguishable from one the pool allocated itself.
-func sameSlab(addrs, metas []uint64) bool {
-	end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(addrs)), uintptr(cap(addrs))*unsafe.Sizeof(uint64(0)))
-	return end == unsafe.Pointer(unsafe.SliceData(metas))
-}

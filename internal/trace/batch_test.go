@@ -109,94 +109,16 @@ func TestBatchRecorderMatchesRecorder(t *testing.T) {
 	}
 }
 
-func TestBatchPoolRecyclesArenas(t *testing.T) {
-	p := NewBatchPool(8)
-	if p.Capacity() != 8 {
-		t.Fatalf("Capacity = %d, want 8", p.Capacity())
-	}
-	b := p.Get()
-	if b.Len() != 0 || cap(b.Addrs) != 8 || cap(b.Metas) != 8 {
-		t.Fatalf("fresh batch: len %d caps %d/%d", b.Len(), cap(b.Addrs), cap(b.Metas))
-	}
-	// The two columns must live in one slab: appending 8 addrs never
-	// touches the metas column.
-	for i := 0; i < 8; i++ {
-		b.Append(Ref{Addr: uint64(i), Size: 1}, 0)
-	}
-	for i := 0; i < 8; i++ {
-		if b.Addrs[i] != uint64(i) {
-			t.Fatalf("addr column corrupted at %d", i)
-		}
-	}
-	p.Put(b)
-	got := p.Get()
-	if got.Len() != 0 {
-		t.Fatal("pooled batch not reset on Get")
-	}
-	// Foreign-capacity batches must not enter the pool.
-	p.Put(&RefBatch{Addrs: make([]uint64, 4), Metas: make([]uint64, 4)})
-	if b := p.Get(); cap(b.Addrs) != 8 {
-		t.Fatalf("pool handed out a foreign arena of cap %d", cap(b.Addrs))
-	}
-	p.Put(nil) // must not panic
-}
-
-// TestBatchPoolRejectsForeignArenas pins the Put hardening beyond the
-// undersized case above: a batch whose capacity exceeds the pool's, and
-// a capacity-matched batch that is not one contiguous slab, must both be
-// dropped rather than recycled.
-func TestBatchPoolRejectsForeignArenas(t *testing.T) {
-	p := NewBatchPool(8)
-
-	// Oversized arena: recycling it would silently grow every later Get.
-	big := make([]uint64, 32)
-	p.Put(&RefBatch{Addrs: big[0:0:16], Metas: big[16:16:32]})
-	if b := p.Get(); cap(b.Addrs) != 8 || cap(b.Metas) != 8 {
-		t.Fatalf("oversized arena recycled: caps %d/%d, want 8/8", cap(b.Addrs), cap(b.Metas))
-	}
-
-	// Capacity-matched but split across two allocations: the single-slab
-	// contract (Append never touches the other column's memory) would be
-	// broken by recycling it.
-	p.Put(&RefBatch{Addrs: make([]uint64, 0, 8), Metas: make([]uint64, 0, 8)})
-	if b := p.Get(); !sameSlab(b.Addrs, b.Metas) {
-		t.Fatal("pool handed out a split arena")
-	}
-
-	// Capacity-matched view over one slab with the columns swapped: the
-	// contiguity check is directional.
-	slab := make([]uint64, 16)
-	p.Put(&RefBatch{Addrs: slab[8:8:16], Metas: slab[0:0:8]})
-	if b := p.Get(); !sameSlab(b.Addrs, b.Metas) {
-		t.Fatal("pool handed out a column-swapped arena")
-	}
-
-	// A genuine pool batch still round-trips.
-	b := p.Get()
-	p.Put(b)
-	if got := p.Get(); !sameSlab(got.Addrs, got.Metas) || cap(got.Addrs) != 8 {
-		t.Fatal("genuine pool batch no longer recycles")
-	}
-}
-
-func TestBatchPoolDefaultCapacity(t *testing.T) {
-	p := NewBatchPool(0)
-	if p.Capacity() != DefaultBatch {
-		t.Fatalf("Capacity = %d, want DefaultBatch %d", p.Capacity(), DefaultBatch)
-	}
-}
-
-// TestRefBatchAppendZeroAlloc pins the arena contract at runtime: appends
-// into a pooled batch with free capacity never allocate.
+// TestRefBatchAppendZeroAlloc pins the capacity contract at runtime:
+// appends into a batch with free capacity never allocate.
 func TestRefBatchAppendZeroAlloc(t *testing.T) {
-	p := NewBatchPool(4096)
-	b := p.Get()
+	b := &RefBatch{Addrs: make([]uint64, 0, 4096), Metas: make([]uint64, 0, 4096)}
 	i := 0
 	allocs := testing.AllocsPerRun(4096-1, func() {
 		b.Append(Ref{Addr: uint64(i), Size: 8, Write: i&1 == 0}, int32(i&3))
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("Append allocated %.2f times per call on a pooled batch", allocs)
+		t.Fatalf("Append allocated %.2f times per call on a batch with free capacity", allocs)
 	}
 }

@@ -2,9 +2,8 @@
 // low-overhead span recorder whose output is Chrome trace-event JSON,
 // loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 // Where internal/metrics answers "how many, how long in aggregate",
-// tracez answers "when, on which worker, overlapping what" — which shard
-// stalled, which figure driver dominated wall-clock, where the fan-out
-// queue backed up.
+// tracez answers "when, on which worker, overlapping what" — which figure
+// driver dominated wall-clock, how many cells the fan-out kept in flight.
 //
 // The package follows the same nil-sink discipline as internal/metrics
 // (DESIGN.md): a nil *Tracer is valid and hands out nil *Track and
