@@ -22,7 +22,8 @@
 #                     sanity check
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
-#                     differential, the v1 trace codec round-trip, the
+#                     differential, the simulator against its naive LRU
+#                     oracle, the v1 trace codec round-trip, the
 #                     template counter against its brute-force oracles and
 #                     bench manifest decoding for -compare; FUZZTIME
 #                     bounds each target (default 10s)
@@ -105,6 +106,7 @@ bench:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench

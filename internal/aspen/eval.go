@@ -185,7 +185,7 @@ func machineConfig(m *Model, vars env) (cache.Config, dvf.FIT, error) {
 	}
 	cfg := cache.Config{Name: m.Name, Associativity: assoc, Sets: sets, LineSize: line}
 	if err := cfg.Validate(); err != nil {
-		return cache.Config{}, 0, err
+		return cache.Config{}, 0, errAt(c.Pos, "%v", err)
 	}
 	rate := dvf.FITNoECC
 	if m.Machine.Memory != nil {

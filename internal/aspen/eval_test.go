@@ -403,6 +403,30 @@ func TestEvalNaNGuard(t *testing.T) {
 	}
 }
 
+// TestCacheGeometryBoundedBeforeAllocation: a cache block past
+// cache.MaxLines lines is rejected by Check and Evaluate with an error
+// positioned on the cache block, before any simulator storage is sized.
+func TestCacheGeometryBoundedBeforeAllocation(t *testing.T) {
+	m := mustParse(t, `model m {
+ data X { size 800 pattern streaming(8, 100, 1) }
+ machine { cache { assoc 1 sets 1073741824 line 64 } }
+}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	checkErr := Check(m)
+	_, evalErr := Evaluate(m)
+	runtime.ReadMemStats(&after)
+	for _, err := range []error{checkErr, evalErr} {
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "line bound") || se.Pos.Line != 3 {
+			t.Errorf("got %v, want a line-bound error positioned on line 3", err)
+		}
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the geometry allocated %d bytes, want under 1 MiB", grew)
+	}
+}
+
 // TestTemplateWorkBoundedBeforeExpansion feeds hundred-byte models whose
 // templates ask for far more work than maxTemplateAccesses: a 1e12-element
 // range, a range within the limit until its repeat count multiplies it

@@ -1,7 +1,6 @@
 // Zero-alloc guard for the batched replay hot path, the runtime
 // counterpart of the static hotalloc proof (`make lint`): once the
-// simulator is warm — lazy set storage and per-structure stat entries
-// allocated — AccessBatch must not allocate.
+// simulator is warm, AccessBatch must not allocate.
 package cache_test
 
 import (

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/cache"
+	"github.com/resilience-models/dvf/internal/kernels"
 	"github.com/resilience-models/dvf/internal/trace"
 )
 
@@ -75,33 +76,56 @@ func BenchmarkBatchReplay(b *testing.B) {
 }
 
 // BenchmarkSimulatorAccess measures the per-reference Access path that
-// dvf-verify drives through a trace.ConsumerFunc, one op per reference, on
-// the same mixed stream and owners as BenchmarkBatchReplay:
+// dvf-verify drives through Simulator.Consumer, one op per reference:
+// small and large replay the mixed stream of BenchmarkBatchReplay, and
+// cg/small and cg/large replay the recorded Figure 4 CG kernel stream,
+// whose mix of MRU-way hits dominates dvf-verify's replay time:
 //
 //	go test ./internal/cache/ -run xxx -bench SimulatorAccess
 func BenchmarkSimulatorAccess(b *testing.B) {
-	whole := replayStream(1 << 16).Batch
-	for _, c := range []struct {
+	geometries := []struct {
 		name string
 		cfg  cache.Config
-	}{{"small", cache.Small}, {"large", cache.Large}} {
-		b.Run(c.name, func(b *testing.B) {
-			s, err := cache.NewSimulator(c.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			access := func(i int) {
-				r, owner := whole.At(i & (1<<16 - 1))
-				s.Access(r.Addr, r.Size, r.Write, cache.StructID(owner))
-			}
-			for i := 0; i < whole.Len(); i++ {
-				access(i) // warm: the sets' lazy storage and the stats entries
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				access(i)
-			}
-		})
+	}{{"small", cache.Small}, {"large", cache.Large}}
+	synthetic := replayStream(1 << 16).Batch
+	for _, g := range geometries {
+		b.Run(g.name, func(b *testing.B) { benchAccess(b, g.cfg, &synthetic) })
 	}
+	b.Run("cg", func(b *testing.B) {
+		cg := cgStream(b)
+		for _, g := range geometries {
+			b.Run(g.name, func(b *testing.B) { benchAccess(b, g.cfg, cg) })
+		}
+	})
+}
+
+// benchAccess replays stream through Access on a fresh simulator: one
+// warm pass, then b.N references, wrapping around the stream.
+func benchAccess(b *testing.B, cfg cache.Config, stream *trace.RefBatch) {
+	s, err := cache.NewSimulator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	consumer := s.Consumer()
+	for i := 0; i < stream.Len(); i++ {
+		consumer.Access(stream.At(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, j := 0, 0; i < b.N; i++ {
+		consumer.Access(stream.At(j))
+		if j++; j == stream.Len() {
+			j = 0
+		}
+	}
+}
+
+// cgStream records the reference stream of the Figure 4 CG kernel.
+func cgStream(b *testing.B) *trace.RefBatch {
+	b.Helper()
+	br := &trace.BatchRecorder{}
+	if _, err := kernels.NewCG(500, 10).Run(br); err != nil {
+		b.Fatal(err)
+	}
+	return &br.Batch
 }

@@ -32,6 +32,12 @@ func (c Config) Lines() int {
 	return c.Associativity * c.Sets
 }
 
+// MaxLines bounds a geometry's line count (Associativity * Sets): 8x the
+// largest Table IV cache (8MB, 131072 lines), and a 16 MiB line slab at
+// most. NewSimulator allocates every line up front; the bound stops a
+// custom geometry from a request or an Aspen model sizing that allocation.
+const MaxLines = 1 << 20
+
 // Validate reports a descriptive error for a malformed geometry.
 func (c Config) Validate() error {
 	switch {
@@ -45,6 +51,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %q: line size %d must be a power of two", c.Name, c.LineSize)
 	case c.Sets&(c.Sets-1) != 0:
 		return fmt.Errorf("cache %q: set count %d must be a power of two", c.Name, c.Sets)
+	case c.Associativity > MaxLines || c.Sets > MaxLines/c.Associativity:
+		// Dividing instead of multiplying keeps the check free of overflow.
+		return fmt.Errorf("cache %q: associativity %d x %d sets exceeds the %d-line bound",
+			c.Name, c.Associativity, c.Sets, MaxLines)
 	}
 	return nil
 }

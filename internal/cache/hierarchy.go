@@ -64,9 +64,7 @@ func (h *Hierarchy) LastLevel() *Simulator { return h.levels[len(h.levels)-1] }
 //dvf:hotpath
 func (h *Hierarchy) Access(addr uint64, size uint32, write bool, owner StructID) {
 	for _, lvl := range h.levels {
-		before := lvl.TotalStats().Misses
-		lvl.Access(addr, size, write, owner)
-		if lvl.TotalStats().Misses == before {
+		if !lvl.missed(addr, size, write, owner) {
 			return // hit: satisfied at this level
 		}
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,23 @@ func (r *refCache) flush() {
 	}
 }
 
+func (r *refCache) reset() {
+	clear(r.sets)
+	clear(r.stats)
+}
+
+func (r *refCache) residentBlocks(id StructID) int {
+	n := 0
+	for _, set := range r.sets {
+		for _, line := range set {
+			if line.owner == id {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestSimulatorMatchesReferenceLRU drives identical random streams through
 // the production simulator and the naive oracle, demanding identical
 // per-structure counters.
@@ -173,4 +191,87 @@ func TestSimulatorMatchesReferenceOnAdversarialStreams(t *testing.T) {
 			t.Errorf("struct %d: sim %+v oracle %+v", id, sim.StructStats(id), *oracle.stat(id))
 		}
 	}
+}
+
+// FuzzSimulatorVsReference drives the simulator and the naive refCache
+// oracle with one fuzz-generated stream and demands identical
+// per-structure counters, totals and per-owner resident lines. The
+// geometry spans associativity 1..16, 1..128 sets and 8..64 B lines.
+// The stream mixes sequential runs (which hit the MRU way), multi-line
+// spans, zero-size references and writes over the hostileOwners, with a
+// Flush and a Reset at fuzz-chosen points. The seed corpus under
+// testdata/fuzz pins a direct-mapped, a single-set and a 16-way geometry.
+func FuzzSimulatorVsReference(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(5), uint8(1), uint16(3000), uint16(900), uint16(2100))
+	f.Fuzz(func(t *testing.T, seed int64, assocSel, setSel, lineSel uint8, n, flushAt, resetAt uint16) {
+		cfg := Config{
+			Name:          "fuzz",
+			Associativity: int(assocSel%16) + 1,
+			Sets:          1 << (setSel % 8),
+			LineSize:      8 << (lineSel % 4),
+		}
+		sim, err := NewSimulator(cfg)
+		if err != nil {
+			t.Fatalf("geometry %v rejected: %v", cfg, err)
+		}
+		oracle := newRefCache(cfg)
+		check := func(when string) {
+			t.Helper()
+			want := map[StructID]Stats{}
+			var wantTotal Stats
+			for id, st := range oracle.stats {
+				want[id] = *st
+				wantTotal = wantTotal.add(*st)
+			}
+			if got := sim.PerStructStats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cfg %v, %s: PerStructStats\n got %v\nwant %v", cfg, when, got, want)
+			}
+			if got := sim.TotalStats(); got != wantTotal {
+				t.Fatalf("cfg %v, %s: TotalStats %+v, want %+v", cfg, when, got, wantTotal)
+			}
+			for _, id := range hostileOwners {
+				if got, want := sim.ResidentBlocks(id), oracle.residentBlocks(id); got != want {
+					t.Fatalf("cfg %v, %s: ResidentBlocks(%d) = %d, want %d", cfg, when, id, got, want)
+				}
+			}
+		}
+		do := func(addr uint64, size uint32, write bool, owner StructID) {
+			sim.Access(addr, size, write, owner)
+			oracle.access(addr, size, write, owner)
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		line := uint64(cfg.LineSize)
+		for i := 0; i < int(n%4096); i++ {
+			owner := hostileOwners[rng.Intn(len(hostileOwners))]
+			write := rng.Intn(4) == 0
+			addr := uint64(rng.Intn(1 << 14))
+			switch rng.Intn(4) {
+			case 0: // a sequential run of elements: MRU-way hits
+				elem, run := uint64(1)<<rng.Intn(4), uint64(rng.Intn(32)+1)
+				for k := uint64(0); k < run; k++ {
+					do(addr+k*elem, uint32(elem), write, owner)
+				}
+			case 1: // a reference spanning up to four lines
+				do(addr, uint32(rng.Int63n(int64(4*line))+1), write, owner)
+			case 2:
+				do(addr, 0, write, owner)
+			default:
+				do(addr, uint32(rng.Intn(8)+1), write, owner)
+			}
+			switch i {
+			case int(flushAt):
+				check("before Flush")
+				sim.Flush()
+				oracle.flush()
+			case int(resetAt):
+				sim.Reset()
+				oracle.reset()
+			}
+		}
+		check("end of stream")
+		sim.Flush()
+		oracle.flush()
+		check("after the final Flush")
+	})
 }

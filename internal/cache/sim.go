@@ -50,12 +50,43 @@ func (s Stats) add(o Stats) Stats {
 	return s
 }
 
+// counters is one structure's running tallies. Hits are not kept: a
+// reference that does not miss hits, so Stats derives Hits as
+// Accesses - Misses when the counters are read.
+type counters struct {
+	accesses, misses, writebacks, evictions int64
+}
+
+func (c *counters) add(o *counters) {
+	c.accesses += o.accesses
+	c.misses += o.misses
+	c.writebacks += o.writebacks
+	c.evictions += o.evictions
+}
+
+func (c *counters) stats() Stats {
+	return Stats{
+		Accesses:   c.accesses,
+		Hits:       c.accesses - c.misses,
+		Misses:     c.misses,
+		Writebacks: c.writebacks,
+		Evictions:  c.evictions,
+	}
+}
+
+// line is one resident cache line. Every line below its set's fill count
+// is valid, so a line carries no valid bit.
 type line struct {
 	tag   uint64
 	owner StructID
-	valid bool
 	dirty bool
 }
+
+// emptyTag marks the MRU way of an empty set, so the fast path's single
+// tag compare cannot match a set that holds nothing. Only a one-set cache
+// with one-byte lines can produce the tag itself; such a block skips the
+// fast path and is looked up against the fill count.
+const emptyTag = ^uint64(0)
 
 // Simulator is a write-back, write-allocate, set-associative LRU cache.
 // A Simulator's methods must not be called concurrently: drive one
@@ -65,51 +96,59 @@ type Simulator struct {
 	lineShift uint
 	setMask   uint64
 	tagShift  uint
-	sets      [][]line // sets[i] ordered most- to least-recently used
+	assoc     int
+
+	// ways is one slab of Sets*Associativity lines. Set i is
+	// ways[i*assoc : i*assoc+fill[i]], ordered most- to least-recently
+	// used; the ways past its fill count are free.
+	ways []line
+	fill []int32
 
 	// Per-structure counters: IDs in [0, denseStructIDs) index dense
 	// directly; any other ID (negative, or large, as a hand-written or
-	// hostile trace file may carry) lives in sparse. An entry is nil until
-	// its ID is first seen, so memory follows the IDs seen, never an ID's
-	// value.
-	dense      []*Stats
-	sparse     map[StructID]*Stats
-	total      Stats
+	// hostile trace file may carry) lives in sparse, allocated on first
+	// sight, so memory follows the IDs seen, never an ID's value. A
+	// structure counts as seen once its accesses are non-zero.
+	dense      [denseStructIDs]counters
+	sparse     map[StructID]*counters
 	structName map[StructID]string
 
 	// Tracing state, attached by Trace; nil until then and nil-safe
-	// everywhere, so the untraced hot path pays one nil check.
-	tk       *tracez.Track
-	progress *tracez.Counter
+	// everywhere, so the untraced miss path pays one nil check and the
+	// hit path none.
+	tk           *tracez.Track
+	progress     *tracez.Counter
+	tracedMisses int64
 }
 
-// denseStructIDs bounds the slice-indexed per-structure counters. A
+// denseStructIDs bounds the array-indexed per-structure counters. A
 // trace.Registry numbers structures 1, 2, ... in allocation order, so
 // every structure of a real workload lands in the dense range.
 const denseStructIDs = 256
 
 // progressMask throttles the traced progress counter: one sample every
-// 2^20 accesses keeps a multi-hundred-million-reference replay's trace
-// at a few hundred counter events.
-const progressMask = 1<<20 - 1
+// 2^18 misses keeps a multi-hundred-million-reference replay's trace at
+// a few hundred counter events.
+const progressMask = 1<<18 - 1
 
-// NewSimulator builds a simulator for the given geometry.
+// NewSimulator builds a simulator for the given geometry. Config.Validate
+// bounds the geometry before the line slab is allocated.
 func NewSimulator(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Set backing storage is allocated lazily, on a set's first miss, so
-	// a short trace on a large geometry pays only for the sets it touches.
 	s := &Simulator{
 		cfg:        cfg,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:    uint64(cfg.Sets - 1),
 		tagShift:   uint(bits.TrailingZeros(uint(cfg.Sets))),
-		sets:       make([][]line, cfg.Sets),
-		dense:      make([]*Stats, denseStructIDs),
-		sparse:     make(map[StructID]*Stats),
+		assoc:      cfg.Associativity,
+		ways:       make([]line, cfg.Lines()),
+		fill:       make([]int32, cfg.Sets),
+		sparse:     make(map[StructID]*counters),
 		structName: make(map[StructID]string),
 	}
+	s.empty()
 	return s, nil
 }
 
@@ -123,94 +162,143 @@ func (s *Simulator) Label(id StructID, name string) { s.structName[id] = name }
 // at addr, attributed to owner. References spanning multiple cache lines are
 // split, as real hardware would.
 //
-//dvf:hotpath
-func (s *Simulator) Access(addr uint64, size uint32, write bool, owner StructID) {
-	if size == 0 {
-		size = 1
-	}
-	first := addr >> s.lineShift
-	last := (addr + uint64(size) - 1) >> s.lineShift
-	for blk := first; blk <= last; blk++ {
-		s.accessBlock(blk, write, owner)
-	}
-}
-
-// AccessBatch replays a whole batch, splitting multi-line references
-// exactly like Access: one bounds-checked loop over the two columns
-// instead of a call per reference. The batch is not retained. It
-// implements trace.BatchConsumer.
+// A single-line reference is first tested against its set's
+// most-recently-used way: the common case, a hit there, costs one tag
+// compare, one counter and a dirty bit. Anything else goes to lookup.
 //
 //dvf:hotpath
-func (s *Simulator) AccessBatch(b *trace.RefBatch) {
-	for i := range b.Addrs {
-		size, write, owner := trace.UnpackMeta(b.Metas[i])
-		if size == 0 {
-			size = 1
-		}
-		addr := b.Addrs[i]
-		first := addr >> s.lineShift
-		last := (addr + uint64(size) - 1) >> s.lineShift
-		for blk := first; blk <= last; blk++ {
-			s.accessBlock(blk, write, StructID(owner))
-		}
-	}
-}
-
-func (s *Simulator) accessBlock(blk uint64, write bool, owner StructID) {
-	st := s.stats(owner)
-	st.Accesses++
-	s.total.Accesses++
-	if s.progress != nil && s.total.Accesses&progressMask == 0 {
-		s.progress.Sample(s.total.Accesses)
-	}
-
-	setIdx := blk & s.setMask
-	tag := blk >> s.tagShift
-	set := s.sets[setIdx]
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			// Hit: move to MRU position.
-			hit := set[i]
-			if write {
-				hit.dirty = true
-			}
-			copy(set[1:i+1], set[:i])
-			set[0] = hit
-			st.Hits++
-			s.total.Hits++
+func (s *Simulator) Access(addr uint64, size uint32, write bool, owner StructID) {
+	blk := addr >> s.lineShift
+	if size > 1 {
+		if last := (addr + uint64(size) - 1) >> s.lineShift; last != blk {
+			s.accessSpan(blk, last, write, owner)
 			return
 		}
 	}
-
-	// Miss: load from main memory.
-	st.Misses++
-	s.total.Misses++
-	newLine := line{tag: tag, owner: owner, valid: true, dirty: write}
-	if len(set) < s.cfg.Associativity {
-		if cap(set) == 0 {
-			// First touch of this set: reserve the full associativity once.
-			//dvf:allow hotalloc one-time lazy backing per cache set, amortized to zero and held to it by the AllocsPerRun guard in sim_test.go
-			set = make([]line, 0, s.cfg.Associativity)
-		}
-		//dvf:allow hotalloc append stays within the associativity capacity reserved above, so it never grows the backing array
-		set = append(set, line{})
-		copy(set[1:], set[:len(set)-1])
-		set[0] = newLine
-		s.sets[setIdx] = set
+	setIdx := blk & s.setMask
+	tag := blk >> s.tagShift
+	if mru := &s.ways[int(setIdx)*s.assoc]; mru.tag == tag && tag != emptyTag {
+		s.count(owner).accesses++
+		mru.dirty = mru.dirty || write
 		return
 	}
-	// Evict LRU (last element).
-	victim := set[len(set)-1]
-	vs := s.stats(victim.owner)
-	vs.Evictions++
-	s.total.Evictions++
-	if victim.dirty {
-		vs.Writebacks++
-		s.total.Writebacks++
+	s.lookup(setIdx, tag, write, owner)
+}
+
+// Consumer returns the simulator as a trace.Consumer whose Access calls
+// straight into Simulator.Access, with no closure in between.
+func (s *Simulator) Consumer() RefConsumer { return RefConsumer{s} }
+
+// RefConsumer adapts a Simulator to trace.Consumer; Simulator.Consumer
+// returns one. It is a value type holding only the simulator pointer, so
+// storing it in a trace.Consumer does not allocate.
+type RefConsumer struct{ s *Simulator }
+
+// Access presents r to the simulator, attributed to owner.
+//
+//dvf:hotpath
+func (c RefConsumer) Access(r trace.Ref, owner int32) {
+	c.s.Access(r.Addr, r.Size, r.Write, StructID(owner))
+}
+
+// AccessBatch replays a whole batch through Access, reference by
+// reference. The batch is not retained. It implements
+// trace.BatchConsumer.
+//
+//dvf:hotpath
+func (s *Simulator) AccessBatch(b *trace.RefBatch) {
+	metas := b.Metas[:len(b.Addrs)]
+	for i, addr := range b.Addrs {
+		size, write, owner := trace.UnpackMeta(metas[i])
+		s.Access(addr, size, write, StructID(owner))
 	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = newLine
+}
+
+// accessSpan presents blocks first..last of one multi-line reference. A
+// reference whose end wraps past the top of the address space
+// (last < first) touches no block.
+//
+//dvf:hotpath
+func (s *Simulator) accessSpan(first, last uint64, write bool, owner StructID) {
+	for blk := first; blk <= last; blk++ {
+		s.lookup(blk&s.setMask, blk>>s.tagShift, write, owner)
+		if blk == last {
+			return // last may be the top block, where blk++ would wrap
+		}
+	}
+}
+
+// lookup presents one block by scanning its set: a hit moves to the
+// front; a miss loads the block, evicting the set's LRU line when every
+// way is full. Access calls it once the MRU way has not matched;
+// accessSpan calls it for every block.
+//
+//dvf:hotpath
+func (s *Simulator) lookup(setIdx, tag uint64, write bool, owner StructID) {
+	c := s.count(owner)
+	c.accesses++
+	base := int(setIdx) * s.assoc
+	set := s.ways[base : base+s.assoc]
+	n := int(s.fill[setIdx])
+	for i := range set[:n] {
+		if set[i].tag == tag {
+			hit := set[i]
+			hit.dirty = hit.dirty || write
+			copy(set[1:i+1], set[:i])
+			set[0] = hit
+			return
+		}
+	}
+	c.misses++
+	if n < len(set) {
+		n++
+		s.fill[setIdx] = int32(n)
+	} else {
+		s.evict(set[n-1])
+	}
+	copy(set[1:n], set[:n-1])
+	set[0] = line{tag: tag, owner: owner, dirty: write}
+	if s.progress != nil {
+		s.sampleProgress()
+	}
+}
+
+// evict charges a capacity or conflict eviction, and its writeback when
+// the line is dirty, to the line's owner.
+func (s *Simulator) evict(victim line) {
+	c := s.count(victim.owner)
+	c.evictions++
+	if victim.dirty {
+		c.writebacks++
+	}
+}
+
+// sampleProgress feeds the traced progress counter: the total access
+// count, once every 2^18 misses.
+func (s *Simulator) sampleProgress() {
+	s.tracedMisses++
+	if s.tracedMisses&progressMask == 0 {
+		s.progress.Sample(s.TotalStats().Accesses)
+	}
+}
+
+// missed presents one reference like Access and reports whether any of
+// its blocks missed. Every block of a reference belongs to owner, so the
+// owner's miss count moving is exactly that.
+func (s *Simulator) missed(addr uint64, size uint32, write bool, owner StructID) bool {
+	c := s.count(owner)
+	before := c.misses
+	s.Access(addr, size, write, owner)
+	return c.misses != before
+}
+
+// empty invalidates every line: each set's fill count drops to zero and
+// its MRU way takes emptyTag.
+func (s *Simulator) empty() {
+	clear(s.fill)
+	for i := 0; i < len(s.ways); i += s.assoc {
+		s.ways[i].tag = emptyTag
+	}
 }
 
 // Flush writes back all dirty lines and invalidates the cache, counting the
@@ -219,83 +307,87 @@ func (s *Simulator) accessBlock(blk uint64, write bool, owner StructID) {
 func (s *Simulator) Flush() {
 	sp := s.tk.Begin("cache.flush")
 	defer sp.End()
-	for i := range s.sets {
-		for _, ln := range s.sets[i] {
-			if ln.valid && ln.dirty {
-				st := s.stats(ln.owner)
-				st.Writebacks++
-				s.total.Writebacks++
+	for set, n := range s.fill {
+		base := set * s.assoc
+		for _, ln := range s.ways[base : base+int(n)] {
+			if ln.dirty {
+				s.count(ln.owner).writebacks++
 			}
 		}
-		s.sets[i] = s.sets[i][:0]
 	}
+	s.empty()
 }
 
 // Reset clears cache contents and all counters.
 func (s *Simulator) Reset() {
 	sp := s.tk.Begin("cache.reset")
 	defer sp.End()
-	for i := range s.sets {
-		s.sets[i] = s.sets[i][:0]
-	}
-	clear(s.dense)
-	s.sparse = make(map[StructID]*Stats)
-	s.total = Stats{}
+	s.empty()
+	s.dense = [denseStructIDs]counters{}
+	clear(s.sparse)
 }
 
-// stats returns id's counters, creating them on first sight. The dense
-// probe is small enough to inline into accessBlock; only a first sight or
-// an out-of-range ID takes the call to newStats.
-func (s *Simulator) stats(id StructID) *Stats {
-	if uint32(id) < denseStructIDs {
-		if st := s.dense[id]; st != nil {
-			return st
-		}
+// count returns id's counters. A dense ID is an array slot; only an ID
+// outside the dense range takes the call to sparseCount.
+func (s *Simulator) count(id StructID) *counters {
+	if i := uint32(id); i < denseStructIDs {
+		return &s.dense[i]
 	}
-	return s.newStats(id)
+	return s.sparseCount(id)
 }
 
-// newStats is the slow path of stats: a dense ID's first sight, or any
-// ID outside the dense range.
-func (s *Simulator) newStats(id StructID) *Stats {
-	if st, ok := s.sparse[id]; ok {
-		return st
+// sparseCount is the map fallback of count, creating id's counters on
+// first sight. It stays out of line so count, and with it the MRU hit
+// path, stays small enough to inline.
+//
+//go:noinline
+func (s *Simulator) sparseCount(id StructID) *counters {
+	if c, ok := s.sparse[id]; ok {
+		return c
 	}
-	//dvf:allow hotalloc one allocation per structure ID on first sight, not per access; steady-state replay never takes this branch
-	st := &Stats{}
-	if uint32(id) < denseStructIDs {
-		s.dense[id] = st
-	} else {
-		s.sparse[id] = st
-	}
-	return st
+	//dvf:allow hotalloc one allocation per out-of-range structure ID on first sight, not per access; a registry-numbered workload never takes this branch
+	c := &counters{}
+	s.sparse[id] = c
+	return c
 }
 
 // StructStats returns the counters attributed to id (zero Stats if unseen).
 func (s *Simulator) StructStats(id StructID) Stats {
-	st := s.sparse[id]
-	if uint32(id) < denseStructIDs {
-		st = s.dense[id]
+	if i := uint32(id); i < denseStructIDs {
+		return s.dense[i].stats()
 	}
-	if st == nil {
-		return Stats{}
+	if c := s.sparse[id]; c != nil {
+		return c.stats()
 	}
-	return *st
+	return Stats{}
 }
 
-// TotalStats returns the counters aggregated over all structures.
-func (s *Simulator) TotalStats() Stats { return s.total }
+// TotalStats returns the counters aggregated over all structures, summed
+// when it is called.
+func (s *Simulator) TotalStats() Stats {
+	var t counters
+	for i := range s.dense {
+		t.add(&s.dense[i])
+	}
+	for _, c := range s.sparse {
+		//dvf:allow determinism integer sums commute, so the total is the same in any iteration order
+		t.add(c)
+	}
+	return t.stats()
+}
 
-// PerStructStats returns a copy of every structure's counters.
+// PerStructStats returns a copy of every seen structure's counters.
 func (s *Simulator) PerStructStats() map[StructID]Stats {
 	out := make(map[StructID]Stats, len(s.sparse))
-	for id, st := range s.dense {
-		if st != nil {
-			out[StructID(id)] = *st
+	for id := range s.dense {
+		if c := &s.dense[id]; c.accesses > 0 {
+			out[StructID(id)] = c.stats()
 		}
 	}
-	for id, st := range s.sparse {
-		out[id] = *st
+	for id, c := range s.sparse {
+		if c.accesses > 0 {
+			out[id] = c.stats()
+		}
 	}
 	return out
 }
@@ -310,9 +402,10 @@ func (s *Simulator) Close() {}
 
 // Trace attaches a timeline to the simulator: a "cache.sim" track with
 // spans around Flush and Reset, and a "cache.sim.accesses" progress
-// counter sampled every 2^20 references. A nil recorder leaves the
-// simulator untraced; the hot path then pays one nil check per block
-// access. Call it before the first Access, from the feeding goroutine.
+// counter carrying the total access count, sampled every 2^18 misses. A
+// nil recorder leaves the simulator untraced; the miss path then pays one
+// nil check and the MRU hit path none. Call it before the first Access,
+// from the feeding goroutine.
 func (s *Simulator) Trace(tz tracez.Recorder) {
 	s.traceNamed(tz, "cache.sim")
 }
@@ -330,16 +423,13 @@ func (s *Simulator) traceNamed(tz tracez.Recorder, name string) {
 // PublishStats exports the simulator's aggregate counters as gauges under
 // prefix ("<prefix>.accesses", ".hits", ".misses", ".evictions",
 // ".writebacks"). The counters are maintained by the simulation itself, so
-// publishing is a handful of gauge stores at reporting time — the hot path
-// is never touched.
+// publishing is one sum over the structures and a handful of gauge stores
+// at reporting time — the hot path is never touched.
 func (s *Simulator) PublishStats(sink metrics.Sink, prefix string) {
-	publishStats(sink, prefix, s.total)
-}
-
-func publishStats(sink metrics.Sink, prefix string, st Stats) {
 	if sink == nil {
 		return
 	}
+	st := s.TotalStats()
 	sink.Gauge(prefix + ".accesses").Set(st.Accesses)
 	sink.Gauge(prefix + ".hits").Set(st.Hits)
 	sink.Gauge(prefix + ".misses").Set(st.Misses)
@@ -350,20 +440,21 @@ func publishStats(sink metrics.Sink, prefix string, st Stats) {
 // ResidentBlocks returns how many valid lines currently belong to id,
 // useful for occupancy assertions in tests.
 func (s *Simulator) ResidentBlocks(id StructID) int {
-	n := 0
-	for i := range s.sets {
-		for _, ln := range s.sets[i] {
-			if ln.valid && ln.owner == id {
-				n++
+	resident := 0
+	for set, n := range s.fill {
+		base := set * s.assoc
+		for _, ln := range s.ways[base : base+int(n)] {
+			if ln.owner == id {
+				resident++
 			}
 		}
 	}
-	return n
+	return resident
 }
 
 // Report renders a deterministic per-structure summary table.
 func (s *Simulator) Report() string {
-	return renderReport(s.cfg, s.PerStructStats(), s.total, s.structName)
+	return renderReport(s.cfg, s.PerStructStats(), s.TotalStats(), s.structName)
 }
 
 // renderReport formats a per-structure summary table; the reference

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -81,6 +82,15 @@ func TestConfigValidate(t *testing.T) {
 		{Associativity: 2, Sets: 4, LineSize: 0},
 		{Associativity: 2, Sets: 4, LineSize: 24},
 		{Associativity: 2, Sets: 3, LineSize: 16},
+		// Past the line bound: each factor alone, their product, and
+		// factors whose product would overflow int.
+		{Associativity: MaxLines + 1, Sets: 1, LineSize: 16},
+		{Associativity: 1, Sets: MaxLines * 2, LineSize: 16},
+		{Associativity: 2, Sets: MaxLines, LineSize: 16},
+		{Associativity: 32, Sets: MaxLines / 16, LineSize: 64},
+		{Associativity: math.MaxInt, Sets: math.MaxInt, LineSize: 64},
+		{Associativity: MaxLines, Sets: MaxLines, LineSize: 64},
+		{Associativity: 1, Sets: 1 << 30, LineSize: 64},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -88,6 +98,16 @@ func TestConfigValidate(t *testing.T) {
 		}
 		if _, err := NewSimulator(cfg); err == nil {
 			t.Errorf("NewSimulator(%+v) accepted invalid config", cfg)
+		}
+	}
+	// The bound itself is accepted, in either factor.
+	for _, cfg := range []Config{
+		{Associativity: MaxLines, Sets: 1, LineSize: 8},
+		{Associativity: 1, Sets: MaxLines, LineSize: 8},
+		{Associativity: 16, Sets: MaxLines / 16, LineSize: 64},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil at the %d-line bound", cfg, err, MaxLines)
 		}
 	}
 }
@@ -368,8 +388,8 @@ func BenchmarkSimulatorRandom(b *testing.B) {
 func TestUntracedAccessZeroAlloc(t *testing.T) {
 	s := mustSim(t, Large)
 	s.Trace(nil) // explicit nil recorder is the same as never tracing
-	// Warm every set the measured loop will touch: the one legitimate
-	// allocation in the engine is the lazy first fill of a set's ways.
+	// Warm every set the measured loop will touch, so it measures the
+	// steady state: MRU-way hits and in-set lookups alike.
 	const lines = 4096
 	for i := uint64(0); i < lines; i++ {
 		s.Access(i*64, 8, false, 1)

@@ -10,7 +10,6 @@ import (
 	"github.com/resilience-models/dvf/internal/dvf"
 	"github.com/resilience-models/dvf/internal/kernels"
 	"github.com/resilience-models/dvf/internal/metrics"
-	"github.com/resilience-models/dvf/internal/trace"
 	"github.com/resilience-models/dvf/internal/tracez"
 )
 
@@ -170,9 +169,7 @@ func VerifyKernelAnalytic(k kernels.Kernel, cfg cache.Config) ([]AnalyticRow, An
 	}
 	//dvf:allow determinism same cost-telemetry argument as the solve timer above
 	t0 = time.Now()
-	info, err := k.Run(trace.ConsumerFunc(func(r trace.Ref, owner int32) {
-		sim.Access(r.Addr, r.Size, r.Write, cache.StructID(owner))
-	}))
+	info, err := k.Run(sim.Consumer())
 	replayNs := time.Since(t0).Nanoseconds()
 	if err != nil {
 		return nil, AnalyticCell{}, fmt.Errorf("experiments: running %s: %w", k.Name(), err)

@@ -80,10 +80,7 @@ func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, ms metrics.Sink, tz tra
 	}
 	sim.Trace(tz)
 	tk := tz.Track("fig4 " + k.Name() + "/" + cfg.Name)
-	var sink trace.Consumer = trace.ConsumerFunc(func(r trace.Ref, owner int32) {
-		sim.Access(r.Addr, r.Size, r.Write, cache.StructID(owner))
-	})
-	sink = trace.Instrumented(sink, ms, "experiments.trace")
+	sink := trace.Instrumented(sim.Consumer(), ms, "experiments.trace")
 	sw := ms.Timer("experiments.kernel_run_ns").Start()
 	sp := tk.Begin("run")
 	info, err := k.Run(sink)

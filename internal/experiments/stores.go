@@ -6,7 +6,6 @@ import (
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/trace"
 )
 
 // StoreRow compares a structure's modeled writebacks against the simulator
@@ -38,10 +37,7 @@ func VerifyStores(k kernels.StoreModeler, cfg cache.Config) ([]StoreRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	sink := trace.ConsumerFunc(func(r trace.Ref, owner int32) {
-		sim.Access(r.Addr, r.Size, r.Write, cache.StructID(owner))
-	})
-	info, err := k.Run(sink)
+	info, err := k.Run(sim.Consumer())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
 	}

@@ -139,6 +139,35 @@ func TestAnalyzeRejects(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsHostileGeometry: a custom geometry past
+// cache.MaxLines reaches the CG template estimator's simulator under the
+// cgpmac engine. It must be refused with a 400 carrying the Validate
+// message before any line storage is allocated (a billion sets would
+// otherwise ask for tens of GiB).
+func TestAnalyzeRejectsHostileGeometry(t *testing.T) {
+	s := New(Config{})
+	fit := 100.0
+	body := AnalyzeRequest{
+		Kernel: "CG",
+		Cache:  CacheSpec{Associativity: 1, Sets: 1 << 30, LineSize: 64},
+		FIT:    &fit,
+		Engine: "cgpmac",
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := do(t, s, "POST", "/v1/analyze", body)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if msg := decode[errorBody](t, w).Error; !strings.Contains(msg, "line bound") {
+		t.Fatalf("error %q does not carry the geometry bound", msg)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the geometry allocated %d bytes, want under 1 MiB", grew)
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	s := New(Config{})
 	if w := do(t, s, "GET", "/v1/analyze", nil); w.Code != http.StatusMethodNotAllowed {
