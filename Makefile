@@ -30,8 +30,8 @@
 #   make fuzz-smoke-v2  bounded fuzz of the v2 (columnar) trace codec:
 #                     encode/decode round-trip incl. misalignment and
 #                     truncation, and v1-vs-v2 record equivalence
-#   make trace-smoke  record a fig4 timeline with -trace-out and
-#                     schema-validate it with dvf-flame -check
+#   make trace-smoke  record the fig4 and fig7 timelines with -trace-out
+#                     and schema-validate each with dvf-flame -check
 #   make analytic-smoke  the analytic engine's red/green signal: the live
 #                     analytic-vs-simulator differential (hard-fails on
 #                     any tolerance breach), a trace-free CLI pass over
@@ -120,6 +120,8 @@ trace-smoke:
 	mkdir -p $(TRACEOUT)
 	$(GO) run ./cmd/dvf-verify -workers 2 -csv -trace-out $(TRACEOUT)/fig4.json > /dev/null
 	$(GO) run ./cmd/dvf-flame -check $(TRACEOUT)/fig4.json
+	$(GO) run ./cmd/dvf-usecase -case ecc -csv -trace-out $(TRACEOUT)/fig7.json > /dev/null
+	$(GO) run ./cmd/dvf-flame -check $(TRACEOUT)/fig7.json
 
 analytic-smoke:
 	$(GO) run ./cmd/dvf-verify -engine analytic

@@ -23,7 +23,7 @@ import (
 func BenchmarkFig4Verification(b *testing.B) {
 	var maxErr float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig4()
+		res, err := experiments.RunFig4(experiments.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func BenchmarkFig4PerKernel(b *testing.B) {
 		k := k
 		b.Run(k.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.VerifyKernel(k, cache.Small); err != nil {
+				if _, err := experiments.VerifyKernel(k, cache.Small, experiments.Env{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -52,7 +52,7 @@ func BenchmarkFig4PerKernel(b *testing.B) {
 func BenchmarkFig5Profiling(b *testing.B) {
 	var mc float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5()
+		res, err := experiments.RunFig5(experiments.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig5Profiling(b *testing.B) {
 func BenchmarkFig6CGvsPCG(b *testing.B) {
 	var crossover int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig6()
+		res, err := experiments.RunFig6(experiments.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFig6CGvsPCG(b *testing.B) {
 func BenchmarkFig7ECC(b *testing.B) {
 	var atPct float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7()
+		res, err := experiments.RunFig7(experiments.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func BenchmarkAblationNBTreeModel(b *testing.B) {
 			var errPct float64
 			for i := 0; i < b.N; i++ {
 				k := &kernels.NB{N: 1000, Theta: 0.5, Seed: 1, PlainRandom: plain}
-				rows, err := experiments.VerifyKernel(k, cache.Small)
+				rows, err := experiments.VerifyKernel(k, cache.Small, experiments.Env{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -333,7 +333,7 @@ func BenchmarkAblationCGTemplateP(b *testing.B) {
 				// plus p exactly fills the small cache, exposing the
 				// element-interleaving leak the closed form cannot see.
 				k := &kernels.CG{N: 500, MaxIters: 10, TemplateP: tmpl}
-				rows, err := experiments.VerifyKernel(k, cache.Small)
+				rows, err := experiments.VerifyKernel(k, cache.Small, experiments.Env{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -21,7 +21,7 @@ func main() {
 	o := obs.AddFlags(nil)
 	flag.Parse()
 	defer o.Start()()
-	res, err := experiments.RunFig5Obs(*workers, o.Sink(), o.Tracer())
+	res, err := experiments.RunFig5(experiments.Env{Workers: *workers, Metrics: o.Sink(), Tracer: o.Tracer()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,14 +25,12 @@ import (
 	"github.com/resilience-models/dvf/internal/dvf"
 	"github.com/resilience-models/dvf/internal/experiments"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/metrics"
 	"github.com/resilience-models/dvf/internal/obs"
-	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 type check struct {
 	name string
-	fn   func(ms metrics.Sink, tz tracez.Recorder) (string, error)
+	fn   func(env experiments.Env) (string, error)
 }
 
 func main() {
@@ -47,10 +45,11 @@ func main() {
 		{"Stores: writeback models <= 15%", checkStores},
 		{"Baseline: injection agreement and cost", checkBaseline},
 	}
+	env := experiments.Env{Metrics: o.Sink(), Tracer: o.Tracer()}
 	failed := 0
 	for _, c := range checks {
 		start := time.Now()
-		detail, err := c.fn(o.Sink(), o.Tracer())
+		detail, err := c.fn(env)
 		status := "PASS"
 		if err != nil {
 			status = "FAIL"
@@ -67,8 +66,8 @@ func main() {
 	fmt.Printf("\nall %d reproduction checks passed\n", len(checks))
 }
 
-func checkFig4(ms metrics.Sink, tz tracez.Recorder) (string, error) {
-	res, err := experiments.RunFig4Obs(0, ms, tz)
+func checkFig4(env experiments.Env) (string, error) {
+	res, err := experiments.RunFig4(env)
 	if err != nil {
 		return "", err
 	}
@@ -81,8 +80,8 @@ func checkFig4(ms metrics.Sink, tz tracez.Recorder) (string, error) {
 		res.MaxAbsErrorPct(), len(res.Rows)), nil
 }
 
-func checkFig5(ms metrics.Sink, tz tracez.Recorder) (string, error) {
-	res, err := experiments.RunFig5Obs(0, ms, tz)
+func checkFig5(env experiments.Env) (string, error) {
+	res, err := experiments.RunFig5(env)
 	if err != nil {
 		return "", err
 	}
@@ -118,8 +117,8 @@ func checkFig5(ms metrics.Sink, tz tracez.Recorder) (string, error) {
 	return fmt.Sprintf("FT jump %.0fx below its working set", ft16/ft128), nil
 }
 
-func checkFig6(ms metrics.Sink, tz tracez.Recorder) (string, error) {
-	res, err := experiments.RunFig6Obs(0, ms, tz)
+func checkFig6(env experiments.Env) (string, error) {
+	res, err := experiments.RunFig6(env)
 	if err != nil {
 		return "", err
 	}
@@ -137,8 +136,8 @@ func checkFig6(ms metrics.Sink, tz tracez.Recorder) (string, error) {
 	return fmt.Sprintf("crossover at n=%d", x), nil
 }
 
-func checkFig7(ms metrics.Sink, tz tracez.Recorder) (string, error) {
-	res, err := experiments.RunFig7Obs(ms, tz)
+func checkFig7(env experiments.Env) (string, error) {
+	res, err := experiments.RunFig7(env)
 	if err != nil {
 		return "", err
 	}
@@ -154,7 +153,7 @@ func checkFig7(ms metrics.Sink, tz tracez.Recorder) (string, error) {
 	return "both mechanisms minimize DVF at 5%", nil
 }
 
-func checkStores(_ metrics.Sink, _ tracez.Recorder) (string, error) {
+func checkStores(experiments.Env) (string, error) {
 	var worst float64
 	cells := 0
 	for _, k := range experiments.StoreModelers() {
@@ -177,7 +176,7 @@ func checkStores(_ metrics.Sink, _ tracez.Recorder) (string, error) {
 	return fmt.Sprintf("max |error| %.1f%% over %d cells", worst, cells), nil
 }
 
-func checkBaseline(_ metrics.Sink, _ tracez.Recorder) (string, error) {
+func checkBaseline(experiments.Env) (string, error) {
 	cmp, err := experiments.RunBaseline(kernels.NewMC(3000), 40, cache.Large)
 	if err != nil {
 		return "", err

@@ -25,8 +25,9 @@ func main() {
 	o := obs.AddFlags(nil)
 	flag.Parse()
 	defer o.Start()()
+	env := experiments.Env{Metrics: o.Sink(), Tracer: o.Tracer()}
 	if *which == "cgpcg" || *which == "all" {
-		res, err := experiments.RunFig6Obs(0, o.Sink(), o.Tracer())
+		res, err := experiments.RunFig6(env)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func main() {
 		}
 	}
 	if *which == "ecc" || *which == "all" {
-		res, err := experiments.RunFig7Obs(o.Sink(), o.Tracer())
+		res, err := experiments.RunFig7(env)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,9 +34,10 @@ func main() {
 	o := obs.AddFlags(nil)
 	flag.Parse()
 	defer o.Start()()
+	env := experiments.Env{Workers: *workers, Metrics: o.Sink(), Tracer: o.Tracer()}
 	switch *engine {
 	case "replay":
-		res, err := experiments.RunFig4Obs(*workers, o.Sink(), o.Tracer())
+		res, err := experiments.RunFig4(env)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func main() {
 		}
 		fmt.Print(res.Render())
 	case "analytic":
-		res, err := experiments.RunAnalyticDiff(nil, *workers, o.Sink(), o.Tracer())
+		res, err := experiments.RunAnalyticDiff(nil, env)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 	"github.com/resilience-models/dvf/internal/analysis/analysistest"
 )
 
-func TestNilSink(t *testing.T)       { analysistest.Run(t, NilSink, "nilsink", "metrics", "tracez") }
+func TestNilSink(t *testing.T)       { analysistest.Run(t, NilSink, "metrics", "tracez") }
 func TestDeterminism(t *testing.T)   { analysistest.Run(t, Determinism, "determinism") }
 func TestAtomicMix(t *testing.T)     { analysistest.Run(t, AtomicMix, "atomicmix") }
 func TestErrDrop(t *testing.T)       { analysistest.Run(t, ErrDrop, "errdrop") }

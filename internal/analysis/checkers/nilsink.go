@@ -9,34 +9,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"github.com/resilience-models/dvf/internal/analysis"
 )
 
 // NilSink enforces the zero-overhead observability contract from
-// DESIGN.md: instrumented entry points come in pairs, and the metrics
-// package's instruments tolerate nil receivers.
-//
-// Rule 1 (every package): an exported function or method whose name ends
-// in "Sink" is an instrumented variant; the package must also export the
-// un-suffixed sibling (Run ↔ RunSink), and some function in the package
-// must delegate to the Sink variant with a literal nil sink — the
-// uninstrumented path must exist and must cost nothing.
-//
-// Rule 2 (packages named "metrics" or "tracez" — the nil-able handle
-// packages): every exported method with a pointer receiver must be
+// DESIGN.md: the handles of the packages named "metrics" or "tracez" are
+// nil-able, so every exported method with a pointer receiver must be
 // nil-safe: either a `receiver == nil` guard appears before any other
 // use of the receiver, or the body only invokes further methods on the
 // receiver (delegation like Inc → Add), which are themselves checked.
+// Callers then pass a nil sink or recorder (the zero experiments.Env)
+// to switch observability off at no cost.
 var NilSink = &analysis.Analyzer{
 	Name: "nilsink",
-	Doc:  "instrumented ...Sink APIs need a nil-delegating wrapper; metrics instruments need nil-receiver guards",
+	Doc:  "exported pointer-receiver methods in metrics and tracez need nil-receiver guards",
 	Run:  runNilSink,
 }
 
 func runNilSink(pass *analysis.Pass) error {
-	checkSinkWrappers(pass)
 	switch pass.Pkg.Name() {
 	case "metrics", "tracez":
 		checkNilGuards(pass)
@@ -44,101 +35,8 @@ func runNilSink(pass *analysis.Pass) error {
 	return nil
 }
 
-// funcKey names a function uniquely within the package: "Name" for
-// functions, "Recv.Name" for methods.
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver T[P]
-		t = idx.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
-}
-
-// sinkParamIndex finds the parameter whose type is the metrics sink — a
-// pointer to a named type from a package called "metrics" (metrics.Sink
-// is an alias for *metrics.Registry). Returns -1 when absent.
-func sinkParamIndex(sig *types.Signature) int {
-	for i := 0; i < sig.Params().Len(); i++ {
-		if analysis.NamedIn(sig.Params().At(i).Type(), "metrics") {
-			return i
-		}
-	}
-	return -1
-}
-
-func checkSinkWrappers(pass *analysis.Pass) {
-	decls := pass.FuncDecls()
-	byKey := make(map[string]*ast.FuncDecl, len(decls))
-	for _, d := range decls {
-		byKey[funcKey(d.Decl)] = d.Decl
-	}
-	for _, d := range decls {
-		fd := d.Decl
-		name := fd.Name.Name
-		base, hasSuffix := strings.CutSuffix(name, "Sink")
-		if !hasSuffix || base == "" || !fd.Name.IsExported() || !ast.IsExported(base) {
-			continue
-		}
-		obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		sig := obj.Type().(*types.Signature)
-		sinkIdx := sinkParamIndex(sig)
-		if sinkIdx < 0 {
-			pass.Reportf(fd.Name.Pos(),
-				"%s is named like an instrumented variant but takes no metrics sink parameter", name)
-			continue
-		}
-		key := strings.TrimSuffix(funcKey(fd), "Sink")
-		sibling, ok := byKey[key]
-		if !ok {
-			pass.Reportf(fd.Name.Pos(),
-				"exported %s has no sink-less wrapper %s delegating with a nil sink", name, base)
-			continue
-		}
-		if !delegatesWithNil(pass, obj, sinkIdx) {
-			pass.Reportf(sibling.Name.Pos(),
-				"no function in this package calls %s with a literal nil sink; the uninstrumented path %s must delegate with nil", name, base)
-		}
-	}
-}
-
-// delegatesWithNil reports whether any function in the package calls
-// target with an untyped nil literal in the sink position.
-func delegatesWithNil(pass *analysis.Pass, target *types.Func, sinkIdx int) bool {
-	found := false
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || found {
-				return !found
-			}
-			if analysis.CalleeFunc(pass.TypesInfo, call) != target {
-				return true
-			}
-			if sinkIdx < len(call.Args) {
-				if id, ok := ast.Unparen(call.Args[sinkIdx]).(*ast.Ident); ok && id.Name == "nil" {
-					found = true
-				}
-			}
-			return true
-		})
-	}
-	return found
-}
-
-// checkNilGuards verifies rule 2 over every exported pointer-receiver
-// method of the package.
+// checkNilGuards verifies the nil-receiver rule over every exported
+// pointer-receiver method of the package.
 func checkNilGuards(pass *analysis.Pass) {
 	for _, d := range pass.FuncDecls() {
 		fd := d.Decl
@@ -164,7 +62,7 @@ func checkNilGuards(pass *analysis.Pass) {
 	}
 }
 
-// nilSafeBody implements the rule-2 body shape check.
+// nilSafeBody implements the nil-receiver body shape check.
 func nilSafeBody(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object) bool {
 	parents := analysis.Parents(fd)
 	guardPos := guardPosition(pass, fd, recv)

@@ -87,7 +87,7 @@ func AnalyzeKernel(k Kernel, cfg CacheConfig, rate FIT) (*Report, error) {
 // compares the analytical estimates with the simulated main-memory access
 // counts — the model-validation procedure of Section IV-A.
 func VerifyKernel(k Kernel, cfg CacheConfig) ([]VerificationRow, error) {
-	return experiments.VerifyKernel(k, cfg)
+	return experiments.VerifyKernel(k, cfg, experiments.Env{})
 }
 
 // AutoWorkers is a worker count kept so callers of the old API still
@@ -98,7 +98,7 @@ const AutoWorkers = -1
 // VerifyKernelWorkers is VerifyKernel; workers is ignored. It exists so
 // callers of the old API still build.
 func VerifyKernelWorkers(k Kernel, cfg CacheConfig, workers int) ([]VerificationRow, error) {
-	return experiments.VerifyKernel(k, cfg)
+	return experiments.VerifyKernel(k, cfg, experiments.Env{})
 }
 
 // Affine reports whether the kernel has a static affine access pattern,

@@ -48,7 +48,7 @@ func Explore(k Kernel, caches []CacheConfig, protections []dvf.ECC) (*ExploreRes
 		}
 	}
 	points := make([]DesignPoint, len(cells))
-	err := experiments.Parallel(len(cells), 0, func(i int) error {
+	err := experiments.Parallel(len(cells), experiments.Env{}, func(i int) error {
 		var err error
 		points[i], err = explorePoint(k, cells[i].cfg, cells[i].prot)
 		return err

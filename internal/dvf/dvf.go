@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 // FIT is a memory failure rate in failures per billion (1e9) device-hours
@@ -91,16 +89,6 @@ func (a *Application) Structure(name string) (StructureDVF, error) {
 // NewApplication computes per-structure and application DVFs from the raw
 // ingredients. names, sizes and nhas run parallel.
 func NewApplication(kernel string, rate FIT, execHours float64, names []string, sizes []int64, nhas []float64) (*Application, error) {
-	return NewApplicationObs(kernel, rate, execHours, names, sizes, nhas, nil)
-}
-
-// NewApplicationObs is NewApplication with the aggregation recorded as a
-// span on tk — callers typically share one "dvf" track across kernels,
-// so the DVF assembly steps line up on a single lane. A nil track is a
-// no-op.
-func NewApplicationObs(kernel string, rate FIT, execHours float64, names []string, sizes []int64, nhas []float64, tk *tracez.Track) (*Application, error) {
-	sp := tk.Begin("dvf.aggregate " + kernel)
-	defer sp.End()
 	if len(names) != len(sizes) || len(names) != len(nhas) {
 		return nil, fmt.Errorf("dvf: mismatched inputs: %d names, %d sizes, %d nhas",
 			len(names), len(sizes), len(nhas))

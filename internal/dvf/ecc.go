@@ -3,8 +3,6 @@ package dvf
 import (
 	"fmt"
 	"math"
-
-	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 // ECC describes a hardware memory-protection mechanism: the residual
@@ -61,15 +59,6 @@ type SweepPoint struct {
 // over a range of performance degradations for a structure of sizeBytes
 // with baseHours unprotected execution time and nha memory accesses.
 func (e ECC) Sweep(baseHours float64, sizeBytes int64, nha float64, degradationsPct []float64) ([]SweepPoint, error) {
-	return e.SweepObs(baseHours, sizeBytes, nha, degradationsPct, nil)
-}
-
-// SweepObs is Sweep with the evaluation recorded as a span on tk, one
-// span per mechanism so the Figure 7 curve assembly is visible on the
-// timeline. A nil track is a no-op.
-func (e ECC) SweepObs(baseHours float64, sizeBytes int64, nha float64, degradationsPct []float64, tk *tracez.Track) ([]SweepPoint, error) {
-	sp := tk.Begin("dvf.sweep " + e.Name)
-	defer sp.End()
 	if baseHours < 0 {
 		return nil, fmt.Errorf("dvf: negative base execution time %g", baseHours)
 	}

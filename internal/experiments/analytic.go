@@ -9,8 +9,6 @@ import (
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/dvf"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/metrics"
-	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 // The analytic engine (engine=analytic) derives a kernel's per-structure
@@ -201,8 +199,9 @@ func VerifyKernelAnalytic(k kernels.Kernel, cfg cache.Config) ([]AnalyticRow, An
 // RunAnalyticDiff runs the analytic-vs-simulated differential for every
 // affine verification kernel on the given caches (nil = the Table IV
 // verification pair). The cells are independent and fan out like the
-// other figure drivers; rows keep cache-major, Table II order.
-func RunAnalyticDiff(configs []cache.Config, workers int, ms metrics.Sink, tz tracez.Recorder) (*AnalyticResult, error) {
+// other figure drivers, env.Workers at a time (see Parallel); rows keep
+// cache-major, Table II order.
+func RunAnalyticDiff(configs []cache.Config, env Env) (*AnalyticResult, error) {
 	if len(configs) == 0 {
 		configs = cache.VerificationConfigs()
 	}
@@ -218,7 +217,7 @@ func RunAnalyticDiff(configs []cache.Config, workers int, ms metrics.Sink, tz tr
 	}
 	rows := make([][]AnalyticRow, len(cells))
 	costs := make([]AnalyticCell, len(cells))
-	err := ParallelObs(len(cells), workers, ms, tz, func(i int) error {
+	err := Parallel(len(cells), env, func(i int) error {
 		var err error
 		rows[i], costs[i], err = VerifyKernelAnalytic(cells[i].k, cells[i].cfg)
 		return err
@@ -334,7 +333,7 @@ func analyticApplication(name string, info *kernels.RunInfo, d *analytic.Descrip
 		total += nha
 	}
 	hours := cost.ExecHours(info.Refs, total, float64(info.Flops))
-	return dvf.NewApplicationObs(name, rate, hours, names, sizes, nhas, nil)
+	return dvf.NewApplication(name, rate, hours, names, sizes, nhas)
 }
 
 // RunFig5Analytic regenerates the affine subset of Figure 5 with analytic
@@ -406,7 +405,7 @@ func runFig6PointAnalytic(n int, tol float64, cfg cache.Config, rate dvf.FIT) (*
 	if err != nil {
 		return nil, fmt.Errorf("experiments: pcg n=%d: %w", n, err)
 	}
-	pcgApp, err := profileFromInfo(pcg, pcgInfo, cfg, rate, dvf.DefaultCostModel)
+	pcgApp, err := profileFromInfo(pcg, pcgInfo, cfg, rate, dvf.DefaultCostModel, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // internal/analytic; these tests cover the wiring above it).
 
 func TestAnalyticDiffWithinTolerance(t *testing.T) {
-	res, err := RunAnalyticDiff(nil, 0, nil, nil)
+	res, err := RunAnalyticDiff(nil, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestGoldenAnalyticDiffCSV(t *testing.T) {
 		t.Skip("verification replays are slow")
 	}
 	render := func(workers int) []byte {
-		res, err := RunAnalyticDiff(nil, workers, nil, nil)
+		res, err := RunAnalyticDiff(nil, Env{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

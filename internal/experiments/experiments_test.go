@@ -16,7 +16,7 @@ func TestFig4AllWithin15Percent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full verification is slow")
 	}
-	res, err := RunFig4()
+	res, err := RunFig4(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFig4RowErrorPct(t *testing.T) {
 }
 
 func TestVerifyKernelSingle(t *testing.T) {
-	rows, err := VerifyKernel(kernels.NewVM(1000), cache.Small)
+	rows, err := VerifyKernel(kernels.NewVM(1000), cache.Small, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFig5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling sweep is slow")
 	}
-	res, err := RunFig5()
+	res, err := RunFig5(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFig6Crossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence sweep is slow")
 	}
-	res, err := RunFig6()
+	res, err := RunFig6(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestFig6Crossover(t *testing.T) {
 // TestFig7ECC pins the Section V-B claims: protection slashes DVF, the
 // minimum sits at ~5% degradation, and further loss raises vulnerability.
 func TestFig7ECC(t *testing.T) {
-	res, err := RunFig7()
+	res, err := RunFig7(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,7 @@ import (
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/metrics"
 	"github.com/resilience-models/dvf/internal/trace"
-	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 // Fig4Row is one bar pair of Figure 4: the analytically estimated and the
@@ -60,32 +58,28 @@ func (res *Fig4Result) MaxAbsErrorPct() float64 {
 // VerifyKernel runs one kernel traced through the cache simulator on cfg
 // and compares the per-structure CGPMAC estimates against the simulated
 // miss counts — the Figure 4 procedure for a single (kernel, cache) cell.
-func VerifyKernel(k kernels.Kernel, cfg cache.Config) ([]Fig4Row, error) {
-	return VerifyKernelObs(k, cfg, nil, nil)
-}
-
-// VerifyKernelObs is VerifyKernel with observability. A live metrics sink
-// receives the kernel's reference-stream counters (trace.Instrumented), a
-// "experiments.kernel_run_ns" timing of the traced run and the cell's
-// final cache counters. A timeline recorder gives the cell its own track
-// ("fig4 CG/Verify256KB") carrying a "run" span around the traced kernel
-// execution and a "model" span around the estimator evaluation, plus the
-// simulator's own track (Simulator.Trace). The rows are byte-identical
-// with or without either — the metrics and tracing guard tests assert
-// this for every figure.
-func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, ms metrics.Sink, tz tracez.Recorder) ([]Fig4Row, error) {
+// One cell is one sequential replay, so env.Workers is not used.
+//
+// A live env.Metrics receives the kernel's reference-stream counters
+// (trace.Instrumented), a "experiments.kernel_run_ns" timing of the
+// traced run and the cell's final cache counters. A live env.Tracer
+// gives the cell its own track ("fig4 CG/Verify256KB") carrying a "run"
+// span around the traced kernel execution and a "model" span around the
+// estimator evaluation, plus the simulator's own track
+// (Simulator.Trace). The rows are byte-identical for every Env.
+func VerifyKernel(k kernels.Kernel, cfg cache.Config, env Env) ([]Fig4Row, error) {
 	sim, err := cache.NewSimulator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sim.Trace(tz)
-	tk := tz.Track("fig4 " + k.Name() + "/" + cfg.Name)
-	sink := trace.Instrumented(sim.Consumer(), ms, "experiments.trace")
-	sw := ms.Timer("experiments.kernel_run_ns").Start()
+	sim.Trace(env.Tracer)
+	tk := env.Tracer.Track("fig4 " + k.Name() + "/" + cfg.Name)
+	sink := trace.Instrumented(sim.Consumer(), env.Metrics, "experiments.trace")
+	sw := env.Metrics.Timer("experiments.kernel_run_ns").Start()
 	sp := tk.Begin("run")
 	info, err := k.Run(sink)
 	sw.Stop()
-	defer sim.PublishStats(ms, "cache."+k.Name()+"."+cfg.Name)
+	defer sim.PublishStats(env.Metrics, "cache."+k.Name()+"."+cfg.Name)
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
@@ -121,32 +115,11 @@ func VerifyKernelObs(k kernels.Kernel, cfg cache.Config, ms metrics.Sink, tz tra
 // RunFig4 executes the full Figure 4 verification: all six kernels at the
 // Table V input sizes against both Table IV verification caches. The
 // twelve (kernel, cache) cells are independent — each owns its kernel
-// instance and simulator — so they run concurrently; results keep the
-// deterministic cache-major, Table II order.
-func RunFig4() (*Fig4Result, error) { return RunFig4Workers(0) }
-
-// RunFig4Workers is RunFig4 with an explicit bound on the cells in
-// flight: 1 runs them one after another with no goroutines at all, 0 (or
-// a negative count) fans all twelve out at once, and anything else keeps
-// at most `workers` running (see ParallelObs). Each cell replays on its
-// own sequential simulator. The rows are identical for every setting;
-// only wall-clock time changes.
-func RunFig4Workers(workers int) (*Fig4Result, error) {
-	return RunFig4Sink(workers, nil)
-}
-
-// RunFig4Sink is RunFig4Workers with a metrics sink threaded through the
-// fan-out (ParallelSink) and every verification cell (VerifyKernelObs).
-// A nil sink reproduces RunFig4Workers exactly; a live sink adds
-// per-task/per-cell observability without changing a single output byte.
-func RunFig4Sink(workers int, ms metrics.Sink) (*Fig4Result, error) {
-	return RunFig4Obs(workers, ms, nil)
-}
-
-// RunFig4Obs is RunFig4Sink with a timeline recorder threaded through the
-// fan-out (ParallelObs) and every verification cell (VerifyKernelObs).
-// The rows are byte-identical with or without a recorder.
-func RunFig4Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig4Result, error) {
+// instance and simulator — so they run concurrently, env.Workers at a
+// time (see Parallel), each through VerifyKernel with the same env.
+// Results keep the deterministic cache-major, Table II order and are
+// identical for every Env; only wall-clock time changes.
+func RunFig4(env Env) (*Fig4Result, error) {
 	type cell struct {
 		cfg cache.Config
 		k   kernels.Kernel
@@ -158,9 +131,9 @@ func RunFig4Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig4Result, 
 		}
 	}
 	rows := make([][]Fig4Row, len(cells))
-	err := ParallelObs(len(cells), workers, ms, tz, func(i int) error {
+	err := Parallel(len(cells), env, func(i int) error {
 		var err error
-		rows[i], err = VerifyKernelObs(cells[i].k, cells[i].cfg, ms, tz)
+		rows[i], err = VerifyKernel(cells[i].k, cells[i].cfg, env)
 		return err
 	})
 	if err != nil {

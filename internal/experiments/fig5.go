@@ -7,7 +7,6 @@ import (
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/dvf"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/metrics"
 	"github.com/resilience-models/dvf/internal/tracez"
 )
 
@@ -47,18 +46,14 @@ func ProfileKernel(k kernels.Kernel, cfg cache.Config, rate dvf.FIT, cost dvf.Co
 	if err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
 	}
-	return profileFromInfo(k, info, cfg, rate, cost)
+	return profileFromInfo(k, info, cfg, rate, cost, nil)
 }
 
-// profileFromInfo evaluates the models of a prior run against cfg.
-func profileFromInfo(k kernels.Kernel, info *kernels.RunInfo, cfg cache.Config, rate dvf.FIT, cost dvf.CostModel) (*dvf.Application, error) {
-	return profileFromInfoObs(k, info, cfg, rate, cost, nil)
-}
-
-// profileFromInfoObs is profileFromInfo with the final DVF aggregation
-// recorded as a span on tk (nil is a no-op) — the per-cell track of the
-// calling driver, so model evaluation and aggregation nest visibly.
-func profileFromInfoObs(k kernels.Kernel, info *kernels.RunInfo, cfg cache.Config, rate dvf.FIT, cost dvf.CostModel, tk *tracez.Track) (*dvf.Application, error) {
+// profileFromInfo evaluates the models of a prior run against cfg, with
+// the final DVF aggregation recorded as a "dvf.aggregate" span on tk (nil
+// is a no-op) — the per-cell track of the calling driver, so model
+// evaluation and aggregation nest visibly.
+func profileFromInfo(k kernels.Kernel, info *kernels.RunInfo, cfg cache.Config, rate dvf.FIT, cost dvf.CostModel, tk *tracez.Track) (*dvf.Application, error) {
 	specs, err := k.Models(info)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: modeling %s: %w", k.Name(), err)
@@ -85,42 +80,27 @@ func profileFromInfoObs(k kernels.Kernel, info *kernels.RunInfo, cfg cache.Confi
 		total += nha
 	}
 	hours := cost.ExecHours(info.Refs, total, float64(info.Flops))
-	return dvf.NewApplicationObs(k.Name(), rate, hours, names, sizes, nhas, tk)
+	sp := tk.Begin("dvf.aggregate " + k.Name())
+	defer sp.End()
+	return dvf.NewApplication(k.Name(), rate, hours, names, sizes, nhas)
 }
 
 // RunFig5 executes the full Figure 5 profiling: the six kernels at the
 // Table VI input sizes across the four profiling caches of Table IV, with
-// the unprotected FIT rate of Table VII. Kernels profile concurrently
-// (each owns its state); cells keep the Table II, capacity-ascending order.
-func RunFig5() (*Fig5Result, error) { return RunFig5Workers(0) }
-
-// RunFig5Workers is RunFig5 with a bound on how many kernels profile
-// concurrently: 1 profiles them sequentially in the caller's goroutine
-// (the -workers=1 fallback), 0 leaves the fan-out unbounded. The cells are
-// identical for every setting.
-func RunFig5Workers(workers int) (*Fig5Result, error) {
-	return RunFig5Sink(workers, nil)
-}
-
-// RunFig5Sink is RunFig5Workers with a metrics sink: per-kernel task wall
-// times via ParallelSink and untraced kernel-run timings under
-// "experiments.kernel_run_ns". The cells are identical with or without a
-// sink.
-func RunFig5Sink(workers int, ms metrics.Sink) (*Fig5Result, error) {
-	return RunFig5Obs(workers, ms, nil)
-}
-
-// RunFig5Obs is RunFig5Sink with a timeline recorder: each kernel's
-// profiling task gets its own track ("fig5 CG") with a span for the
-// untraced run and one per evaluated cache. The cells are byte-identical
-// with or without a recorder.
-func RunFig5Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig5Result, error) {
+// the unprotected FIT rate of Table VII. Kernels profile concurrently,
+// env.Workers at a time (each owns its state); cells keep the Table II,
+// capacity-ascending order and are identical for every Env. A live
+// env.Metrics adds per-kernel task wall times and untraced kernel-run
+// timings under "experiments.kernel_run_ns"; a live env.Tracer gives
+// each kernel's profiling task its own track ("fig5 CG") with a span for
+// the untraced run and one per evaluated cache.
+func RunFig5(env Env) (*Fig5Result, error) {
 	res := &Fig5Result{Rate: dvf.FITNoECC}
 	suite := kernels.ProfilingSuite()
 	cells := make([][]Fig5Cell, len(suite))
-	err := ParallelObs(len(suite), workers, ms, tz, func(i int) error {
+	err := Parallel(len(suite), env, func(i int) error {
 		var err error
-		cells[i], err = profileAllCaches(suite[i], res.Rate, ms, tz)
+		cells[i], err = profileAllCaches(suite[i], res.Rate, env)
 		return err
 	})
 	if err != nil {
@@ -134,9 +114,9 @@ func RunFig5Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig5Result, 
 
 // profileAllCaches runs one kernel once and evaluates its models against
 // every profiling cache.
-func profileAllCaches(k kernels.Kernel, rate dvf.FIT, ms metrics.Sink, tz tracez.Recorder) ([]Fig5Cell, error) {
-	tk := tz.Track("fig5 " + k.Name())
-	sw := ms.Timer("experiments.kernel_run_ns").Start()
+func profileAllCaches(k kernels.Kernel, rate dvf.FIT, env Env) ([]Fig5Cell, error) {
+	tk := env.Tracer.Track("fig5 " + k.Name())
+	sw := env.Metrics.Timer("experiments.kernel_run_ns").Start()
 	sp := tk.Begin("run")
 	info, err := k.Run(nil)
 	sw.Stop()
@@ -148,7 +128,7 @@ func profileAllCaches(k kernels.Kernel, rate dvf.FIT, ms metrics.Sink, tz tracez
 	var out []Fig5Cell
 	for _, cfg := range cache.ProfilingConfigs() {
 		sp := tk.Begin("profile " + cfg.Name)
-		app, err := profileFromInfoObs(k, info, cfg, rate, dvf.DefaultCostModel, tk)
+		app, err := profileFromInfo(k, info, cfg, rate, dvf.DefaultCostModel, tk)
 		sp.End()
 		if err != nil {
 			return nil, err

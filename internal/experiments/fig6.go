@@ -7,7 +7,6 @@ import (
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/dvf"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/metrics"
 	"github.com/resilience-models/dvf/internal/tracez"
 )
 
@@ -47,34 +46,19 @@ func Fig6Sizes() []int {
 // traffic, but converges in a handful of iterations while CG's iteration
 // count grows with the problem's condition number — so PCG's DVF starts
 // slightly worse and crosses below CG's as n grows.
-func RunFig6() (*Fig6Result, error) { return RunFig6Workers(0) }
-
-// RunFig6Workers is RunFig6 with a bound on how many problem sizes solve
-// concurrently: 1 runs the sweep sequentially in the caller's goroutine
-// (the -workers=1 fallback), 0 leaves the fan-out unbounded. The points
-// are identical for every setting.
-func RunFig6Workers(workers int) (*Fig6Result, error) {
-	return RunFig6Sink(workers, nil)
-}
-
-// RunFig6Sink is RunFig6Workers with a metrics sink: per-problem-size task
-// wall times via ParallelSink. The points are identical with or without a
-// sink.
-func RunFig6Sink(workers int, ms metrics.Sink) (*Fig6Result, error) {
-	return RunFig6Obs(workers, ms, nil)
-}
-
-// RunFig6Obs is RunFig6Sink with a timeline recorder: each problem size
-// gets its own track ("fig6 n=400") with "cg" and "pcg" spans carrying
-// the iteration counts as args. The points are byte-identical with or
-// without a recorder.
-func RunFig6Obs(workers int, ms metrics.Sink, tz tracez.Recorder) (*Fig6Result, error) {
+//
+// The problem sizes solve concurrently, env.Workers at a time; the points
+// are identical for every Env. A live env.Metrics adds per-problem-size
+// task wall times; a live env.Tracer gives each problem size its own
+// track ("fig6 n=400") with "cg" and "pcg" spans carrying the iteration
+// counts as args.
+func RunFig6(env Env) (*Fig6Result, error) {
 	res := &Fig6Result{Cache: cache.Profile8MB, Rate: dvf.FITNoECC, Tol: 1e-8}
 	sizes := Fig6Sizes()
 	points := make([]*Fig6Point, len(sizes))
-	err := ParallelObs(len(sizes), workers, ms, tz, func(i int) error {
+	err := Parallel(len(sizes), env, func(i int) error {
 		var err error
-		points[i], err = runFig6Point(sizes[i], res.Tol, res.Cache, res.Rate, tz)
+		points[i], err = runFig6Point(sizes[i], res.Tol, res.Cache, res.Rate, env.Tracer)
 		return err
 	})
 	if err != nil {
@@ -96,7 +80,7 @@ func runFig6Point(n int, tol float64, cfg cache.Config, rate dvf.FIT, tz tracez.
 		return nil, fmt.Errorf("experiments: cg n=%d: %w", n, err)
 	}
 	sp.EndInt("iters", int64(cgInfo.Measured["iters"]))
-	cgApp, err := profileFromInfoObs(cg, cgInfo, cfg, rate, dvf.DefaultCostModel, tk)
+	cgApp, err := profileFromInfo(cg, cgInfo, cfg, rate, dvf.DefaultCostModel, tk)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +92,7 @@ func runFig6Point(n int, tol float64, cfg cache.Config, rate dvf.FIT, tz tracez.
 		return nil, fmt.Errorf("experiments: pcg n=%d: %w", n, err)
 	}
 	sp.EndInt("iters", int64(pcgInfo.Measured["iters"]))
-	pcgApp, err := profileFromInfoObs(pcg, pcgInfo, cfg, rate, dvf.DefaultCostModel, tk)
+	pcgApp, err := profileFromInfo(pcg, pcgInfo, cfg, rate, dvf.DefaultCostModel, tk)
 	if err != nil {
 		return nil, err
 	}

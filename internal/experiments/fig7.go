@@ -7,8 +7,6 @@ import (
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/dvf"
 	"github.com/resilience-models/dvf/internal/kernels"
-	"github.com/resilience-models/dvf/internal/metrics"
-	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 // Fig7Series is one ECC mechanism's DVF-vs-degradation curve of Figure 7.
@@ -40,25 +38,16 @@ func Fig7Degradations() []float64 {
 //
 // Unlike Figures 4-6 this experiment is purely analytical — one untraced
 // kernel run feeds two closed-form sweeps — so there are no cells to fan
-// out; the drivers' -workers flag does not apply here.
-func RunFig7() (*Fig7Result, error) { return RunFig7Sink(nil) }
-
-// RunFig7Sink is RunFig7 with a metrics sink timing the single untraced
-// kernel run ("experiments.kernel_run_ns") and the analytical sweep
-// ("experiments.task_ns"). The series are identical with or without a sink.
-func RunFig7Sink(ms metrics.Sink) (*Fig7Result, error) {
-	return RunFig7Obs(ms, nil)
-}
-
-// RunFig7Obs is RunFig7Sink with a timeline recorder: the single "fig7"
-// track carries spans for the untraced kernel run, the DVF aggregation
-// and one "dvf.sweep" span per ECC mechanism. The series are
-// byte-identical with or without a recorder.
-func RunFig7Obs(ms metrics.Sink, tz tracez.Recorder) (*Fig7Result, error) {
+// out and env.Workers does not apply. A live env.Metrics times the
+// single untraced kernel run ("experiments.kernel_run_ns") and each ECC
+// sweep ("experiments.sweep_ns"); a live env.Tracer gets one "fig7" track
+// with spans for the kernel run, the DVF aggregation and one "dvf.sweep"
+// span per ECC mechanism. The series are identical for every Env.
+func RunFig7(env Env) (*Fig7Result, error) {
 	cfg := cache.Profile8MB
 	k := kernels.NewVM(100000)
-	tk := tz.Track("fig7")
-	sw := ms.Timer("experiments.kernel_run_ns").Start()
+	tk := env.Tracer.Track("fig7")
+	sw := env.Metrics.Timer("experiments.kernel_run_ns").Start()
 	sp := tk.Begin("run")
 	info, err := k.Run(nil)
 	sw.Stop()
@@ -67,7 +56,7 @@ func RunFig7Obs(ms metrics.Sink, tz tracez.Recorder) (*Fig7Result, error) {
 		return nil, err
 	}
 	sp.EndInt("refs", info.Refs)
-	app, err := profileFromInfoObs(k, info, cfg, dvf.FITNoECC, dvf.DefaultCostModel, tk)
+	app, err := profileFromInfo(k, info, cfg, dvf.FITNoECC, dvf.DefaultCostModel, tk)
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +69,10 @@ func RunFig7Obs(ms metrics.Sink, tz tracez.Recorder) (*Fig7Result, error) {
 	}
 	res := &Fig7Result{Kernel: k.Name(), Cache: cfg}
 	for _, mech := range []dvf.ECC{dvf.SECDED, dvf.Chipkill} {
-		sw := ms.Timer("experiments.task_ns").Start()
-		points, err := mech.SweepObs(app.ExecHours, totalBytes, totalNHa, Fig7Degradations(), tk)
+		sw := env.Metrics.Timer("experiments.sweep_ns").Start()
+		sp := tk.Begin("dvf.sweep " + mech.Name)
+		points, err := mech.Sweep(app.ExecHours, totalBytes, totalNHa, Fig7Degradations())
+		sp.End()
 		sw.Stop()
 		if err != nil {
 			return nil, err

@@ -55,7 +55,7 @@ func TestGoldenFig4CSV(t *testing.T) {
 		t.Skip("byte-identity is engine-agnostic; race runs cover the fan-outs elsewhere")
 	}
 	render := func(workers int) []byte {
-		res, err := RunFig4Workers(workers)
+		res, err := RunFig4(Env{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestGoldenFig5CSV(t *testing.T) {
 		t.Skip("byte-identity is engine-agnostic; race runs cover the fan-outs elsewhere")
 	}
 	render := func(workers int) []byte {
-		res, err := RunFig5Workers(workers)
+		res, err := RunFig5(Env{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestGoldenFig6CSV(t *testing.T) {
 		t.Skip("byte-identity is engine-agnostic; race runs cover the fan-outs elsewhere")
 	}
 	render := func(workers int) []byte {
-		res, err := RunFig6Workers(workers)
+		res, err := RunFig6(Env{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestGoldenFig6CSV(t *testing.T) {
 }
 
 func TestGoldenFig7CSV(t *testing.T) {
-	res, err := RunFig7()
+	res, err := RunFig7(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

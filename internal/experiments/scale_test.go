@@ -38,7 +38,7 @@ func TestVerificationAtProfilingSizes(t *testing.T) {
 		wg.Add(1)
 		go func(i int, k kernels.Kernel) {
 			defer wg.Done()
-			rows, err := VerifyKernel(k, cache.Small)
+			rows, err := VerifyKernel(k, cache.Small, Env{})
 			results[i] = result{rows: rows, err: err}
 		}(i, k)
 	}

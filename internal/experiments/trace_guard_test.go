@@ -7,13 +7,10 @@ import (
 	"github.com/resilience-models/dvf/internal/tracez"
 )
 
-// These tests guard the zero-interference contract of the span recorder,
-// the tracing twin of metrics_guard_test.go: threading a live tracer
-// through every figure driver must never change its scientific output.
-// Each figure's CSV is rendered twice — once through the plain entry
-// point (nil recorder) and once with a live in-memory tracer — and the
-// two byte streams must be identical, while the trace the live run
-// produced must itself be non-trivial and schema-valid.
+// The tracing half of the guard tables in metrics_guard_test.go: each
+// figure's CSV with a live in-memory tracer alone must match the plain
+// run byte for byte, and the trace it produced must itself be
+// non-trivial and schema-valid.
 
 // requireValidTrace dumps the tracer and runs the package's own schema
 // validator over the result: named events, balanced pairs, non-negative
@@ -40,34 +37,14 @@ func requireValidTrace(t *testing.T, tz *tracez.Tracer) {
 }
 
 func TestFig7CSVUnchangedByTracing(t *testing.T) {
-	off := csvFig(t, func() (csvWriter, error) {
-		return RunFig7()
-	})
-	tz := tracez.New()
-	on := csvFig(t, func() (csvWriter, error) {
-		return RunFig7Obs(nil, tz)
-	})
-	if !bytes.Equal(off, on) {
-		t.Error("Fig7 CSV differs with tracing enabled")
-	}
-	requireValidTrace(t, tz)
+	guardFig(t, fig7CSV, Env{Tracer: tracez.New()})
 }
 
 func TestFig6CSVUnchangedByTracing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence sweep is slow")
 	}
-	off := csvFig(t, func() (csvWriter, error) {
-		return RunFig6Workers(1)
-	})
-	tz := tracez.New()
-	on := csvFig(t, func() (csvWriter, error) {
-		return RunFig6Obs(1, nil, tz)
-	})
-	if !bytes.Equal(off, on) {
-		t.Error("Fig6 CSV differs with tracing enabled")
-	}
-	requireValidTrace(t, tz)
+	guardFig(t, fig6CSV, Env{Tracer: tracez.New()})
 }
 
 func TestFig5CSVUnchangedByTracing(t *testing.T) {
@@ -77,17 +54,7 @@ func TestFig5CSVUnchangedByTracing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-identity is schedule-agnostic; race runs cover the recorder elsewhere")
 	}
-	off := csvFig(t, func() (csvWriter, error) {
-		return RunFig5Workers(1)
-	})
-	tz := tracez.New()
-	on := csvFig(t, func() (csvWriter, error) {
-		return RunFig5Obs(1, nil, tz)
-	})
-	if !bytes.Equal(off, on) {
-		t.Error("Fig5 CSV differs with tracing enabled")
-	}
-	requireValidTrace(t, tz)
+	guardFig(t, fig5CSV, Env{Tracer: tracez.New()})
 }
 
 func TestFig4CSVUnchangedByTracing(t *testing.T) {
@@ -97,15 +64,5 @@ func TestFig4CSVUnchangedByTracing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-identity is schedule-agnostic; race runs cover the recorder elsewhere")
 	}
-	off := csvFig(t, func() (csvWriter, error) {
-		return RunFig4Workers(1)
-	})
-	tz := tracez.New()
-	on := csvFig(t, func() (csvWriter, error) {
-		return RunFig4Obs(1, nil, tz)
-	})
-	if !bytes.Equal(off, on) {
-		t.Error("Fig4 CSV differs with tracing enabled")
-	}
-	requireValidTrace(t, tz)
+	guardFig(t, fig4CSV, Env{Tracer: tracez.New()})
 }

@@ -22,7 +22,7 @@ func TestSmokeVerificationBound(t *testing.T) {
 		kernels.NewFT(2048),
 		kernels.NewMC(1000),
 	} {
-		rows, err := experiments.VerifyKernel(k, cache.Small)
+		rows, err := experiments.VerifyKernel(k, cache.Small, experiments.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestSmokeVerificationBound(t *testing.T) {
 }
 
 func TestSmokeFig7Minimum(t *testing.T) {
-	res, err := experiments.RunFig7()
+	res, err := experiments.RunFig7(experiments.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
