@@ -18,13 +18,15 @@
 #   make race         full suite under the race detector (slow: the
 #                     experiments package replays every figure)
 #   make bench-smoke  one iteration of the cache simulator's batched and
-#                     per-reference replay benchmarks, as a compile-and-run
+#                     per-reference replay benchmarks, CG's CGPMAC models
+#                     and the fft Aspen evaluation, as a compile-and-run
 #                     sanity check
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
 #                     differential, the simulator against its naive LRU
 #                     oracle, the v1 trace codec round-trip, the
-#                     template counter against its brute-force oracles and
+#                     template counter against its brute-force oracles,
+#                     steady-state extrapolation against full simulation and
 #                     bench manifest decoding for -compare; FUZZTIME
 #                     bounds each target (default 10s)
 #   make fuzz-smoke-v2  bounded fuzz of the v2 (columnar) trace codec:
@@ -100,6 +102,8 @@ race:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench='BenchmarkBatchReplay|BenchmarkSimulatorAccess' -benchtime=1x ./internal/cache
+	$(GO) test -run '^$$' -bench='^BenchmarkCGTemplateModel$$' -benchtime=1x ./internal/kernels
+	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .
@@ -109,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
+	$(GO) test -run '^$$' -fuzz '^FuzzSteadyStateVsFull$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
 
 fuzz-smoke-v2:

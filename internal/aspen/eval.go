@@ -601,7 +601,7 @@ func orderInterference(seq []string, target string, sizes map[string]int64) (int
 
 // lowerTemplate expands a template pattern's ranges and list into element
 // indices lazily per cache configuration, then counts misses through the
-// two-step algorithm.
+// two-step algorithm, one repeat per patterns.RunPeriods period.
 func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator, error) {
 	elem, err := evalInt(p.ElemSize, vars, "element size", p.Pos)
 	if err != nil {
@@ -640,8 +640,12 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 				return 0, errAt(p.Pos, "template of %d-byte elements on %d-byte lines exceeds the %d block-visit limit",
 					elem, cfg.LineSize, int64(maxTemplateAccesses))
 			}
+			// Each repeat is one period: once the LRU state repeats, the
+			// remaining repeats are counted, not replayed.
 			ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
-			for rep := 0; rep < repeats; rep++ {
+			misses := patterns.RunPeriods(repeats, ctr, func(dst []int64) []int64 {
+				return append(dst, ctr.Misses())
+			}, func() {
 				for _, e := range elems {
 					first := e * int64(elem) / int64(cfg.LineSize)
 					last := (e*int64(elem) + int64(elem) - 1) / int64(cfg.LineSize)
@@ -649,8 +653,8 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 						ctr.Visit(b)
 					}
 				}
-			}
-			return float64(ctr.Misses()), nil
+			})
+			return float64(misses[0]), nil
 		},
 	}, nil
 }

@@ -1,9 +1,11 @@
 package aspen
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/cache"
@@ -144,5 +146,135 @@ func TestTestdataCGAutoInterference(t *testing.T) {
 	// The matrix dominates: it re-streams its 2MB every iteration.
 	if a.NHa < 10*p.NHa || a.NHa < 10*r.NHa {
 		t.Errorf("A (%g) should dominate the vectors (p=%g, r=%g)", a.NHa, p.NHa, r.NHa)
+	}
+}
+
+// nha is one structure's pinned N_ha.
+type nha struct {
+	name string
+	want float64
+}
+
+// TestTestdataModelsPinNHa pins every bundled model's per-structure N_ha
+// on its own machine cache and on both verification caches, so a change
+// to a pattern's estimator that moves any count fails here rather than
+// passing the positivity checks above. The values are those of a replay
+// of every template repeat; steady-state extrapolation must reproduce
+// them exactly.
+func TestTestdataModelsPinNHa(t *testing.T) {
+	cases := []struct {
+		file, cache string
+		want        []nha
+	}{
+		{"barnes-hut.aspen", "machine", []nha{{"T", 149800}, {"P", 2000}}},
+		{"barnes-hut.aspen", "small", []nha{{"T", 149800}, {"P", 2000}}},
+		{"barnes-hut.aspen", "large", []nha{{"T", 500}, {"P", 500}}},
+		{"conjugate-gradient.aspen", "machine", []nha{{"A", 625000}, {"x", 1250}, {"p", 125}, {"r", 1375}}},
+		{"conjugate-gradient.aspen", "small", []nha{{"A", 625000}, {"x", 1250}, {"p", 125}, {"r", 1375}}},
+		{"conjugate-gradient.aspen", "large", []nha{{"A", 31250}, {"x", 63}, {"p", 63}, {"r", 63}}},
+		{"fft.aspen", "machine", []nha{{"X", 49152}}},
+		{"fft.aspen", "small", []nha{{"X", 12288}}},
+		{"fft.aspen", "large", []nha{{"X", 512}}},
+		{"montecarlo.aspen", "machine", []nha{{"G", 25996.36}, {"E", 68912.4}}},
+		{"montecarlo.aspen", "small", []nha{{"G", 25996.36}, {"E", 68912.4}}},
+		{"montecarlo.aspen", "large", []nha{{"G", 12500}, {"E", 22500}}},
+		{"multigrid.aspen", "machine", []nha{{"R", 880}}},
+		{"multigrid.aspen", "small", []nha{{"R", 880}}},
+		{"multigrid.aspen", "large", []nha{{"R", 440}}},
+		{"pcg.aspen", "machine", []nha{{"A", 31250}, {"M", 15657}, {"x", 63}, {"p", 63}, {"r", 63}, {"z", 63}}},
+		{"pcg.aspen", "small", []nha{{"A", 375000}, {"M", 187878}, {"x", 750}, {"p", 125}, {"r", 125}, {"z", 875}}},
+		{"pcg.aspen", "large", []nha{{"A", 31250}, {"M", 15657}, {"x", 63}, {"p", 63}, {"r", 63}, {"z", 63}}},
+		{"vm.aspen", "machine", []nha{{"A", 1000}, {"B", 500}, {"C", 250}}},
+		{"vm.aspen", "small", []nha{{"A", 1000}, {"B", 500}, {"C", 250}}},
+		{"vm.aspen", "large", []nha{{"A", 500}, {"B", 250}, {"C", 125}}},
+	}
+	for _, c := range cases {
+		t.Run(c.file+"/"+c.cache, func(t *testing.T) {
+			m, _ := readModel(t, c.file)
+			checkNHa(t, m, c.cache, c.want)
+		})
+	}
+}
+
+// TestTestdataFFTPassesPinNHa pins fft.aspen's N_ha across repeat counts:
+// one pass (no later period to extrapolate), two and three (the state
+// repeats at the last period or just before it) and twice the bundled
+// twelve. The 32 KB array thrashes its own 16 KB cache and the 8 KB
+// Small cache, costing every block on every pass, and fits the 4 MB
+// Large cache, costing each block once.
+func TestTestdataFFTPassesPinNHa(t *testing.T) {
+	_, src := readModel(t, "fft.aspen")
+	for _, c := range []struct {
+		passes                int
+		machine, small, large float64
+	}{
+		{1, 4096, 1024, 512},
+		{2, 8192, 2048, 512},
+		{3, 12288, 3072, 512},
+		{24, 98304, 24576, 512},
+	} {
+		t.Run(fmt.Sprintf("passes=%d", c.passes), func(t *testing.T) {
+			decl := "param passes = 12"
+			if !strings.Contains(src, decl) {
+				t.Fatalf("fft.aspen no longer declares %q", decl)
+			}
+			m, err := Parse(strings.Replace(src, decl, fmt.Sprintf("param passes = %d", c.passes), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkNHa(t, m, "machine", []nha{{"X", c.machine}})
+			checkNHa(t, m, "small", []nha{{"X", c.small}})
+			checkNHa(t, m, "large", []nha{{"X", c.large}})
+		})
+	}
+}
+
+// checkNHa evaluates m on the named cache ("machine" for the model's own
+// machine block, "small" or "large" for a verification cache) and
+// requires exactly the wanted structures, in order, with exactly the
+// wanted N_ha.
+func checkNHa(t *testing.T, m *Model, cacheName string, want []nha) {
+	t.Helper()
+	var opts []Option
+	switch cacheName {
+	case "small":
+		opts = append(opts, WithCache(cache.Small))
+	case "large":
+		opts = append(opts, WithCache(cache.Large))
+	}
+	ev, err := Evaluate(m, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", cacheName, err)
+	}
+	got := make([]nha, len(ev.Structures))
+	for i, s := range ev.Structures {
+		got[i] = nha{s.Name, s.NHa}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s cache: N_ha %v, want %v", cacheName, got, want)
+	}
+}
+
+// BenchmarkAspenEvaluate times what perfbench reports as
+// aspen.evaluate_us.<model>: Evaluate on a parsed bundled model against
+// its own machine cache. fft is the template model whose 12 repeats
+// dominate its cost.
+func BenchmarkAspenEvaluate(b *testing.B) {
+	for _, name := range []string{"fft"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".aspen"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := Parse(string(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Evaluate(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/resilience-models/dvf/internal/metrics"
@@ -103,6 +104,12 @@ type Simulator struct {
 	// used; the ways past its fill count are free.
 	ways []line
 	fill []int32
+
+	// savedFill and savedWays are the snapshot SaveState takes and
+	// SameState compares against: the fill counts, and the valid lines
+	// of every set packed in set order. nil until the first save.
+	savedFill []int32
+	savedWays []line
 
 	// Per-structure counters: IDs in [0, denseStructIDs) index dense
 	// directly; any other ID (negative, or large, as a hand-written or
@@ -325,6 +332,48 @@ func (s *Simulator) Reset() {
 	s.empty()
 	s.dense = [denseStructIDs]counters{}
 	clear(s.sparse)
+}
+
+// SaveState snapshots the cache contents: every set's fill count and
+// the tag, owner and dirty bit of each valid line, packed set after set.
+// The counters are not state. The snapshot holds only the valid lines,
+// so a working set smaller than the cache costs less than the line slab;
+// it is allocated on the first save and grows only when the cache holds
+// more lines than at any earlier save.
+func (s *Simulator) SaveState() {
+	valid := 0
+	for _, n := range s.fill {
+		valid += int(n)
+	}
+	if s.savedFill == nil {
+		s.savedFill = make([]int32, len(s.fill))
+	}
+	copy(s.savedFill, s.fill)
+	s.savedWays = slices.Grow(s.savedWays[:0], valid)
+	for set, n := range s.fill {
+		base := set * s.assoc
+		s.savedWays = append(s.savedWays, s.ways[base:base+int(n)]...)
+	}
+}
+
+// SameState reports whether the cache contents equal the last SaveState
+// snapshot; it is false before the first save. A simulator's response to
+// a reference depends only on its contents, so one reference sequence
+// presented to two equal states changes every counter by the same amount
+// and leaves equal states behind.
+func (s *Simulator) SameState() bool {
+	if s.savedFill == nil || !slices.Equal(s.fill, s.savedFill) {
+		return false
+	}
+	saved := s.savedWays
+	for set, n := range s.fill {
+		base := set * s.assoc
+		if !slices.Equal(s.ways[base:base+int(n)], saved[:n]) {
+			return false
+		}
+		saved = saved[n:]
+	}
+	return true
 }
 
 // count returns id's counters. A dense ID is an array slot; only an ID

@@ -403,3 +403,70 @@ func TestUntracedAccessZeroAlloc(t *testing.T) {
 		t.Errorf("untraced Access allocates %.1f per call, want 0", allocs)
 	}
 }
+
+// TestSameStateTracksContents pins what SaveState and SameState compare:
+// tags, owners, dirty bits and fill counts, but not the counters.
+func TestSameStateTracksContents(t *testing.T) {
+	s := mustSim(t, tiny())
+	if s.SameState() {
+		t.Fatal("SameState true before any SaveState")
+	}
+	s.Access(0, 8, false, 1)
+	s.SaveState()
+	if !s.SameState() {
+		t.Fatal("SameState false right after SaveState")
+	}
+	s.Access(0, 8, false, 1) // a hit: counters move, contents do not
+	if !s.SameState() {
+		t.Error("a read hit on the MRU line changed the state")
+	}
+	for _, c := range []struct {
+		name   string
+		change func()
+	}{
+		{"dirty bit", func() { s.Access(0, 8, true, 1) }},
+		{"owner", func() { s.Reset(); s.Access(0, 8, false, 2) }},
+		{"tag", func() { s.Reset(); s.Access(64, 8, false, 1) }},
+		{"fill count", func() { s.Access(128, 8, false, 1) }},
+	} {
+		s.Reset()
+		s.Access(0, 8, false, 1)
+		s.SaveState()
+		c.change()
+		if s.SameState() {
+			t.Errorf("changing the %s left SameState true", c.name)
+		}
+	}
+	// Only valid lines are state: a flush empties every set but leaves
+	// the old lines in the free ways.
+	s.Reset()
+	s.SaveState()
+	s.Access(0, 8, true, 1)
+	s.Flush()
+	if !s.SameState() {
+		t.Error("a flushed cache differs from the empty one it started as")
+	}
+}
+
+// TestSaveStateAllocatesOnce guards the per-period cost of steady-state
+// extrapolation: once a save has sized the snapshot for the lines the
+// cache holds, later saves and comparisons of a cache holding no more
+// lines reuse it.
+func TestSaveStateAllocatesOnce(t *testing.T) {
+	s := mustSim(t, Large)
+	const lines = 4096 // one line in every set
+	for i := uint64(0); i < lines; i++ {
+		s.Access(i*64, 8, false, 1)
+	}
+	s.SaveState()
+	var i uint64
+	allocs := testing.AllocsPerRun(20, func() {
+		s.Access(i%lines*64, 8, true, 1)
+		i++
+		s.SaveState()
+		_ = s.SameState()
+	})
+	if allocs != 0 {
+		t.Errorf("SaveState/SameState allocate %.1f per period after the first save, want 0", allocs)
+	}
+}

@@ -240,7 +240,10 @@ func (c *CG) Models(info *RunInfo) ([]ModelSpec, error) {
 
 	var pModel patterns.Estimator
 	if c.TemplateP {
-		pModel = c.templateModel(iters, "p")
+		var err error
+		if pModel, err = c.templateModel(iters, "p"); err != nil {
+			return nil, err
+		}
 	} else {
 		pModel = cgVectorModel(cgVectorParams{
 			bytes: bytesVec,
@@ -281,27 +284,37 @@ func (c *CG) Models(info *RunInfo) ([]ModelSpec, error) {
 // template is derived from the pseudocode alone (loop structure and access
 // order), exactly the CGPMAC workflow: no instruction-level trace is
 // involved, but the element-level interleaving — which the closed-form
-// equations abstract away — is preserved.
-func (c *CG) templateModel(iters int, structure string) patterns.Estimator {
+// equations abstract away — is preserved. Every iteration replays the same
+// body, so the iterations run as patterns.RunPeriods periods: once the
+// cache state repeats, the rest are counted, not simulated.
+func (c *CG) templateModel(iters int, structure string) (patterns.Estimator, error) {
 	n := c.N
-	bytesVec := int64(n) * elem8
+	// The regions are resolved once, up front: touch runs for every
+	// element of every phase, so it takes the region itself rather than a
+	// name to look up.
+	reg := trace.NewRegistry()
+	A := reg.Alloc("A", uint64(n)*uint64(n)*elem8)
+	x := reg.Alloc("x", uint64(n)*elem8)
+	p := reg.Alloc("p", uint64(n)*elem8)
+	r := reg.Alloc("r", uint64(n)*elem8)
+	q := reg.Alloc("q", uint64(n)*elem8)
+	var target cache.StructID
+	for _, rg := range reg.Regions() {
+		if rg.Name == structure {
+			target = cache.StructID(rg.ID)
+		}
+	}
+	if target == cache.Unattributed {
+		return nil, fmt.Errorf("cg: template model has no structure %q", structure)
+	}
 	return patterns.Func{
 		Name:  "template",
-		Bytes: bytesVec,
+		Bytes: int64(n) * elem8,
 		F: func(cfg cache.Config) (float64, error) {
 			sim, err := cache.NewSimulator(cfg)
 			if err != nil {
 				return 0, err
 			}
-			// The regions are resolved once, up front: touch runs for every
-			// element of every phase, so it takes the region itself rather
-			// than a name to look up.
-			reg := trace.NewRegistry()
-			A := reg.Alloc("A", uint64(n)*uint64(n)*elem8)
-			x := reg.Alloc("x", uint64(n)*elem8)
-			p := reg.Alloc("p", uint64(n)*elem8)
-			r := reg.Alloc("r", uint64(n)*elem8)
-			q := reg.Alloc("q", uint64(n)*elem8)
 			touch := func(rg *trace.Region, i int, write bool) {
 				sim.Access(rg.Base+uint64(i)*elem8, elem8, write, cache.StructID(rg.ID))
 			}
@@ -309,7 +322,9 @@ func (c *CG) templateModel(iters int, structure string) patterns.Estimator {
 			for i := 0; i < n; i++ {
 				touch(&r, i, false)
 			}
-			for it := 0; it < iters; it++ {
+			misses := patterns.RunPeriods(iters, sim, func(dst []int64) []int64 {
+				return append(dst, sim.StructStats(target).Misses)
+			}, func() {
 				for i := 0; i < n; i++ { // q = A p
 					for j := 0; j < n; j++ {
 						touch(&A, i*n+j, false)
@@ -339,15 +354,10 @@ func (c *CG) templateModel(iters int, structure string) patterns.Estimator {
 					touch(&p, i, false)
 					touch(&p, i, true)
 				}
-			}
-			for _, rg := range reg.Regions() {
-				if rg.Name == structure {
-					return float64(sim.StructStats(cache.StructID(rg.ID)).Misses), nil
-				}
-			}
-			return 0, nil
+			})
+			return float64(misses[0]), nil
 		},
-	}
+	}, nil
 }
 
 // cgVectorParams describes the composite reuse behaviour of a CG vector:

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/cache"
@@ -196,5 +197,49 @@ func TestCGValidate(t *testing.T) {
 func TestCGResidualHelperRuns(t *testing.T) {
 	if _, iters := cgResidual(t, 80, 1e-8); iters <= 0 {
 		t.Error("no iterations recorded")
+	}
+}
+
+// An unknown structure is an error, not a template that reports zero
+// misses (which would read as a zero DVF).
+func TestCGTemplateModelUnknownStructure(t *testing.T) {
+	c := NewCG(50, 2)
+	if _, err := c.templateModel(2, "z"); err == nil || !strings.Contains(err.Error(), `"z"`) {
+		t.Errorf("unknown structure: err = %v, want one naming \"z\"", err)
+	}
+	for _, name := range []string{"A", "x", "p", "r", "q"} {
+		if _, err := c.templateModel(2, name); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// BenchmarkCGTemplateModel times what perfbench reports as
+// patterns.estimate_ms.CG.<cache>: building CG's four CGPMAC models at
+// the verification size (500x500, 10 iterations) and evaluating each on
+// one verification cache. The template model for p is most of it.
+func BenchmarkCGTemplateModel(b *testing.B) {
+	k := NewCG(500, 10)
+	info, err := k.Run(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"small", cache.Small}, {"large", cache.Large}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				specs, err := k.Models(info)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range specs {
+					if _, err := s.Estimator.MemoryAccesses(c.cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package patterns
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/mathx"
@@ -123,6 +124,11 @@ type TemplateCounter struct {
 	nodes    []tcNode // one per distinct block; int32 indexes reach 2^31 of them
 	mru, lru int32    // ends of the resident list, noNode when empty
 	resident int
+
+	// saved is the resident list, MRU first, at the last SaveState;
+	// hasSaved tells an empty snapshot from none.
+	saved    []int32
+	hasSaved bool
 }
 
 // denseSlack is how far past twice the distinct count the dense block
@@ -271,6 +277,39 @@ func (tc *TemplateCounter) unlink(i int32) {
 	} else {
 		tc.lru = n.prev
 	}
+}
+
+// SaveState snapshots the resident list in recency order: in
+// stack-distance mode, all that decides which later visits miss (a node
+// stands for one block, so equal node orders are equal block orders).
+// Raw-distance mode saves nothing: its state holds every block's last
+// visit time, which only grows, so it never repeats.
+func (tc *TemplateCounter) SaveState() {
+	if tc.raw {
+		return
+	}
+	tc.saved = slices.Grow(tc.saved[:0], tc.resident)
+	for i := tc.mru; i != noNode; i = tc.nodes[i].next {
+		tc.saved = append(tc.saved, i)
+	}
+	tc.hasSaved = true
+}
+
+// SameState reports whether the resident list equals the last SaveState
+// snapshot. It is false before the first save and always in raw-distance
+// mode.
+func (tc *TemplateCounter) SameState() bool {
+	if tc.raw || !tc.hasSaved || len(tc.saved) != tc.resident {
+		return false
+	}
+	i := tc.mru
+	for _, want := range tc.saved {
+		if i != want {
+			return false
+		}
+		i = tc.nodes[i].next
+	}
+	return true
 }
 
 // Misses returns the accumulated estimate of main-memory accesses.
