@@ -18,8 +18,9 @@
 #   make race         full suite under the race detector (slow: the
 #                     experiments package replays every figure)
 #   make bench-smoke  one iteration of the cache simulator's batched and
-#                     per-reference replay benchmarks, CG's CGPMAC models
-#                     and the fft Aspen evaluation, as a compile-and-run
+#                     per-reference replay benchmarks, CG's CGPMAC models,
+#                     the fft Aspen evaluation and a dvf-serve analyze
+#                     miss (CG, cgpmac and analytic), as a compile-and-run
 #                     sanity check
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
@@ -104,6 +105,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='BenchmarkBatchReplay|BenchmarkSimulatorAccess' -benchtime=1x ./internal/cache
 	$(GO) test -run '^$$' -bench='^BenchmarkCGTemplateModel$$' -benchtime=1x ./internal/kernels
 	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
+	$(GO) test -run '^$$' -bench='^BenchmarkServeAnalyzeMiss$$' -benchtime=1x ./internal/serve
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .

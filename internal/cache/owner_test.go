@@ -88,16 +88,24 @@ func TestHostileOwnersMatchMapOnlyReference(t *testing.T) {
 
 // TestHostileOwnerAllocatesIndependentlyOfID: the first sight of an owner
 // costs a small fixed allocation whatever its value, so a trace cannot
-// make the simulator allocate in proportion to an ID.
+// make the simulator allocate in proportion to an ID. TotalAlloc is
+// process-wide, and the runtime or another goroutine can allocate while
+// the loop runs; such allocations only add, so the test measures several
+// fresh simulators on one P and bounds the least growth.
 func TestHostileOwnerAllocatesIndependentlyOfID(t *testing.T) {
-	s := mustSim(t, tiny())
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, id := range hostileOwners {
-		s.Access(uint64(id)*16, 8, false, id)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		s := mustSim(t, tiny())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, id := range hostileOwners {
+			s.Access(uint64(id)*16, 8, false, id)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
-		t.Errorf("first sight of %d owners allocated %d bytes, want at most 4096", len(hostileOwners), grew)
+	if least > 4096 {
+		t.Errorf("first sight of %d owners allocated at least %d bytes, want at most 4096", len(hostileOwners), least)
 	}
 }

@@ -39,6 +39,9 @@ type (
 	Report = dvf.Application
 	// Kernel is one of the built-in Table II algorithms.
 	Kernel = kernels.Kernel
+	// RunInfo is what one untraced kernel run exposes to the models: the
+	// workload counts and the profiled model inputs.
+	RunInfo = kernels.RunInfo
 	// VerificationRow is one model-vs-simulator comparison (Figure 4).
 	VerificationRow = experiments.Fig4Row
 	// AnalyticProfile is a trace-free per-structure miss profile solved
@@ -80,7 +83,23 @@ func Kernels() []Kernel {
 // structures with CGPMAC on the given cache, and returns the DVF report
 // under the given failure rate.
 func AnalyzeKernel(k Kernel, cfg CacheConfig, rate FIT) (*Report, error) {
-	return experiments.ProfileKernel(k, cfg, rate, dvf.DefaultCostModel)
+	info, err := experiments.RunUntraced(k)
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeRun(k, info, cfg, rate, false)
+}
+
+// AnalyzeRun is AnalyzeKernel, or AnalyzeKernelAnalytic when analytic is
+// set, over a prior untraced run of k instead of a fresh one. The run
+// depends on neither the cache nor the failure rate, so a caller that
+// answers many questions about one kernel runs it once and passes the
+// same info every time; info is only read, also by concurrent calls.
+func AnalyzeRun(k Kernel, info *RunInfo, cfg CacheConfig, rate FIT, analytic bool) (*Report, error) {
+	if analytic {
+		return experiments.ProfileKernelAnalytic(k, info, cfg, rate, dvf.DefaultCostModel)
+	}
+	return experiments.ProfileKernel(k, info, cfg, rate, dvf.DefaultCostModel)
 }
 
 // VerifyKernel traces the kernel through the LRU cache simulator and
@@ -127,7 +146,11 @@ func SolveAnalytic(k Kernel, cfg CacheConfig) (*AnalyticProfile, error) {
 // access counts produced by the analytic engine instead of the CGPMAC
 // estimators — the engine=analytic path to a DVF report.
 func AnalyzeKernelAnalytic(k Kernel, cfg CacheConfig, rate FIT) (*Report, error) {
-	return experiments.ProfileKernelAnalytic(k, cfg, rate, dvf.DefaultCostModel)
+	info, err := experiments.RunUntraced(k)
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeRun(k, info, cfg, rate, true)
 }
 
 // VerifyKernelAnalytic compares the analytic engine against the sequential

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/aspen"
@@ -41,6 +44,48 @@ func TestAnalyzeKernelEndToEnd(t *testing.T) {
 	ratio := rep.Total() / prot.Total()
 	if math.Abs(ratio-float64(NoECC)/float64(Chipkill)) > 1e-6*ratio {
 		t.Errorf("FIT scaling broken: ratio %g", ratio)
+	}
+}
+
+// copyRunInfo deep-copies a run: every slice and map is fresh.
+func copyRunInfo(ri *RunInfo) *RunInfo {
+	c := *ri
+	c.Structures = slices.Clone(ri.Structures)
+	c.Measured = maps.Clone(ri.Measured)
+	if ri.Profiles != nil {
+		c.Profiles = make(map[string][]float64, len(ri.Profiles))
+		for name, freqs := range ri.Profiles {
+			c.Profiles[name] = slices.Clone(freqs)
+		}
+	}
+	return &c
+}
+
+// TestAnalyzeRunLeavesRunInfoUnchanged pins the contract that lets a
+// server share one run between concurrent analyses: evaluating every
+// kernel's models on every bundled cache under each engine it supports
+// (Models plus MemoryAccesses, or the analytic solve) only reads the run.
+func TestAnalyzeRunLeavesRunInfoUnchanged(t *testing.T) {
+	caches := []CacheConfig{CacheSmall, CacheLarge, Cache16KB, Cache128KB, Cache1MB, Cache8MB}
+	for _, k := range Kernels() {
+		info, err := k.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := copyRunInfo(info)
+		for _, cfg := range caches {
+			for _, analytic := range []bool{false, true} {
+				if analytic && !Affine(k) {
+					continue
+				}
+				if _, err := AnalyzeRun(k, info, cfg, NoECC, analytic); err != nil {
+					t.Fatalf("%s on %s (analytic %v): %v", k.Name(), cfg.Name, analytic, err)
+				}
+			}
+		}
+		if !reflect.DeepEqual(info, want) {
+			t.Errorf("%s: evaluating the models changed the shared run", k.Name())
+		}
 	}
 }
 

@@ -30,9 +30,10 @@ type ExploreResult struct {
 
 // Explore evaluates every (cache, protection) combination for one kernel —
 // the "rapid exploration of new algorithm and architectures" workflow the
-// paper inherits from Aspen, with resilience as the objective. Cells are
-// independent and run concurrently; cost is one kernel profiling run plus
-// one model evaluation per cell.
+// paper inherits from Aspen, with resilience as the objective. The kernel
+// runs once, untraced; the cells share that run and evaluate their models
+// concurrently, so the cost is one kernel run plus one model evaluation
+// per cell.
 func Explore(k Kernel, caches []CacheConfig, protections []dvf.ECC) (*ExploreResult, error) {
 	if len(caches) == 0 || len(protections) == 0 {
 		return nil, fmt.Errorf("core: empty design space")
@@ -47,10 +48,14 @@ func Explore(k Kernel, caches []CacheConfig, protections []dvf.ECC) (*ExploreRes
 			cells = append(cells, cell{cfg: cfg, prot: prot})
 		}
 	}
+	info, err := experiments.RunUntraced(k)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]DesignPoint, len(cells))
-	err := experiments.Parallel(len(cells), experiments.Env{}, func(i int) error {
+	err = experiments.Parallel(len(cells), experiments.Env{}, func(i int) error {
 		var err error
-		points[i], err = explorePoint(k, cells[i].cfg, cells[i].prot)
+		points[i], err = explorePoint(k, info, cells[i].cfg, cells[i].prot)
 		return err
 	})
 	if err != nil {
@@ -63,10 +68,11 @@ func Explore(k Kernel, caches []CacheConfig, protections []dvf.ECC) (*ExploreRes
 	return res, nil
 }
 
-func explorePoint(k Kernel, cfg CacheConfig, prot dvf.ECC) (DesignPoint, error) {
+// explorePoint evaluates one cell from the kernel's shared untraced run.
+func explorePoint(k Kernel, info *RunInfo, cfg CacheConfig, prot dvf.ECC) (DesignPoint, error) {
 	// Unprotected analysis first: the protection then rescales the rate
 	// and stretches the exposure time by its saturation overhead.
-	app, err := experiments.ProfileKernel(k, cfg, dvf.FITNoECC, dvf.DefaultCostModel)
+	app, err := AnalyzeRun(k, info, cfg, dvf.FITNoECC, false)
 	if err != nil {
 		return DesignPoint{}, err
 	}

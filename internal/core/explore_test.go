@@ -1,11 +1,15 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/dvf"
+	"github.com/resilience-models/dvf/internal/trace"
 )
 
 func TestExploreSweepsFullCross(t *testing.T) {
@@ -78,5 +82,56 @@ func TestExploreValidation(t *testing.T) {
 	}
 	if _, err := (&ExploreResult{}).Best(); err == nil {
 		t.Error("empty result Best succeeded")
+	}
+}
+
+// countingKernel counts the runs of the kernel it wraps.
+type countingKernel struct {
+	Kernel
+	runs atomic.Int64
+}
+
+func (c *countingKernel) Run(sink trace.Consumer) (*RunInfo, error) {
+	c.runs.Add(1)
+	return c.Kernel.Run(sink)
+}
+
+// TestExploreRunsKernelOnce: a 3x3 exploration runs the kernel once and
+// shares the run between its concurrent cells, with every point equal to
+// a cell evaluated from a run of its own. NB is the kernel whose models
+// read the run's visit-frequency profile.
+func TestExploreRunsKernelOnce(t *testing.T) {
+	base, err := NewKernel("NB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &countingKernel{Kernel: base}
+	caches := []CacheConfig{cache.Profile16KB, cache.Profile1MB, cache.Large}
+	prots := []dvf.ECC{dvf.NoECC, dvf.SECDED, dvf.Chipkill}
+	res, err := Explore(k, caches, prots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := k.runs.Load(); n != 1 {
+		t.Fatalf("Explore ran the kernel %d times, want 1", n)
+	}
+
+	var want []DesignPoint
+	for _, cfg := range caches {
+		for _, prot := range prots {
+			info, err := base.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := explorePoint(base, info, cfg, prot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, p)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].DVFa < want[j].DVFa })
+	if !reflect.DeepEqual(res.Points, want) {
+		t.Errorf("shared-run points differ from per-cell runs:\n got %+v\nwant %+v", res.Points, want)
 	}
 }

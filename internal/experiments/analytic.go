@@ -263,9 +263,9 @@ func verifyKernelFig4Analytic(k kernels.Kernel, cfg cache.Config) ([]Fig4Row, er
 	if err != nil {
 		return nil, err
 	}
-	info, err := k.Run(nil)
+	info, err := RunUntraced(k)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
+		return nil, err
 	}
 	specs, err := k.Models(info)
 	if err != nil {
@@ -294,17 +294,13 @@ func verifyKernelFig4Analytic(k kernels.Kernel, cfg cache.Config) ([]Fig4Row, er
 
 // ProfileKernelAnalytic is ProfileKernel with the per-structure N_ha
 // produced by the analytic engine instead of the CGPMAC estimators: the
-// kernel runs once untraced (workload counts for the cost model), the
+// prior untraced run supplies the workload counts for the cost model, the
 // symbolic solve provides the miss counts, and Equation 1 does the rest.
-func ProfileKernelAnalytic(k kernels.Kernel, cfg cache.Config, rate dvf.FIT, cost dvf.CostModel) (*dvf.Application, error) {
+func ProfileKernelAnalytic(k kernels.Kernel, info *kernels.RunInfo, cfg cache.Config, rate dvf.FIT, cost dvf.CostModel) (*dvf.Application, error) {
 	d, ok := kernels.Affine(k)
 	if !ok {
 		return nil, fmt.Errorf(
 			"experiments: %s has no affine access pattern (engine=analytic needs one)", k.Name())
-	}
-	info, err := k.Run(nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
 	}
 	return analyticApplication(k.Name(), info, d, cfg, rate, cost)
 }
@@ -342,9 +338,9 @@ func analyticApplication(name string, info *kernels.RunInfo, d *analytic.Descrip
 func RunFig5Analytic() (*Fig5Result, error) {
 	res := &Fig5Result{Rate: dvf.FITNoECC}
 	for _, k := range affineSubset(kernels.ProfilingSuite()) {
-		info, err := k.Run(nil)
+		info, err := RunUntraced(k)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
+			return nil, err
 		}
 		d, _ := kernels.Affine(k)
 		for _, cfg := range cache.ProfilingConfigs() {

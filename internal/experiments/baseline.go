@@ -58,7 +58,11 @@ func RunBaseline(k kernels.Kernel, trials int, cfg cache.Config) (*BaselineCompa
 	// DVF side: one untraced run plus model evaluations.
 	//dvf:allow determinism DVFSeconds is the paper's measured analysis cost, reported in prose, never in golden CSVs
 	t0 := time.Now()
-	app, err := ProfileKernel(k, cfg, dvf.FITNoECC, dvf.DefaultCostModel)
+	info, err := RunUntraced(k)
+	if err != nil {
+		return nil, err
+	}
+	app, err := ProfileKernel(k, info, cfg, dvf.FITNoECC, dvf.DefaultCostModel)
 	if err != nil {
 		return nil, err
 	}

@@ -135,7 +135,12 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestProfileKernelReport(t *testing.T) {
-	app, err := ProfileKernel(kernels.NewVM(1000), cache.Small, dvf.FITNoECC, dvf.DefaultCostModel)
+	k := kernels.NewVM(1000)
+	info, err := RunUntraced(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := ProfileKernel(k, info, cache.Small, dvf.FITNoECC, dvf.DefaultCostModel)
 	if err != nil {
 		t.Fatal(err)
 	}

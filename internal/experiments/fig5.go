@@ -36,16 +36,25 @@ func (r *Fig5Result) Lookup(kernel, cacheName, structure string) (float64, error
 	return 0, fmt.Errorf("experiments: no cell %s/%s/%s", kernel, cacheName, structure)
 }
 
-// ProfileKernel computes the DVF of every major structure of one kernel on
-// one cache configuration: the kernel runs once untraced to expose its
-// workload counts and profiled model inputs, the CGPMAC models estimate
-// per-structure N_ha, the cost model turns the workload into T, and
-// Equation 1 does the rest.
-func ProfileKernel(k kernels.Kernel, cfg cache.Config, rate dvf.FIT, cost dvf.CostModel) (*dvf.Application, error) {
+// RunUntraced runs the kernel once without a trace sink: the workload
+// counts and profiled model inputs that ProfileKernel and
+// ProfileKernelAnalytic take. They depend on neither the cache nor the
+// failure rate, so one run serves every analysis of the kernel.
+func RunUntraced(k kernels.Kernel) (*kernels.RunInfo, error) {
 	info, err := k.Run(nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
 	}
+	return info, nil
+}
+
+// ProfileKernel computes the DVF of every major structure of one kernel on
+// one cache configuration from a prior untraced run of it (RunUntraced):
+// the CGPMAC models estimate per-structure N_ha from the run's profiled
+// inputs, the cost model turns its workload into T, and Equation 1 does
+// the rest. info is only read, so callers may share one run between
+// concurrent calls.
+func ProfileKernel(k kernels.Kernel, info *kernels.RunInfo, cfg cache.Config, rate dvf.FIT, cost dvf.CostModel) (*dvf.Application, error) {
 	return profileFromInfo(k, info, cfg, rate, cost, nil)
 }
 

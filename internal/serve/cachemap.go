@@ -4,9 +4,12 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/resilience-models/dvf/internal/aspen"
+	"github.com/resilience-models/dvf/internal/core"
 	"github.com/resilience-models/dvf/internal/metrics"
 )
 
@@ -226,4 +229,65 @@ func (g *flightGroup) do(key string, fn func() (any, error)) (any, error, bool) 
 	delete(g.calls, key)
 	g.mu.Unlock()
 	return c.val, c.err, false
+}
+
+// runTable holds each built-in kernel's first successful untraced run.
+// Equation 1 takes T and the model inputs from that run, and the run
+// depends on neither the cache nor the FIT, so every analyze, sweep and
+// batch miss for a kernel shares it and evaluates only the CGPMAC
+// estimators or the analytic solve. The table has one entry per
+// core.NewKernel code, fixed at construction: it needs no bound and no
+// eviction. Safe for concurrent use.
+type runTable struct {
+	entries map[string]*runEntry // by kernel code; never written after newRunTable
+	runs    *metrics.Counter
+}
+
+// runEntry is one kernel's slot. mu is held across the run, so
+// concurrent first requests wait for one run instead of starting their
+// own; a failed run leaves info nil and the next request tries again.
+// runs is atomic so /statusz never waits on a run in progress.
+type runEntry struct {
+	mu   sync.Mutex
+	info *core.RunInfo
+	runs atomic.Int64 // runs started
+}
+
+func newRunTable(sink metrics.Sink) *runTable {
+	t := &runTable{
+		entries: make(map[string]*runEntry),
+		runs:    sink.Counter("serve.kernel_runs"),
+	}
+	for _, k := range core.Kernels() {
+		t.entries[k.Name()] = &runEntry{}
+	}
+	return t
+}
+
+// get returns k's shared run, running k first when no earlier run of it
+// succeeded. k must come from core.NewKernel. The returned info is
+// shared: callers only read it.
+func (t *runTable) get(k core.Kernel) (*core.RunInfo, error) {
+	e := t.entries[k.Name()]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.info == nil {
+		e.runs.Add(1)
+		t.runs.Inc()
+		info, err := k.Run(nil)
+		if err != nil {
+			return nil, fmt.Errorf("running %s: %w", k.Name(), err)
+		}
+		e.info = info
+	}
+	return e.info, nil
+}
+
+// counts reports the runs started per kernel code.
+func (t *runTable) counts() map[string]int64 {
+	out := make(map[string]int64, len(t.entries))
+	for code, e := range t.entries {
+		out[code] = e.runs.Load()
+	}
+	return out
 }

@@ -114,7 +114,9 @@ func appendAnalyzeKey(dst []byte, kernel, cacheName string, rate float64, engine
 
 // evalAnalyze is the analyze pipeline shared by /v1/analyze, /v1/sweep
 // and /v1/batch: validate, memo-or-hit, singleflight evaluate, memoize.
-// The returned status is meaningful only alongside a non-nil error.
+// A miss evaluates against the kernel's shared untraced run (runTable),
+// so only a kernel's first miss runs the kernel. The returned status is
+// meaningful only alongside a non-nil error.
 //
 // The memo probe runs before the kernel is constructed: the key is
 // assembled from the request's canonical field forms into a
@@ -170,13 +172,11 @@ func (s *Server) evalAnalyze(req AnalyzeRequest, tk *tracez.Track) (*AnalyzeResp
 	v, err, shared := s.flights.do(key, func() (any, error) {
 		s.acquire()
 		defer s.release()
-		var rep *core.Report
-		var err error
-		if engine == engineAnalytic {
-			rep, err = core.AnalyzeKernelAnalytic(k, cfg, rate)
-		} else {
-			rep, err = core.AnalyzeKernel(k, cfg, rate)
+		info, err := s.runs.get(k)
+		if err != nil {
+			return nil, err
 		}
+		rep, err := core.AnalyzeRun(k, info, cfg, rate, engine == engineAnalytic)
 		if err != nil {
 			return nil, err
 		}

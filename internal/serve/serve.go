@@ -9,7 +9,10 @@
 // key, identical in-flight requests collapse into one computation
 // (singleflight), grid sweeps stream NDJSON rows as a bounded worker pool
 // produces them, and /v1/batch amortizes HTTP round-trips over many
-// evaluations.
+// evaluations. Each built-in kernel runs at most once per Server: a
+// fixed six-entry run table keeps its first untraced run, and every
+// later analyze, sweep or batch miss evaluates only the models at the
+// request's cache and applies Equation 1 at its FIT.
 //
 // The second headline is the observability plane threaded through every
 // layer, following the repository's nil-sink discipline (DESIGN.md):
@@ -73,6 +76,7 @@ type Server struct {
 	programs *programCache
 	memo     *memoCache
 	flights  *flightGroup
+	runs     *runTable
 	sem      chan struct{} // evaluation slots (worker pool)
 	instr    instruments
 	access   *accessLogger
@@ -107,6 +111,7 @@ func New(cfg Config) *Server {
 		programs: newProgramCache(cfg.ProgramCap, cfg.Sink),
 		memo:     newMemoCache(cfg.MemoCap, cfg.Sink),
 		flights:  newFlightGroup(cfg.Sink),
+		runs:     newRunTable(cfg.Sink),
 		sem:      make(chan struct{}, cfg.Workers),
 		instr:    newInstruments(cfg.Sink),
 		access:   newAccessLogger(cfg.AccessLog),

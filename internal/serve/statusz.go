@@ -58,10 +58,11 @@ type statuszInfo struct {
 	Inflight   int64 `json:"inflight"`
 	QueueDepth int64 `json:"queue_depth"`
 
-	Memo     occupancyInfo    `json:"memo"`
-	Programs occupancyInfo    `json:"programs"`
-	Engines  map[string]int64 `json:"engines"` // evaluation counts by engine
-	Requests map[string]int64 `json:"requests"`
+	Memo       occupancyInfo    `json:"memo"`
+	Programs   occupancyInfo    `json:"programs"`
+	Engines    map[string]int64 `json:"engines"`     // evaluation counts by engine
+	KernelRuns map[string]int64 `json:"kernel_runs"` // untraced kernel runs by kernel code
+	Requests   map[string]int64 `json:"requests"`
 }
 
 // occupancyInfo describes one cache's fill and hit behavior.
@@ -119,8 +120,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request, tk *trace
 			Len: s.programs.len(), Cap: s.cfg.ProgramCap,
 			Hits: s.programs.hits.Value(), Misses: s.programs.misses.Value(),
 		},
-		Engines:  make(map[string]int64, len(engineNames)),
-		Requests: make(map[string]int64, int(epCount)),
+		Engines:    make(map[string]int64, len(engineNames)),
+		KernelRuns: s.runs.counts(),
+		Requests:   make(map[string]int64, int(epCount)),
 	}
 	for _, name := range engineNames {
 		info.Engines[name] = s.instr.engines[name].Value()
