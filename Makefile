@@ -25,14 +25,12 @@
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
 #                     differential, the simulator against its naive LRU
-#                     oracle, the v1 trace codec round-trip, the
-#                     template counter against its brute-force oracles,
-#                     steady-state extrapolation against full simulation and
-#                     bench manifest decoding for -compare; FUZZTIME
-#                     bounds each target (default 10s)
-#   make fuzz-smoke-v2  bounded fuzz of the v2 (columnar) trace codec:
-#                     encode/decode round-trip incl. misalignment and
-#                     truncation, and v1-vs-v2 record equivalence
+#                     oracle, the trace container round-trip (incl.
+#                     misalignment and truncation), the template counter
+#                     against its brute-force oracles, steady-state
+#                     extrapolation against full simulation and bench
+#                     manifest decoding for -compare; FUZZTIME bounds
+#                     each target (default 10s)
 #   make trace-smoke  record the fig4 and fig7 timelines with -trace-out
 #                     and schema-validate each with dvf-flame -check
 #   make analytic-smoke  the analytic engine's red/green signal: the live
@@ -53,9 +51,9 @@ GO ?= go
 FUZZTIME ?= 10s
 LINTFLAGS ?=
 
-.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench fuzz-smoke fuzz-smoke-v2 trace-smoke analytic-smoke extract-smoke serve-smoke
+.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench fuzz-smoke trace-smoke analytic-smoke extract-smoke serve-smoke
 
-check: fmt-check vet lint lint-fix-check build test race bench-smoke fuzz-smoke fuzz-smoke-v2 trace-smoke analytic-smoke extract-smoke serve-smoke
+check: fmt-check vet lint lint-fix-check build test race bench-smoke fuzz-smoke trace-smoke analytic-smoke extract-smoke serve-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -113,14 +111,10 @@ bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
-	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyStateVsFull$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
-
-fuzz-smoke-v2:
-	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzV1V2RoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 TRACEOUT ?= trace-out
 trace-smoke:

@@ -6,17 +6,16 @@
 //
 // Capture:
 //
-//	dvf-trace -record -kernel FT -out ft.trace            (v2 columnar)
-//	dvf-trace -record -kernel FT -format v1 -out ft.trace (v1 records)
+//	dvf-trace -record -kernel FT -out ft.trace
 //
 // Replay:
 //
 //	dvf-trace -replay ft.trace -cache small
 //	dvf-trace -replay ft.trace -all
 //
-// Replay reads either container version (sniffed from the magic), memory-
-// maps the file, and feeds the cache simulator RefBatch blocks — zero-copy
-// for v2 traces on little-endian machines.
+// The trace is a columnar container (internal/trace). Replay memory-maps
+// the file and feeds the cache simulator RefBatch blocks — zero-copy on
+// little-endian machines.
 //
 // Trace-free analysis:
 //
@@ -61,7 +60,6 @@ func main() {
 	record := flag.Bool("record", false, "record a kernel trace")
 	kernel := flag.String("kernel", "VM", "kernel to record (Table II code)")
 	out := flag.String("out", "", "output trace file (record mode)")
-	format := flag.String("format", "v2", "trace container to record: v2 (columnar, zero-copy replay) or v1")
 	replay := flag.String("replay", "", "trace file to replay")
 	cacheName := flag.String("cache", "small", "cache to replay against")
 	all := flag.Bool("all", false, "replay against every Table IV cache")
@@ -93,7 +91,7 @@ func main() {
 		if *out == "" {
 			log.Fatal("-record requires -out")
 		}
-		if err := doRecord(*kernel, *out, *format, o.Sink(), o.Tracer()); err != nil {
+		if err := doRecord(*kernel, *out, o.Sink(), o.Tracer()); err != nil {
 			log.Fatal(err)
 		}
 	case *replay != "":
@@ -144,10 +142,7 @@ func doAnalytic(code string, cfg cache.Config) error {
 	return nil
 }
 
-func doRecord(code, out, format string, sink metrics.Sink, tz tracez.Recorder) error {
-	if format != "v1" && format != "v2" {
-		return fmt.Errorf("unknown trace format %q (want v1 or v2)", format)
-	}
+func doRecord(code, out string, sink metrics.Sink, tz tracez.Recorder) error {
 	k, err := kernels.ByName(code)
 	if err != nil {
 		return err
@@ -156,7 +151,6 @@ func doRecord(code, out, format string, sink metrics.Sink, tz tracez.Recorder) e
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 
 	// The container header carries the region table, which is only fully
 	// known after the run (kernels may allocate auxiliary regions such as
@@ -166,32 +160,25 @@ func doRecord(code, out, format string, sink metrics.Sink, tz tracez.Recorder) e
 	sw := sink.Timer("trace.record_ns").Start()
 	info, err := kernels.RunTraced(k, trace.Instrumented(rec, sink, "trace.record"), tz)
 	sw.Stop()
-	if err != nil {
-		return err
-	}
-	sp := tz.Track("trace.encode").Begin("encode " + out)
-	reg := kernelRegistry(info, rec)
-	if format == "v2" {
-		w := trace.NewWriterV2(f, reg)
+	if err == nil {
+		sp := tz.Track("trace.encode").Begin("encode " + out)
+		w := trace.NewWriterV2(f, kernelRegistry(info, rec))
 		for i, r := range rec.Refs {
 			w.Access(r, rec.Owners[i])
 		}
 		err = w.Flush()
-	} else {
-		var w *trace.Writer
-		if w, err = trace.NewWriter(f, reg); err == nil {
-			for i, r := range rec.Refs {
-				w.Access(r, rec.Owners[i])
-			}
-			err = w.Flush()
-		}
+		sp.EndInt("refs", int64(len(rec.Refs)))
 	}
-	sp.EndInt("refs", int64(len(rec.Refs)))
+	// A failed write-back surfaces at Close; the file is not recorded
+	// until it succeeds.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %s: %d references, %d structures -> %s (%s)\n",
-		info.Kernel, len(rec.Refs), len(info.Structures), out, format)
+	fmt.Printf("recorded %s: %d references, %d structures -> %s (v2)\n",
+		info.Kernel, len(rec.Refs), len(info.Structures), out)
 	return nil
 }
 

@@ -19,22 +19,13 @@ func TestGoroutineLeak(t *testing.T) { analysistest.Run(t, GoroutineLeak, "gorou
 func TestHotAlloc(t *testing.T)      { analysistest.Run(t, HotAlloc, "hotalloc") }
 func TestLockSafe(t *testing.T)      { analysistest.Run(t, LockSafe, "locksafe") }
 func TestExhaustive(t *testing.T)    { analysistest.Run(t, Exhaustive, "exhaustive") }
-func TestPoollife(t *testing.T)      { analysistest.Run(t, Poollife, "poollife") }
 func TestUnsafemem(t *testing.T)     { analysistest.Run(t, Unsafemem, "unsafemem") }
 func TestChanowner(t *testing.T)     { analysistest.Run(t, Chanowner, "chanowner") }
 
-// TestPoollifeCrossPackage proves the ownership summaries compose
-// across package boundaries: every acquire in the poolclient fixture
-// happens inside poolhelper, and the leaks (and sanctioned silences)
-// are observed on the client side.
-func TestPoollifeCrossPackage(t *testing.T) {
-	analysistest.Run(t, Poollife, "poolclient")
-}
-
 func TestRegistryAllSorted(t *testing.T) {
 	all := All()
-	if len(all) != 13 {
-		t.Fatalf("expected 13 registered checkers, got %d", len(all))
+	if len(all) != 12 {
+		t.Fatalf("expected 12 registered checkers, got %d", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {
@@ -60,7 +51,7 @@ func TestRegistrySelect(t *testing.T) {
 		}
 		t.Errorf("Select kept neither order nor content: %v", got)
 	}
-	if sel, err := Select("  "); err != nil || len(sel) != 13 {
+	if sel, err := Select("  "); err != nil || len(sel) != 12 {
 		t.Errorf("blank selection should return all checkers, got %d, %v", len(sel), err)
 	}
 	if _, err := Select("nope"); err == nil || !strings.Contains(err.Error(), "unknown checker") {
@@ -123,55 +114,3 @@ func TestExhaustiveFixRoundTrip(t *testing.T) {
 }
 
 func TestAffine(t *testing.T) { analysistest.Run(t, Affine, "affine") }
-
-// TestPoollifeFixRoundTrip applies poollife's defer-insertion fix to
-// the fixture's pure leak and proves the -fix contract: the rewrite
-// contains the inserted defer, parses, and is gofmt-idempotent.
-func TestPoollifeFixRoundTrip(t *testing.T) {
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loader.SetTestdataRoot("testdata/src"); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load("poollife")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{Poollife}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fixable []analysis.Diagnostic
-	for _, d := range diags {
-		if len(d.Fixes) > 0 {
-			fixable = append(fixable, d)
-		}
-	}
-	if len(fixable) != 1 {
-		t.Fatalf("expected exactly the pure leak to carry a fix, got %d fixable diagnostics", len(fixable))
-	}
-	fixed, err := analysis.ApplyFixes(loader.Fset, fixable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixed) == 0 {
-		t.Fatal("ApplyFixes produced no rewrites")
-	}
-	for file, out := range fixed {
-		if !strings.Contains(string(out), "defer p.Put(b)") {
-			t.Errorf("%s: fix output misses the inserted defer", file)
-		}
-		if _, err := parser.ParseFile(token.NewFileSet(), file, out, 0); err != nil {
-			t.Errorf("%s: fixed source does not parse: %v", file, err)
-		}
-		formatted, err := format.Source(out)
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		if string(formatted) != string(out) {
-			t.Errorf("%s: fix output is not gofmt-idempotent", file)
-		}
-	}
-}

@@ -22,7 +22,6 @@ func All() []*analysis.Analyzer {
 		LockSafe,
 		NilSink,
 		PatternDrift,
-		Poollife,
 		Unsafemem,
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })

@@ -1,18 +1,10 @@
 // Package unsafemem seeds every finding class of the unsafemem checker:
-// unguarded unsafe.Slice constructions, naked view escapes (package
-// var, channel send, exported return), mapping leaks through the
-// cross-package OpenTraceFile summary, and use-after-Close — plus the
-// guarded and lifetime-tied shapes that must stay silent.
+// unguarded unsafe.Slice constructions and naked view escapes (package
+// var, channel send, exported return) — plus the guarded and
+// unexported shapes that must stay silent.
 package unsafemem
 
-import (
-	"errors"
-	"unsafe"
-
-	"trace"
-)
-
-var errBoom = errors.New("boom")
+import "unsafe"
 
 // unguarded reinterprets without the alignment precondition.
 func unguarded(b []byte, n int) {
@@ -70,72 +62,4 @@ func view(b []byte, n int) []uint64 {
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
 	}
 	return nil
-}
-
-// --- mapping lifetime through the cross-package summary -------------------
-
-// mapLeak never closes the handle OpenTraceFile's summary says it owns.
-func mapLeak(path string) int {
-	tf, err := trace.OpenTraceFile(path) // want `mapped trace file tf \(from trace.OpenTraceFile\) is never released`
-	if err != nil {
-		return 0
-	}
-	return len(tf.Data())
-}
-
-// mapLeakOnError closes on success but loses the mapping on the error
-// arm between open and use.
-func mapLeakOnError(path string, strict bool) ([]byte, error) {
-	tf, err := trace.OpenTraceFile(path) // want `mapped trace file tf \(from trace.OpenTraceFile\) is not released on every path`
-	if err != nil {
-		return nil, err
-	}
-	if strict && len(tf.Data()) == 0 {
-		return nil, errBoom
-	}
-	out := append([]byte(nil), tf.Data()...)
-	_ = tf.Close()
-	return out, nil
-}
-
-// useAfterClose reads the view after the mapping is gone.
-func useAfterClose(path string) int {
-	tf, err := trace.OpenTraceFile(path)
-	if err != nil {
-		return 0
-	}
-	_ = tf.Close()
-	return len(tf.Data()) // want `mapped trace file tf \(from trace.OpenTraceFile\) used after it was released`
-}
-
-// --- shapes that must stay silent ----------------------------------------
-
-// mapDeferred is the canonical consumer: defer the close, error arm
-// voids the obligation.
-func mapDeferred(path string) (int, error) {
-	tf, err := trace.OpenTraceFile(path)
-	if err != nil {
-		return 0, err
-	}
-	defer tf.Close()
-	return len(tf.Data()), nil
-}
-
-// mapDoubleClose is fine: Close is idempotent by contract.
-func mapDoubleClose(path string) error {
-	tf, err := trace.OpenTraceFile(path)
-	if err != nil {
-		return err
-	}
-	defer tf.Close()
-	if len(tf.Data()) == 0 {
-		return tf.Close()
-	}
-	return nil
-}
-
-// mapHandoff returns the live handle: the obligation moves to the
-// caller through this function's own summary.
-func mapHandoff(path string) (*trace.TraceFile, error) {
-	return trace.OpenTraceFile(path)
 }

@@ -12,32 +12,25 @@ import (
 // v2 decoder reinterprets a memory-mapped file's column bytes as
 // []uint64 via unsafe.Slice, so an aliased view outliving its mapping —
 // or constructed misaligned — reads freed or torn memory, the exact
-// stale-data SDC window the DVF model quantifies. Three rules:
+// stale-data SDC window the DVF model quantifies. Two syntactic rules:
 //
 //  1. alignment-guard precondition: every unsafe.Slice aliasing
 //     construction must be dominated by an explicit alignment check
 //     (`uintptr(unsafe.Pointer(&b[0])) % k == 0`); an unguarded
 //     reinterpretation faults on strict architectures and tears on
 //     permissive ones;
-//  2. mapping lifetime: the mapping acquired by mapFile — and every
-//     TraceFile carrying it, in this package or any caller — must be
-//     Closed on every path (error returns included), and the handle
-//     must not be used again after Close, which is what ties the
-//     DecodeV2 columns to the mapping's lifetime: views are reached
-//     through the TraceFile, so a post-Close use is a view outliving
-//     its backing region;
-//  3. no bare escape: an unsafe.Slice view must not be stored in a
+//  2. no bare escape: an unsafe.Slice view must not be stored in a
 //     package-level variable, sent on a channel, or returned directly
 //     from an exported function — a view may only travel inside a type
 //     that ties it to its backing region (TraceV2 inside TraceFile),
 //     never naked where its lifetime dependency is invisible.
 //
-// Rule 2 rides the ownership engine: mapFile is the acquire primitive,
-// TraceFile.Close the (idempotent) release, and per-function summaries
-// carry the obligation to OpenTraceFile's callers across packages.
+// The mapping's own lifetime (released on every open path, Close
+// idempotent, no replay after Close) has a single owner, trace.TraceFile,
+// and is pinned by that type's tests rather than by a flow analysis.
 var Unsafemem = &analysis.Analyzer{
 	Name: "unsafemem",
-	Doc:  "unsafe.Slice views stay inside their backing region's lifetime: alignment-guarded construction, mappings closed on every path, no naked view escapes",
+	Doc:  "unsafe.Slice views stay inside their backing region's lifetime: alignment-guarded construction, no naked view escapes",
 	Run:  runUnsafemem,
 }
 
@@ -45,59 +38,24 @@ func runUnsafemem(pass *analysis.Pass) error {
 	if !pass.InScope("internal/", "cmd/") {
 		return nil
 	}
-	analysis.OwnCheck(pass, mappingModel)
 	for _, f := range pass.Files {
 		checkUnsafeSlices(pass, f)
 	}
 	return nil
 }
 
-// mappingModel instantiates the ownership engine for the mmap'd trace
-// mapping: mapFile acquires (the closer, result 1), TraceFile.Close
-// releases. Close is idempotent by contract, so double-Close is fine;
-// any other use after Close is the view-outlives-mapping finding.
-var mappingModel = &analysis.OwnModel{
-	Name: "unsafemem",
-	What: "mapped trace file",
-	Acquire: func(info *types.Info, call *ast.CallExpr) (int, bool) {
-		fn := analysis.CalleeFunc(info, call)
-		if fn == nil || fn.Name() != "mapFile" || fn.Pkg() == nil || fn.Pkg().Name() != "trace" {
-			return 0, false
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return 0, false
-		}
-		return 1, true // (data, closer, err): the closer carries the obligation
-	},
-	Release: func(info *types.Info, call *ast.CallExpr) (int, bool) {
-		fn := analysis.CalleeFunc(info, call)
-		if fn == nil || fn.Name() != "Close" {
-			return 0, false
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			return 0, false
-		}
-		rt := sig.Recv().Type()
-		if analysis.NamedIn(rt, "trace") && namedName(rt) == "TraceFile" {
-			return -1, true
-		}
-		return 0, false
-	},
-	Tracks: func(t types.Type) bool {
-		return analysis.NamedIn(t, "trace") && namedName(t) == "TraceFile"
-	},
-	AllowDoubleRelease: true,
-}
-
-// checkUnsafeSlices enforces rules 1 and 3 on every unsafe.Slice call
+// checkUnsafeSlices enforces both rules on every unsafe.Slice call
 // in the file.
 func checkUnsafeSlices(pass *analysis.Pass, f *ast.File) {
-	parents := analysis.Parents(f)
+	var parents map[ast.Node]ast.Node
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || !isUnsafeCall(pass.TypesInfo, call, "Slice") {
 			return true
+		}
+		if parents == nil {
+			// Built only for files that construct a view: almost none do.
+			parents = analysis.Parents(f)
 		}
 		if !alignmentGuarded(call, parents) {
 			pass.Reportf(call.Pos(),
@@ -187,7 +145,7 @@ func mentionsUnsafeAddr(e ast.Expr) bool {
 	return found
 }
 
-// checkViewEscape enforces rule 3 at the construction site: the view's
+// checkViewEscape enforces rule 2 at the construction site: the view's
 // immediate destination must not be a package-level variable, a channel
 // send, or a direct return from an exported function.
 func checkViewEscape(pass *analysis.Pass, call *ast.CallExpr, parents map[ast.Node]ast.Node) {

@@ -31,11 +31,6 @@ type Program struct {
 	factsMu    sync.Mutex
 	clockDone  map[*Package]bool
 	clockTaint map[*types.Func]TaintVec
-
-	// Ownership summaries, keyed by model name then function; same
-	// locking discipline as the clock-taint facts.
-	ownDone  map[string]map[*Package]bool
-	ownFacts map[string]map[*types.Func]OwnSummary
 }
 
 // NewProgram builds a Program over the given packages (typically

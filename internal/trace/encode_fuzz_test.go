@@ -1,85 +1,78 @@
 package trace
 
 import (
-	"bytes"
-	"math/rand"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// FuzzEncodeDecode round-trips the binary trace container: a registry and
-// reference stream are generated from the fuzzed inputs, written through
-// Writer and read back with ReadTrace, and every region and record must
-// survive bit-for-bit. The tail of each case re-parses a truncated prefix
-// of the container, which must fail cleanly (ErrBadTrace) or succeed with
-// fewer records — never panic. Seed corpus lives under testdata/fuzz.
+// FuzzEncodeDecode round-trips the trace container through its file
+// surface: a registry and reference stream generated from the fuzzed
+// inputs are written through WriterV2 to a file, opened with
+// OpenTraceFile and replayed, and every region and record must survive
+// bit-for-bit. The tail of each case opens a file holding a truncated
+// prefix of the container, which must fail with ErrBadTrace and hand back
+// no TraceFile. Seed corpus lives under testdata/fuzz.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(100), uint16(7))
 	f.Add(int64(99), uint8(0), uint16(0), uint16(0))    // empty registry, empty stream
 	f.Add(int64(5), uint8(16), uint16(2048), uint16(1)) // many regions, truncate early
 	f.Fuzz(func(t *testing.T, seed int64, nRegions uint8, nRefs uint16, cut uint16) {
-		rng := rand.New(rand.NewSource(seed))
-		reg := NewRegistry()
-		names := []string{"A", "B", "C", "T", "G", "", "structure-with-a-long-name", "α/β"}
-		for i := 0; i < int(nRegions%24); i++ {
-			reg.Alloc(names[rng.Intn(len(names))], uint64(rng.Intn(1<<14)))
+		reg, refs, owners := fuzzStream(seed, nRegions, nRefs)
+		encoded := encodeV2(t, reg, refs, owners)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "trace.v2")
+		if err := os.WriteFile(path, encoded, 0o644); err != nil {
+			t.Fatal(err)
 		}
 
-		var refs []Ref
-		var owners []int32
-		for i := 0; i < int(nRefs); i++ {
-			refs = append(refs, Ref{
-				Addr:  rng.Uint64(),
-				Size:  uint32(rng.Intn(256)),
-				Write: rng.Intn(2) == 0,
-			})
-			owners = append(owners, int32(rng.Intn(int(nRegions%24)+2))-1)
-		}
-
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, reg)
+		tf, err := OpenTraceFile(path)
 		if err != nil {
-			t.Fatalf("NewWriter: %v", err)
-		}
-		for i := range refs {
-			w.Access(refs[i], owners[i])
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		encoded := buf.Bytes()
-
-		var gotRefs []Ref
-		var gotOwners []int32
-		regions, err := ReadTrace(bytes.NewReader(encoded), func(r Ref, o int32) {
-			gotRefs = append(gotRefs, r)
-			gotOwners = append(gotOwners, o)
-		})
-		if err != nil {
-			t.Fatalf("ReadTrace: %v", err)
+			t.Fatalf("OpenTraceFile: %v", err)
 		}
 		want := reg.Regions()
-		if len(regions) != len(want) {
-			t.Fatalf("regions: got %d, want %d", len(regions), len(want))
+		if len(tf.Regions) != len(want) {
+			t.Fatalf("regions: got %d, want %d", len(tf.Regions), len(want))
 		}
 		for i := range want {
-			if regions[i] != want[i] {
-				t.Errorf("region %d: got %+v, want %+v", i, regions[i], want[i])
+			if tf.Regions[i] != want[i] {
+				t.Errorf("region %d: got %+v, want %+v", i, tf.Regions[i], want[i])
 			}
 		}
-		if len(gotRefs) != len(refs) {
-			t.Fatalf("records: got %d, want %d", len(gotRefs), len(refs))
+		if tf.NumRefs() != int64(len(refs)) {
+			t.Fatalf("records: got %d, want %d", tf.NumRefs(), len(refs))
 		}
-		for i := range refs {
-			if gotRefs[i] != refs[i] || gotOwners[i] != owners[i] {
-				t.Errorf("record %d: got %+v/%d, want %+v/%d",
-					i, gotRefs[i], gotOwners[i], refs[i], owners[i])
-			}
+		i := 0
+		if err := tf.Replay(0, func(b *RefBatch) {
+			b.Each(func(r Ref, o int32) {
+				if r != refs[i] || o != owners[i] {
+					t.Fatalf("record %d: got %+v/%d, want %+v/%d", i, r, o, refs[i], owners[i])
+				}
+				i++
+			})
+		}); err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if i != len(refs) {
+			t.Fatalf("replayed %d records, want %d", i, len(refs))
+		}
+		if err := tf.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 
-		// A truncated container must never panic the reader.
-		if len(encoded) > 0 {
-			prefix := encoded[:int(cut)%len(encoded)]
-			_, _ = ReadTrace(bytes.NewReader(prefix), func(Ref, int32) {})
+		// A truncated container must fail to open, never panic.
+		prefix := filepath.Join(dir, "prefix.v2")
+		if err := os.WriteFile(prefix, encoded[:int(cut)%len(encoded)], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		short, err := OpenTraceFile(prefix)
+		if !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("OpenTraceFile(%d-byte prefix of %d): error %v, want ErrBadTrace",
+				int(cut)%len(encoded), len(encoded), err)
+		}
+		if short != nil {
+			t.Fatal("OpenTraceFile returned a file with its error")
 		}
 	})
 }

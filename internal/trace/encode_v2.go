@@ -3,14 +3,16 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"unsafe"
 )
 
-// The v2 trace container is the batched, fixed-width sibling of the v1
-// record stream. Instead of interleaved 17-byte records it stores the
+// The on-disk trace format is a small binary container so that reference
+// streams can be captured once and replayed against many cache
+// configurations, mirroring how the paper reuses Pin traces. It stores the
 // reference stream as two contiguous little-endian uint64 columns — the
 // exact in-memory layout of a RefBatch — so a reader can hand out batch
 // views that alias a memory-mapped file without decoding or copying:
@@ -18,21 +20,23 @@ import (
 //	header:  magic "DVF2" | uint16 version=2 | uint16 reserved |
 //	         uint32 region count | uint32 reserved | uint64 record count
 //	regions: per region -> uint32 id | uint64 base | uint64 size |
-//	         uint16 name length | name bytes       (identical to v1)
+//	         uint16 name length | name bytes
 //	padding: zero bytes to the next 8-byte boundary
 //	addrs:   record count * uint64   (simulated virtual addresses)
 //	metas:   record count * uint64   (packed size/owner/write, see PackMeta)
 //
 // All integers are little-endian. The meta word reserves 31 bits for the
 // reference size (MaxBatchRefSize); WriterV2 surfaces larger sizes as a
-// sticky error instead of truncating. At 16 bytes per record v2 is also
-// ~6% smaller than v1's 17-byte records.
+// sticky error instead of truncating.
 
 const (
 	traceMagicV2   = "DVF2"
 	traceVersionV2 = 2
 	v2HeaderSize   = 24
 )
+
+// ErrBadTrace reports a malformed trace container.
+var ErrBadTrace = errors.New("trace: malformed trace file")
 
 // WriterV2 accumulates a reference stream and writes it as one v2
 // container on Flush. The column layout needs the record count up front,
@@ -52,8 +56,8 @@ func NewWriterV2(w io.Writer, reg *Registry) *WriterV2 {
 }
 
 // Access appends one reference record. Errors (a size outside the meta
-// word's 31-bit domain) are sticky and surfaced by Flush, mirroring the
-// v1 Writer contract.
+// word's 31-bit domain) are sticky and surfaced by Flush, so instrumented
+// kernels do not need error plumbing per reference.
 func (tw *WriterV2) Access(r Ref, owner int32) {
 	if tw.err != nil {
 		return
@@ -269,22 +273,21 @@ func DecodeV2(data []byte) (*TraceV2, error) {
 	return t, nil
 }
 
-// TraceFile is an opened on-disk trace of either container version,
-// presenting a uniform batched replay surface. v2 files are memory-mapped
-// and replayed zero-copy; v1 files are decoded block-wise into a reused
-// arena batch. Close releases the mapping.
+// TraceFile is an opened on-disk trace, presenting a batched replay
+// surface. The file is memory-mapped and replayed zero-copy on
+// little-endian hosts. Close releases the mapping.
 type TraceFile struct {
 	Regions []Region
-	Version int
-	path    string
-	data    []byte // raw file bytes (mapped or read)
-	v2      *TraceV2
-	v1off   int // v1: offset of the first record
+	tr      *TraceV2 // nil once Closed
 	closer  func() error
 }
 
-// OpenTraceFile maps path and sniffs the container version. The returned
-// TraceFile must be Closed when done.
+// errReplayClosed is what Replay returns on a Closed TraceFile.
+var errReplayClosed = fmt.Errorf("trace: replay of a closed trace file: %w", os.ErrClosed)
+
+// OpenTraceFile maps path and decodes it as a v2 container; any other
+// content fails with ErrBadTrace. The returned TraceFile must be Closed
+// when done.
 func OpenTraceFile(path string) (*TraceFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -299,131 +302,47 @@ func OpenTraceFile(path string) (*TraceFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	tf := &TraceFile{path: path, data: data, closer: closer}
-	if len(data) >= 4 && string(data[0:4]) == traceMagicV2 {
-		v2, err := DecodeV2(data)
-		if err != nil {
-			_ = tf.Close()
-			return nil, err
-		}
-		tf.Version, tf.v2, tf.Regions = traceVersionV2, v2, v2.Regions
-		return tf, nil
-	}
-	regions, off, err := parseV1Header(data)
+	tr, err := DecodeV2(data)
 	if err != nil {
-		_ = tf.Close()
+		_ = closer() // the decode error is the one to report
 		return nil, err
 	}
-	tf.Version, tf.Regions, tf.v1off = traceVersion, regions, off
-	return tf, nil
+	return &TraceFile{Regions: tr.Regions, tr: tr, closer: closer}, nil
 }
 
-// NumRefs returns the number of reference records in the file.
+// NumRefs returns the number of reference records in the file (0 once
+// Closed).
 func (tf *TraceFile) NumRefs() int64 {
-	if tf.v2 != nil {
-		return tf.v2.NumRefs()
+	if tf.tr == nil {
+		return 0
 	}
-	return int64(len(tf.data)-tf.v1off) / 17
+	return tf.tr.NumRefs()
 }
 
 // ZeroCopy reports whether replay batches alias the file mapping.
-func (tf *TraceFile) ZeroCopy() bool { return tf.v2 != nil && tf.v2.ZeroCopy() }
+func (tf *TraceFile) ZeroCopy() bool { return tf.tr != nil && tf.tr.ZeroCopy() }
 
 // Replay invokes fn with consecutive batches of at most batchSize
-// references (batchSize <= 0 selects DefaultBatch). For v2 files the
-// batches alias the mapping; for v1 files records are decoded into one
-// arena batch that is reused — and therefore invalid to retain — across
-// calls.
+// references (batchSize <= 0 selects DefaultBatch). The batches alias the
+// mapping. On a Closed TraceFile Replay returns an error without calling
+// fn.
 //
 //dvf:hotpath
 func (tf *TraceFile) Replay(batchSize int, fn func(*RefBatch)) error {
-	if batchSize <= 0 {
-		batchSize = DefaultBatch
+	if tf.tr == nil {
+		return errReplayClosed
 	}
-	if tf.v2 != nil {
-		tf.v2.Batches(batchSize, fn)
-		return nil
-	}
-	recs := tf.data[tf.v1off:]
-	if len(recs)%17 != 0 {
-		//dvf:allow hotalloc error construction on the malformed-trace path, taken at most once per replay and never on a valid trace
-		return fmt.Errorf("%w: truncated record", ErrBadTrace)
-	}
-	//dvf:allow hotalloc one arena slab per Replay call, not per batch; the v1 decode loop reuses it for every batch
-	slab := make([]uint64, 2*batchSize)
-	batch := RefBatch{Addrs: slab[0:0:batchSize], Metas: slab[batchSize : batchSize : 2*batchSize]}
-	for len(recs) > 0 {
-		batch.Reset()
-		n := batchSize
-		if n > len(recs)/17 {
-			n = len(recs) / 17
-		}
-		for i := 0; i < n; i++ {
-			rec := recs[i*17:]
-			size := binary.LittleEndian.Uint32(rec[8:12])
-			if size > MaxBatchRefSize {
-				//dvf:allow hotalloc error construction on the malformed-trace path, taken at most once per replay and never on a valid trace
-				return fmt.Errorf("%w: record size %d exceeds the batch size domain", ErrBadTrace, size)
-			}
-			//dvf:allow hotalloc append stays within the arena slab reserved above, so it never grows
-			batch.Addrs = append(batch.Addrs, binary.LittleEndian.Uint64(rec[0:8]))
-			//dvf:allow hotalloc same arena-capacity argument as the address column
-			batch.Metas = append(batch.Metas, PackMeta(
-				size,
-				rec[12]&1 == 1,
-				int32(binary.LittleEndian.Uint32(rec[13:17])),
-			))
-		}
-		recs = recs[n*17:]
-		//dvf:allow hotalloc fn is the caller-supplied batch consumer; every in-repo consumer fed through Replay is itself hotpath-verified
-		fn(&batch)
-	}
+	tf.tr.Batches(batchSize, fn)
 	return nil
 }
 
 // Close releases the file mapping. The TraceFile (and every batch view it
-// handed out) is invalid afterwards.
+// handed out) is invalid afterwards. Close is idempotent.
 func (tf *TraceFile) Close() error {
 	if tf.closer == nil {
 		return nil
 	}
 	c := tf.closer
-	tf.closer = nil
-	tf.data, tf.v2 = nil, nil
+	tf.closer, tf.tr = nil, nil
 	return c()
-}
-
-// parseV1Header parses a v1 container's header and region table from raw
-// bytes, returning the offset of the first record.
-func parseV1Header(data []byte) ([]Region, int, error) {
-	if len(data) < 10 {
-		return nil, 0, fmt.Errorf("%w: missing magic", ErrBadTrace)
-	}
-	if string(data[0:4]) != traceMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrBadTrace, data[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != traceVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
-	}
-	nRegions := binary.LittleEndian.Uint32(data[6:10])
-	off := 10
-	regions := make([]Region, 0, nRegions)
-	for i := uint32(0); i < nRegions; i++ {
-		if off+22 > len(data) {
-			return nil, 0, fmt.Errorf("%w: truncated region table", ErrBadTrace)
-		}
-		id := int32(binary.LittleEndian.Uint32(data[off : off+4]))
-		base := binary.LittleEndian.Uint64(data[off+4 : off+12])
-		size := binary.LittleEndian.Uint64(data[off+12 : off+20])
-		nameLen := int(binary.LittleEndian.Uint16(data[off+20 : off+22]))
-		off += 22
-		if off+nameLen > len(data) {
-			return nil, 0, fmt.Errorf("%w: truncated region name", ErrBadTrace)
-		}
-		regions = append(regions, Region{
-			ID: id, Base: base, Size: size, Name: string(data[off : off+nameLen]),
-		})
-		off += nameLen
-	}
-	return regions, off, nil
 }

@@ -2,12 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
 
 // fuzzStream derives a registry and reference stream from fuzz inputs,
-// shared by both v2 fuzz targets. Sizes stay inside the meta word's
+// shared by the trace fuzz targets. Sizes stay inside the meta word's
 // 31-bit domain — the only part of the Ref domain v2 restricts.
 func fuzzStream(seed int64, nRegions uint8, nRefs uint16) (*Registry, []Ref, []int32) {
 	rng := rand.New(rand.NewSource(seed))
@@ -40,6 +41,7 @@ func FuzzEncodeDecodeV2(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(100), uint16(7))
 	f.Add(int64(99), uint8(0), uint16(0), uint16(0))
 	f.Add(int64(5), uint8(16), uint16(2048), uint16(1))
+	f.Add(int64(7), uint8(20), uint16(1500), uint16(333))
 	f.Fuzz(func(t *testing.T, seed int64, nRegions uint8, nRefs uint16, cut uint16) {
 		reg, refs, owners := fuzzStream(seed, nRegions, nRefs)
 
@@ -100,76 +102,52 @@ func FuzzEncodeDecodeV2(f *testing.F) {
 	})
 }
 
-// FuzzV1V2RoundTrip pins cross-format equivalence: the same reference
-// stream written as a v1 record stream and as a v2 columnar container must
-// decode to identical region tables and bit-identical replay streams, so
-// replacing v1 traces with v2 can never change a simulation result. Seed
-// corpus lives under testdata/fuzz.
+// FuzzV1V2RoundTrip pins the format boundary left by retiring the v1
+// record container: the same reference stream written as a v2 container
+// must replay bit-identically through the one-shot DecodeV2 batch and
+// through TraceV2.Batches at a fuzzed batch size, and the container
+// re-tagged with the v1 magic and version must be refused with
+// ErrBadTrace rather than replayed, so a v1 file can never feed a
+// simulation. Seed corpus lives under testdata/fuzz.
 func FuzzV1V2RoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(100))
 	f.Add(int64(42), uint8(0), uint16(0))
 	f.Add(int64(7), uint8(20), uint16(1500))
 	f.Fuzz(func(t *testing.T, seed int64, nRegions uint8, nRefs uint16) {
 		reg, refs, owners := fuzzStream(seed, nRegions, nRefs)
+		encoded := encodeV2(t, reg, refs, owners)
 
-		var v1buf bytes.Buffer
-		w1, err := NewWriter(&v1buf, reg)
-		if err != nil {
-			t.Fatalf("NewWriter: %v", err)
-		}
-		for i := range refs {
-			w1.Access(refs[i], owners[i])
-		}
-		if err := w1.Flush(); err != nil {
-			t.Fatalf("v1 Flush: %v", err)
-		}
-
-		var v2buf bytes.Buffer
-		w2 := NewWriterV2(&v2buf, reg)
-		for i := range refs {
-			w2.Access(refs[i], owners[i])
-		}
-		if err := w2.Flush(); err != nil {
-			t.Fatalf("v2 Flush: %v", err)
-		}
-
-		var v1Refs []Ref
-		var v1Owners []int32
-		v1Regions, err := ReadTrace(bytes.NewReader(v1buf.Bytes()), func(r Ref, o int32) {
-			v1Refs = append(v1Refs, r)
-			v1Owners = append(v1Owners, o)
-		})
-		if err != nil {
-			t.Fatalf("ReadTrace: %v", err)
-		}
-
-		tr, err := DecodeV2(v2buf.Bytes())
+		tr, err := DecodeV2(encoded)
 		if err != nil {
 			t.Fatalf("DecodeV2: %v", err)
 		}
-
-		if len(tr.Regions) != len(v1Regions) {
-			t.Fatalf("regions: v2 %d, v1 %d", len(tr.Regions), len(v1Regions))
+		whole := tr.Batch()
+		if whole.Len() != len(refs) {
+			t.Fatalf("records: got %d, want %d", whole.Len(), len(refs))
 		}
-		for i := range v1Regions {
-			if tr.Regions[i] != v1Regions[i] {
-				t.Errorf("region %d: v2 %+v, v1 %+v", i, tr.Regions[i], v1Regions[i])
-			}
-		}
-		if tr.NumRefs() != int64(len(v1Refs)) {
-			t.Fatalf("records: v2 %d, v1 %d", tr.NumRefs(), len(v1Refs))
-		}
+		batchSize := 1 + int(uint64(seed)%97)
 		i := 0
-		tr.Batches(64, func(b *RefBatch) {
+		tr.Batches(batchSize, func(b *RefBatch) {
+			if b.Len() > batchSize {
+				t.Fatalf("batch of %d refs exceeds batch size %d", b.Len(), batchSize)
+			}
 			b.Each(func(r Ref, o int32) {
-				if r != v1Refs[i] || o != v1Owners[i] {
-					t.Fatalf("record %d: v2 %+v/%d, v1 %+v/%d", i, r, o, v1Refs[i], v1Owners[i])
+				wr, wo := whole.At(i)
+				if r != refs[i] || o != owners[i] || r != wr || o != wo {
+					t.Fatalf("record %d: batched %+v/%d, whole %+v/%d, want %+v/%d",
+						i, r, o, wr, wo, refs[i], owners[i])
 				}
 				i++
 			})
 		})
-		if i != len(v1Refs) {
-			t.Fatalf("v2 replayed %d records, v1 %d", i, len(v1Refs))
+		if i != len(refs) {
+			t.Fatalf("batches replayed %d records, want %d", i, len(refs))
+		}
+
+		v1 := bytes.Clone(encoded)
+		copy(v1[0:6], "DVFT\x01\x00")
+		if _, err := DecodeV2(v1); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("DecodeV2 of a v1-tagged container: error %v, want ErrBadTrace", err)
 		}
 	})
 }

@@ -149,77 +149,110 @@ func TestDecodeV2TruncatedNeverPanics(t *testing.T) {
 	}
 }
 
-// TestOpenTraceFileBothVersions proves the uniform file surface: the same
-// stream written as v1 and as v2 replays identically through OpenTraceFile,
-// and the v2 path reports zero-copy on little-endian hosts.
-func TestOpenTraceFileBothVersions(t *testing.T) {
+// writeTraceFile writes a v2 container for the stream into dir and
+// returns its path.
+func writeTraceFile(t *testing.T, dir string, reg *Registry, refs []Ref, owners []int32) string {
+	t.Helper()
+	path := filepath.Join(dir, "trace.v2")
+	if err := os.WriteFile(path, encodeV2(t, reg, refs, owners), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOpenTraceFileReplays proves the file surface: a stream written as
+// v2 replays identically through OpenTraceFile, zero-copy on
+// little-endian hosts.
+func TestOpenTraceFileReplays(t *testing.T) {
 	reg, refs, owners := genStream(23, 3, 3000)
+	tf, err := OpenTraceFile(writeTraceFile(t, t.TempDir(), reg, refs, owners))
+	if err != nil {
+		t.Fatalf("OpenTraceFile: %v", err)
+	}
+	if tf.NumRefs() != int64(len(refs)) {
+		t.Fatalf("NumRefs = %d, want %d", tf.NumRefs(), len(refs))
+	}
+	want := reg.Regions()
+	if len(tf.Regions) != len(want) {
+		t.Fatalf("regions %d, want %d", len(tf.Regions), len(want))
+	}
+	i := 0
+	if err := tf.Replay(512, func(b *RefBatch) {
+		b.Each(func(r Ref, o int32) {
+			if r != refs[i] || o != owners[i] {
+				t.Fatalf("record %d: got %+v/%d, want %+v/%d", i, r, o, refs[i], owners[i])
+			}
+			i++
+		})
+	}); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if i != len(refs) {
+		t.Fatalf("replayed %d refs, want %d", i, len(refs))
+	}
+	if nativeIsLittle() && !tf.ZeroCopy() {
+		t.Error("replay is not zero-copy on a little-endian host")
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestTraceFileLifetime pins the mapping's lifetime contract: Close is
+// idempotent, a Closed file replays nothing and says so, and every
+// content that is not a whole v2 container fails to open with
+// ErrBadTrace.
+func TestTraceFileLifetime(t *testing.T) {
+	reg, refs, owners := genStream(31, 2, 64)
 	dir := t.TempDir()
+	path := writeTraceFile(t, dir, reg, refs, owners)
 
-	v1Path := filepath.Join(dir, "trace.v1")
-	f1, err := os.Create(v1Path)
+	tf, err := OpenTraceFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("OpenTraceFile: %v", err)
 	}
-	w1, err := NewWriter(f1, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range refs {
-		w1.Access(refs[i], owners[i])
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	v2Path := filepath.Join(dir, "trace.v2")
-	if err := os.WriteFile(v2Path, encodeV2(t, reg, refs, owners), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		path    string
-		version int
-	}{
-		{v1Path, 1},
-		{v2Path, 2},
-	} {
-		tf, err := OpenTraceFile(tc.path)
-		if err != nil {
-			t.Fatalf("OpenTraceFile(%s): %v", tc.path, err)
-		}
-		if tf.Version != tc.version {
-			t.Fatalf("%s: Version = %d, want %d", tc.path, tf.Version, tc.version)
-		}
-		if tf.NumRefs() != int64(len(refs)) {
-			t.Fatalf("%s: NumRefs = %d, want %d", tc.path, tf.NumRefs(), len(refs))
-		}
-		want := reg.Regions()
-		if len(tf.Regions) != len(want) {
-			t.Fatalf("%s: regions %d, want %d", tc.path, len(tf.Regions), len(want))
-		}
-		i := 0
-		if err := tf.Replay(512, func(b *RefBatch) {
-			b.Each(func(r Ref, o int32) {
-				if r != refs[i] || o != owners[i] {
-					t.Fatalf("%s record %d: got %+v/%d, want %+v/%d", tc.path, i, r, o, refs[i], owners[i])
-				}
-				i++
-			})
-		}); err != nil {
-			t.Fatalf("%s: Replay: %v", tc.path, err)
-		}
-		if i != len(refs) {
-			t.Fatalf("%s: replayed %d refs, want %d", tc.path, i, len(refs))
-		}
-		if tc.version == 2 && nativeIsLittle() && !tf.ZeroCopy() {
-			t.Errorf("%s: v2 replay is not zero-copy on a little-endian host", tc.path)
-		}
+	for i := 0; i < 2; i++ {
 		if err := tf.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", tc.path, err)
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	called := false
+	if err := tf.Replay(0, func(*RefBatch) { called = true }); err == nil {
+		t.Error("Replay after Close returned nil")
+	}
+	if called {
+		t.Error("Replay after Close called fn")
+	}
+	if n := tf.NumRefs(); n != 0 {
+		t.Errorf("NumRefs after Close = %d, want 0", n)
+	}
+	if tf.ZeroCopy() {
+		t.Error("ZeroCopy after Close = true")
+	}
+
+	// A v1 record container: magic "DVFT", version 1, one region "A",
+	// one 17-byte record.
+	v1 := []byte("DVFT\x01\x00\x01\x00\x00\x00")
+	v1 = append(v1, make([]byte, 20)...)
+	v1 = append(v1, 1, 0, 'A')
+	v1 = append(v1, make([]byte, 17)...)
+	full := encodeV2(t, reg, refs, owners)
+	for name, data := range map[string][]byte{
+		"empty":     nil,
+		"v1":        v1,
+		"garbage":   []byte("not a trace container at all"),
+		"truncated": full[:len(full)-8],
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tf, err := OpenTraceFile(p)
+		if !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: OpenTraceFile error = %v, want ErrBadTrace", name, err)
+		}
+		if tf != nil {
+			t.Errorf("%s: OpenTraceFile returned a file with its error", name)
 		}
 	}
 }

@@ -35,10 +35,7 @@ func Example_roundTrip() {
 	a := reg.Alloc("A", 64)
 
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, reg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	w := trace.NewWriterV2(&buf, reg)
 	mem := trace.NewMemory(reg, w)
 	mem.LoadN(a, 3, 8)
 	mem.StoreN(a, 4, 8)
@@ -46,15 +43,16 @@ func Example_roundTrip() {
 		log.Fatal(err)
 	}
 
-	count := 0
-	regions, err := trace.ReadTrace(&buf, func(r trace.Ref, owner int32) {
-		count++
-	})
+	tr, err := trace.DecodeV2(buf.Bytes())
 	if err != nil {
 		log.Fatal(err)
 	}
+	count := 0
+	tr.Batches(0, func(b *trace.RefBatch) {
+		count += b.Len()
+	})
 	fmt.Printf("replayed %d references over %d region(s): %s\n",
-		count, len(regions), regions[0].Name)
+		count, len(tr.Regions), tr.Regions[0].Name)
 	// Output:
 	// replayed 2 references over 1 region(s): A
 }

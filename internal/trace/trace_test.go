@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,76 +145,6 @@ func TestTeeFansOut(t *testing.T) {
 	sink.Access(Ref{Addr: 1, Size: 4}, 7)
 	if r1.Len() != 1 || r2.Len() != 1 {
 		t.Error("Tee did not reach all consumers")
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	g := NewRegistry()
-	a := g.Alloc("alpha", 128)
-	b := g.Alloc("beta", 256)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := NewMemory(g, w)
-	mem.LoadN(a, 0, 8)
-	mem.StoreN(b, 3, 16)
-	mem.LoadN(a, 15, 8)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	var got []Ref
-	var owners []int32
-	regions, err := ReadTrace(&buf, func(r Ref, o int32) {
-		got = append(got, r)
-		owners = append(owners, o)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regions) != 2 || regions[0].Name != "alpha" || regions[1].Name != "beta" {
-		t.Errorf("region table: %v", regions)
-	}
-	if len(got) != 3 {
-		t.Fatalf("decoded %d refs, want 3", len(got))
-	}
-	if got[1].Addr != b.Base+48 || !got[1].Write || got[1].Size != 16 {
-		t.Errorf("record 1: %+v", got[1])
-	}
-	if owners[0] != int32(a.ID) || owners[1] != int32(b.ID) {
-		t.Errorf("owners: %v", owners)
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("nope"),
-		[]byte("DVFT"),                           // truncated header
-		append([]byte("DVFT"), 9, 0, 0, 0, 0, 0), // bad version
-		append([]byte("DVFT"), 1, 0, 5, 0, 0, 0, 1), // truncated region table
-	}
-	for i, raw := range cases {
-		if _, err := ReadTrace(bytes.NewReader(raw), func(Ref, int32) {}); err == nil {
-			t.Errorf("case %d: ReadTrace accepted garbage", i)
-		}
-	}
-}
-
-func TestReadTraceTruncatedRecord(t *testing.T) {
-	g := NewRegistry()
-	g.Alloc("A", 64)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, g)
-	w.Access(Ref{Addr: 1, Size: 4}, 1)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()[:buf.Len()-5] // chop the last record
-	if _, err := ReadTrace(bytes.NewReader(raw), func(Ref, int32) {}); err == nil {
-		t.Error("truncated record accepted")
 	}
 }
 
