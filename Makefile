@@ -19,8 +19,9 @@
 #                     experiments package replays every figure)
 #   make bench-smoke  one iteration of the cache simulator's batched and
 #                     per-reference replay benchmarks, CG's CGPMAC models,
-#                     the fft Aspen evaluation and a dvf-serve analyze
-#                     miss (CG, cgpmac and analytic), as a compile-and-run
+#                     the fft Aspen evaluation, a dvf-serve analyze miss
+#                     (CG, cgpmac and analytic) and the MG and FT analytic
+#                     solves on every bundled cache, as a compile-and-run
 #                     sanity check
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
@@ -36,8 +37,9 @@
 #   make analytic-smoke  the analytic engine's red/green signal: the live
 #                     analytic-vs-simulator differential (hard-fails on
 #                     any tolerance breach), a trace-free CLI pass over
-#                     every bundled cache, and a bounded fuzz of the
-#                     solver against the sequential simulator
+#                     every bundled cache, a bounded fuzz of the solver
+#                     against the sequential simulator and one of the
+#                     solver against its per-row reference (bitwise)
 #   make extract-smoke  dvf-extract -diff over all four kernels in both
 #                     geometries: the static extractor must reproduce
 #                     every hand-written descriptor exactly
@@ -104,6 +106,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='^BenchmarkCGTemplateModel$$' -benchtime=1x ./internal/kernels
 	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
 	$(GO) test -run '^$$' -bench='^BenchmarkServeAnalyzeMiss$$' -benchtime=1x ./internal/serve
+	$(GO) test -run '^$$' -bench='^BenchmarkAnalyticSolve$$' -benchtime=1x ./internal/analytic
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .
@@ -128,6 +131,7 @@ analytic-smoke:
 	$(GO) run ./cmd/dvf-verify -engine analytic
 	$(GO) run ./cmd/dvf-trace -engine analytic -kernel CG -all > /dev/null
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyticVsSimulator$$' -fuzztime $(FUZZTIME) ./internal/analytic
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveVsPerRow$$' -fuzztime $(FUZZTIME) ./internal/analytic
 
 # The extraction wall: static extraction of every kernel must agree with
 # the hand-written descriptors in both geometries, or the build is red —

@@ -10,19 +10,25 @@
 // phase, the reuse distance of every line the phase touches:
 //
 //   - closed form where the loop nest makes distances uniform (streamed
-//     traversals, the dense mat-vec inner loop, FFT butterfly passes), and
-//   - per-loop-nest interval counting everywhere else (the multi-grid
-//     V-cycle at row granularity, the FFT bit-reversal at line
-//     granularity), via a Fenwick-tree distinct-interval counter over
-//     segment-touch events.
+//     traversals, the dense mat-vec inner loop, the middle and last FFT
+//     butterfly passes, and the smoother's repeated rows from its second
+//     stripe on, which are translates of gaps measured once), and
+//   - a Fenwick-tree distinct-interval counter over segment-touch events
+//     everywhere else: once per grid row or FFT line a phase enters
+//     (against the timeline the earlier phases left) and, inside the
+//     bit-reversal and the smoother's first two stripes, per reuse on a
+//     tree local to the phase (see timeline).
 //
 // Stack distances become miss counts through a set-associativity
-// correction (see missFraction) instead of the sharp fully-associative
+// correction (see missFracParts) instead of the sharp fully-associative
 // capacity threshold, and the per-structure miss counts are exactly the
-// N_ha inputs the DVF aggregation in internal/dvf consumes. The whole
-// solve costs microseconds to low milliseconds, versus the nanosecond-
-// per-reference cost of batched replay — orders of magnitude cheaper on
-// the larger kernels (CG's verification trace alone is ~5M references).
+// N_ha inputs the DVF aggregation in internal/dvf consumes. On a
+// conflict-free geometry no distance is measured at all: only first
+// touches count. A solve costs microseconds for VM and CG and for every
+// kernel on a conflict-free geometry, and a fraction of a millisecond
+// for MG and FT elsewhere (their entered rows and lines still take one
+// timeline query each), against the nanosecond-per-reference cost of
+// batched replay — CG's verification trace alone is ~5M references.
 //
 // # Accuracy contract
 //
@@ -161,7 +167,8 @@ func (p MatVec) validate(d *Descriptor) error {
 // Smooth is one sweep of the Algorithm 3 four-neighbor smoother over one
 // grid level living inside Region at OffsetElems, of dimension Dim per
 // axis. The solver counts it at row granularity (a row = the Dim
-// contiguous k-elements of one (i, j) cell).
+// contiguous k-elements of one (i, j) cell): rows the sweep enters are
+// measured, repeated rows after the second stripe are translates.
 type Smooth struct {
 	Region      string
 	Dim         int // grid dimension per axis
@@ -228,8 +235,8 @@ func validateGrid(d *Descriptor, region string, dim, offset int) error {
 
 // BitReverse is the FFT bit-reversal permutation over Region (N a power
 // of two): for every pair i < j with j = rev(i), elements i and j are
-// loaded and stored. Counted at line granularity by interval counting —
-// the visit order is a bit-reversed shuffle, not a stream.
+// loaded and stored. Counted at line granularity, every line touch
+// measured — the visit order is a bit-reversed shuffle, not a stream.
 type BitReverse struct {
 	Region string
 	N      int

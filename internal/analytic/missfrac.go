@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/resilience-models/dvf/internal/cache"
 )
@@ -40,80 +41,120 @@ type segPart struct {
 // missFracParts returns P(K >= CA) for a reuse whose gap consists of the
 // given segment parts, re-traversed as part of a segment of ownLines
 // lines (0 for a point access).
+//
+// The floors are summed first: when they alone reach CA the answer is 1,
+// and otherwise only P(windows < need) is required, so the window
+// distribution is built just below need. The distribution beyond need
+// (and the "CA or more" mass the model clamps into its top bucket) never
+// feeds the probabilities below it.
 func missFracParts(parts []segPart, ownLines int64, cfg cache.Config) float64 {
 	na := int64(cfg.Sets)
 	ca := int64(cfg.Associativity)
-	base := int64(0)
-	// pmf[k] is P(window sum == k), truncated at need; need tracks the
-	// remaining window hits required once floors are subtracted.
-	var pmf [64]float64
-	pmf[0] = 1
-	top := 0
-	addWindows := func(trials int64, w float64) {
-		if trials <= 0 || w <= 0 {
-			return
-		}
-		// Binomial(trials, w) pmf up to the truncation point, folded into
-		// the running distribution. Beyond ca hits the verdict cannot
-		// change, so everything is clamped there.
-		var bin [64]float64
-		limit := int(ca)
-		if limit >= len(bin)-1 {
-			limit = len(bin) - 2
-		}
-		bin[0] = math.Pow(1-w, float64(trials))
-		tail := 1 - bin[0]
-		for k := 0; k < limit; k++ {
-			bin[k+1] = bin[k] * float64(trials-int64(k)) / float64(k+1) * w / (1 - w)
-			tail -= bin[k+1]
-		}
-		if tail < 0 {
-			tail = 0
-		}
-		bin[limit+1] = tail // probability mass of "limit+1 or more"
-		var out [64]float64
-		for a := 0; a <= top; a++ {
-			if pmf[a] == 0 {
-				continue
-			}
-			for b := 0; b <= limit+1; b++ {
-				c := a + b
-				if c > limit+1 {
-					c = limit + 1
-				}
-				out[c] += pmf[a] * bin[b]
-			}
-		}
-		pmf = out
-		top = limit + 1
+	// Beyond limit window hits the verdict cannot change; the model's
+	// distribution has limit+2 buckets, the last one "limit+1 or more".
+	limit := int(ca)
+	if limit > 62 {
+		limit = 62
 	}
+	base, windows := int64(0), false
 	for _, p := range parts {
 		if p.count <= 0 || p.lines <= 0 {
 			continue
 		}
 		base += p.count * (p.lines / na)
-		addWindows(p.count, float64(p.lines%na)/float64(na))
+		windows = windows || p.lines%na != 0
 	}
-	if ownLines > na {
+	own := ownLines > na
+	if own {
 		base += ownLines/na - 1
-		addWindows(1, float64(ownLines%na)/float64(na))
+		windows = windows || ownLines%na != 0
 	}
 	need := ca - base
 	if need <= 0 {
 		return 1
 	}
-	if int(need) > top {
+	if !windows || need > int64(limit)+1 {
 		return 0
 	}
+	if surelyMissed(parts, na, need) {
+		return 1
+	}
+	k := int(need)
+	// pmf[c] is P(window sum == c) for c < k.
+	var pmf, bin [64]float64
+	pmf[0] = 1
+	addWindows := func(trials int64, w float64) {
+		if trials <= 0 || w <= 0 {
+			return
+		}
+		// Binomial(trials, w) pmf below k, folded into the running
+		// distribution (in place, highest bucket first).
+		bin[0] = math.Pow(1-w, float64(trials))
+		for b := 0; b+1 < k; b++ {
+			bin[b+1] = bin[b] * float64(trials-int64(b)) / float64(b+1) * w / (1 - w)
+		}
+		for c := k - 1; c >= 0; c-- {
+			sum := 0.0
+			for a := 0; a <= c; a++ {
+				if pmf[a] == 0 {
+					continue
+				}
+				sum += pmf[a] * bin[c-a]
+			}
+			pmf[c] = sum
+		}
+	}
+	for _, p := range parts {
+		if p.count <= 0 || p.lines <= 0 {
+			continue
+		}
+		addWindows(p.count, float64(p.lines%na)/float64(na))
+	}
+	if own {
+		addWindows(1, float64(ownLines%na)/float64(na))
+	}
 	hit := 0.0
-	for k := 0; k < int(need); k++ {
-		hit += pmf[k]
+	for c := 0; c < k; c++ {
+		hit += pmf[c]
 	}
 	frac := 1 - hit
 	if frac < 0 {
 		return 0
 	}
 	return frac
+}
+
+// surelyMissed reports whether some single window part alone makes
+// fewer than need window hits so unlikely that missFracParts would
+// return exactly 1. A part of T segments with rem = lines mod NA is
+// Binomial(T, w) with w = rem/NA; with r = T*w/(1-w) = T*rem/(NA-rem),
+//
+//	P(< need) = sum_{b<need} C(T,b) w^b (1-w)^(T-b) <= need * max(1, r)^(need-1) * (1-w)^T,
+//
+// and ln(1-w) <= -w, so its log2 is under
+//
+//	bitlen(need) + (need-1)*max(0, bitlen(T*rem) - bitlen(NA-rem) + 1) - T*w*log2(e).
+//
+// The window sum is at least any one part, so when that is under -60
+// the probability missFracParts accumulates — a sum of non-negative
+// terms, each within a relative 1e-12 of the exact one (at most 62
+// recurrence steps of four roundings) or below the subnormal range —
+// stays under 2^-59, and 1 minus it rounds to exactly 1.
+func surelyMissed(parts []segPart, na, need int64) bool {
+	for _, p := range parts {
+		rem := p.lines % na
+		if p.count <= 0 || p.lines <= 0 || rem == 0 || p.count > 1<<40 {
+			continue
+		}
+		bound := float64(bits.Len64(uint64(need))) - float64(p.count)*float64(rem)/float64(na)*math.Log2E
+		if lr := bits.Len64(uint64(p.count*rem)) - bits.Len64(uint64(na-rem)) + 1; lr > 0 {
+			bound += float64((need - 1) * int64(lr))
+		}
+		if bound < -60 {
+			return true
+		}
+	}
+	return false
 }
 
 // missFracGap models a gap known only as (lines, events) timeline totals:

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"github.com/resilience-models/dvf/internal/cache"
@@ -47,9 +48,16 @@ func (p *Profile) TotalMisses() float64 {
 
 // Solve runs the descriptor's phase program against one cache geometry
 // and returns the predicted per-structure miss counts. It never touches a
-// trace: cost is proportional to the number of loop nests (plus grid rows
-// and permutation lines for the interval-counted phases), not to the
-// number of memory references.
+// trace, and its cost does not grow with the number of memory
+// references: streams, mat-vecs and the middle and last butterfly passes
+// cost one miss-fraction evaluation each; grid phases and the FFT
+// passes cost one O(log segments) timeline query per row or line they
+// enter; the smoother's repeated rows from its third stripe on are
+// charged from gaps measured in an earlier stripe, while the
+// bit-reversal and the smoother's first two stripes are counted per
+// touch. Each distinct gap is evaluated once. On a conflict-free
+// geometry no gap is measured and phases over already-touched rows or
+// lines are skipped.
 func Solve(d *Descriptor, cfg cache.Config) (*Profile, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -60,10 +68,9 @@ func Solve(d *Descriptor, cfg cache.Config) (*Profile, error) {
 	s := &solver{
 		d:    d,
 		cfg:  cfg,
-		tl:   newTimeline(),
-		ridx: make(map[string]int, len(d.Regions)),
 		miss: make([]float64, len(d.Regions)),
 	}
+	s.fams = s.famBuf[:0]
 	// Conflict-free geometries are exact by construction: when nothing can
 	// ever be evicted, every reuse hits and only compulsory misses remain —
 	// whereas the window model would leak a small spurious fraction. Two
@@ -86,17 +93,19 @@ func Solve(d *Descriptor, cfg cache.Config) (*Profile, error) {
 	if worstPerSet <= int64(cfg.Associativity) {
 		s.conflictFree = true
 	}
-	for i, r := range d.Regions {
-		s.ridx[r.Name] = i
+	slots, err := s.slots()
+	if err != nil {
+		return nil, err
 	}
+	s.tl = newTimeline(slots, s.maxTouches, !s.conflictFree)
 	s.phases(d.Phases)
-	prof := &Profile{Kernel: d.Kernel, Cache: cfg.Name}
+	prof := &Profile{Kernel: d.Kernel, Cache: cfg.Name, Structures: make([]StructMisses, len(d.Regions))}
 	for i, r := range d.Regions {
-		prof.Structures = append(prof.Structures, StructMisses{
+		prof.Structures[i] = StructMisses{
 			Name:   r.Name,
 			Lines:  regionLines(r, cfg.LineSize),
 			Misses: s.miss[i],
-		})
+		}
 	}
 	return prof, nil
 }
@@ -105,18 +114,230 @@ type solver struct {
 	d            *Descriptor
 	cfg          cache.Config
 	tl           *timeline
-	ridx         map[string]int
+	fams         []family
+	famBuf       [8]family
+	maxTouches   int // touches of the largest grid or permutation phase
 	miss         []float64
 	conflictFree bool
+	fracs        []fracMemo // direct-mapped missFracGap results
+	stripe       []float64  // smooth: a measured stripe's charges
 }
 
-// fracGap and fracParts wrap the miss model with the conflict-free
-// short-circuit (see Solve).
-func (s *solver) fracGap(lines, events, ownLines int64) float64 {
+// A segment is one (region, sub-key) pair the timeline tracks: sub-key 0
+// is the whole region (streams, mat-vecs), 1+elemStart a grid row and
+// 1+lineIndex an FFT line. A family is the arithmetic run of segments one
+// phase kind walks — a grid level's rows or a region's lines — and
+// slots[k] is the dense timeline slot of its k-th segment.
+type family struct {
+	ri           int
+	sub0, stride int64
+	count        int
+	slots        []int32
+	seen         bool // every segment has been touched (monotone)
+}
+
+// slots collects the program's segment families and gives every distinct
+// segment a dense slot, returning the slot count. Families of one region
+// whose sub-key ranges overlap may share segments, so then every slot is
+// assigned through a key map; otherwise each family gets a consecutive
+// run. The timeline indexes segments, positions and touches with int32,
+// so a program too large for that fails here, before anything is sized
+// by it.
+func (s *solver) slots() (int, error) {
+	s.collect(s.d.Phases)
+	total, overlap := 0, false
+	for i, f := range s.fams {
+		total += f.count
+		for _, g := range s.fams[:i] {
+			if f.ri == g.ri && f.sub0 <= g.last() && g.sub0 <= f.last() {
+				overlap = true
+			}
+		}
+	}
+	if total > math.MaxInt32/4 || s.maxTouches > math.MaxInt32/2 {
+		return 0, fmt.Errorf("analytic: %s: %d segments or a phase of %d touches is too large to solve",
+			s.d.Kernel, total, s.maxTouches)
+	}
+	all := make([]int32, total)
+	var ids map[int64]int32
+	if overlap {
+		ids = make(map[int64]int32, total)
+	}
+	n := int32(0)
+	for i := range s.fams {
+		f := &s.fams[i]
+		f.slots, all = all[:f.count:f.count], all[f.count:]
+		for k := range f.slots {
+			if ids == nil {
+				f.slots[k] = n
+				n++
+				continue
+			}
+			key := int64(f.ri)<<40 | (f.sub0 + int64(k)*f.stride)
+			id, ok := ids[key]
+			if !ok {
+				id = n
+				ids[key] = id
+				n++
+			}
+			f.slots[k] = id
+		}
+	}
+	return int(n), nil
+}
+
+func (f *family) last() int64 { return f.sub0 + int64(f.count-1)*f.stride }
+
+// collect registers the families every phase of ps walks.
+func (s *solver) collect(ps []Phase) {
+	for _, p := range ps {
+		s.maxTouches = max(s.maxTouches, s.touches(p))
+		switch p := p.(type) {
+		case Stream:
+			for _, t := range p.Streams {
+				s.whole(s.index(t.Region))
+			}
+		case MatVec:
+			s.whole(s.index(p.Vec))
+			s.whole(s.index(p.Matrix))
+			s.whole(s.index(p.Out))
+		case Smooth:
+			s.grid(s.index(p.Region), p.OffsetElems, p.Dim)
+		case Restrict:
+			ri := s.index(p.Region)
+			s.grid(ri, p.FineOffset, p.FineDim)
+			s.grid(ri, p.CoarseOffs, p.CoarseDim)
+		case Prolong:
+			ri := s.index(p.Region)
+			s.grid(ri, p.FineOffset, p.FineDim)
+			s.grid(ri, p.CoarseOffs, p.CoarseDim)
+		case BitReverse:
+			ri := s.index(p.Region)
+			s.lines(ri, s.bitReverseLines(p, s.d.Regions[ri]))
+		case Butterflies:
+			ri := s.index(p.Region)
+			s.lines(ri, distinctLines(p.N, 1, s.d.Regions[ri].ElemSize, s.cfg.LineSize))
+		case Repeat:
+			s.collect(p.Body)
+		}
+	}
+}
+
+// touches bounds the touches one grid or permutation phase makes (0 for
+// the others): the size of its local tree.
+func (s *solver) touches(p Phase) int {
+	switch p := p.(type) {
+	case Smooth:
+		return 5 * max(p.Dim-2, 0) * max(p.Dim-2, 0)
+	case Restrict:
+		return 5 * p.CoarseDim * p.CoarseDim
+	case Prolong:
+		return 5 * p.CoarseDim * p.CoarseDim
+	case BitReverse:
+		// Each element is visited at most once and spans at most
+		// (es-1)/ls + 2 lines.
+		return p.N * ((s.d.Regions[s.index(p.Region)].ElemSize-1)/s.cfg.LineSize + 2)
+	case Butterflies:
+		return int(distinctLines(p.N, 1, s.d.Regions[s.index(p.Region)].ElemSize, s.cfg.LineSize))
+	}
+	return 0
+}
+
+// family returns the registered family, registering it on first sight.
+func (s *solver) family(ri int, sub0, stride int64, count int) *family {
+	for i := range s.fams {
+		if f := &s.fams[i]; f.ri == ri && f.sub0 == sub0 && f.stride == stride && f.count == count {
+			return f
+		}
+	}
+	s.fams = append(s.fams, family{ri: ri, sub0: sub0, stride: stride, count: count})
+	return &s.fams[len(s.fams)-1]
+}
+
+// whole, grid and lines are the three family shapes: a whole region, the
+// dim*dim rows of a grid level at offset, the first count lines.
+func (s *solver) whole(ri int) *family { return s.family(ri, 0, 0, 1) }
+
+func (s *solver) grid(ri, offset, dim int) *family {
+	return s.family(ri, 1+int64(offset), int64(dim), dim*dim)
+}
+
+func (s *solver) lines(ri int, count int64) *family { return s.family(ri, 1, 1, int(count)) }
+
+// settled reports whether a grid or permutation phase over these
+// families can be skipped: on a conflict-free geometry every touch but a
+// segment's first charges exactly nothing and no gap is measured, so
+// once every segment the phase walks has been touched the whole phase
+// adds zero.
+func (s *solver) settled(fs ...*family) bool {
+	if !s.conflictFree {
+		return false
+	}
+	for _, f := range fs {
+		if f.seen {
+			continue
+		}
+		for _, slot := range f.slots {
+			if !s.tl.seen[slot] {
+				return false
+			}
+		}
+		f.seen = true
+	}
+	return true
+}
+
+// bitReverseLines is the number of lines the permutation of N elements
+// spans from the region base.
+func (s *solver) bitReverseLines(p BitReverse, r Region) int64 {
+	return (int64(p.N)*int64(r.ElemSize)-1)/int64(s.cfg.LineSize) + 1
+}
+
+func (s *solver) index(name string) int {
+	for i, r := range s.d.Regions {
+		if r.Name == name {
+			return i
+		}
+	}
+	return -1 // unreachable: Validate checked every region reference
+}
+
+func (s *solver) region(name string) (int, Region) {
+	ri := s.index(name)
+	return ri, s.d.Regions[ri]
+}
+
+// gapClass is the input of one missFracGap evaluation; own >= 1, so the
+// zero class marks an empty memo entry.
+type gapClass struct{ lines, events, own int64 }
+
+type fracMemo struct {
+	k gapClass
+	f float64
+}
+
+// frac is the miss fraction of a gap of lines lines in events segments
+// for a segment of own lines: zero on a conflict-free geometry (see
+// Solve), otherwise missFracGap. Repeated gap classes (a phase's uniform
+// reuses) come from a small direct-mapped memo sized by the segment
+// count.
+func (s *solver) frac(lines, events, own int64) float64 {
 	if s.conflictFree {
 		return 0
 	}
-	return missFracGap(lines, events, ownLines, s.cfg)
+	if s.fracs == nil {
+		n := 16
+		for n < len(s.tl.seen) && n < 512 {
+			n *= 2
+		}
+		s.fracs = make([]fracMemo, n)
+	}
+	k := gapClass{lines, events, own}
+	m := &s.fracs[uint64(lines*0x9e3779b1+events*0x85ebca6b+own)%uint64(len(s.fracs))]
+	if m.k != k {
+		m.k, m.f = k, missFracGap(lines, events, own, s.cfg)
+	}
+	return m.f
 }
 
 func (s *solver) fracParts(parts []segPart, ownLines int64) float64 {
@@ -125,12 +346,6 @@ func (s *solver) fracParts(parts []segPart, ownLines int64) float64 {
 	}
 	return missFracParts(parts, ownLines, s.cfg)
 }
-
-// key packs (region, sub-segment) into one timeline key. Sub 0 is the
-// whole-region segment used by phase-granular solvers; interval-counted
-// phases use 1+elemStart (grid rows) or 1+lineIndex (FFT lines), which
-// stay well under the 2^40 sub-key space.
-func (s *solver) key(ri int, sub int64) int64 { return int64(ri)<<40 | sub }
 
 func (s *solver) phases(ps []Phase) {
 	for _, p := range ps {
@@ -157,42 +372,54 @@ func (s *solver) phases(ps []Phase) {
 	}
 }
 
-// touch records a segment traversal and charges its misses: every line of
-// the segment on the first-ever touch (compulsory), otherwise the
-// set-pressure fraction of the gap the timeline reports — its distinct
-// lines split over its segment events, with the segment's own footprint
-// as the self-interference term (a line's true gap also spans the other
-// lines of its own segment: the tail of the previous traversal plus the
-// head of the current one).
-func (s *solver) touch(ri int, sub, lines int64) {
+// charge adds one touch's misses and returns them: every line of the
+// segment on its first-ever touch (compulsory), otherwise the
+// set-pressure fraction of its gap — the gap's distinct lines split over
+// its segment events, with the segment's own footprint as the
+// self-interference term (a line's true gap also spans the other lines
+// of its own segment: the tail of the previous traversal plus the head
+// of the current one).
+func (s *solver) charge(ri int, lines, dist, events int64, first bool) float64 {
+	c := float64(lines)
+	if !first {
+		c *= s.frac(dist, events, lines)
+	}
+	s.miss[ri] += c
+	return c
+}
+
+// touch is a whole-region traversal: a one-touch phase.
+func (s *solver) touch(ri int, lines int64) {
 	if lines <= 0 {
 		return
 	}
-	d, e, first := s.tl.Touch(s.key(ri, sub), lines)
-	if first {
-		s.miss[ri] += float64(lines)
-		return
-	}
-	s.miss[ri] += float64(lines) * s.fracGap(d, e, lines)
+	d, e, first := s.tl.touch(s.whole(ri).slots[0], lines)
+	s.charge(ri, lines, d, e, first)
 }
 
-func (s *solver) region(name string) (int, Region) {
-	ri := s.ridx[name]
-	return ri, s.d.Regions[ri]
+// visit is one touch of the grid or permutation phase in flight. On a
+// conflict-free geometry only a segment's first touch charges anything.
+func (s *solver) visit(ri int, slot int32, lines int64) float64 {
+	d, e, first := s.tl.visit(slot, lines)
+	if s.conflictFree && !first {
+		return 0
+	}
+	return s.charge(ri, lines, d, e, first)
 }
 
 func (s *solver) stream(p Stream) {
 	// Lockstep traversals: one whole-segment touch per distinct region, in
 	// the body's first-access order. A second traversal of the same region
 	// inside the phase (a load/store pair) rides on the first for free.
-	seen := make(map[int]bool, len(p.Streams))
-	for _, t := range p.Streams {
-		ri, r := s.region(t.Region)
-		if seen[ri] {
-			continue
+next:
+	for i, t := range p.Streams {
+		for _, u := range p.Streams[:i] {
+			if u.Region == t.Region {
+				continue next
+			}
 		}
-		seen[ri] = true
-		s.touch(ri, 0, distinctLines(t.Count, t.StrideElems, r.ElemSize, s.cfg.LineSize))
+		ri, r := s.region(t.Region)
+		s.touch(ri, distinctLines(t.Count, t.StrideElems, r.ElemSize, s.cfg.LineSize))
 	}
 }
 
@@ -207,9 +434,9 @@ func (s *solver) matVec(p MatVec) {
 	// The vector's first inner traversal reuses whatever the previous
 	// phase left (it interleaves with only the first matrix row), so it is
 	// charged before the matrix event lands on the timeline.
-	s.touch(vi, 0, vecLines)
-	s.touch(mi, 0, regionLines(mr, ls))
-	s.touch(oi, 0, outLines)
+	s.touch(vi, vecLines)
+	s.touch(mi, regionLines(mr, ls))
+	s.touch(oi, outLines)
 	// Remaining N-1 inner traversals, all at the same uniform gap: one
 	// streamed matrix row plus one output line, against the vector's own
 	// footprint as self-interference.
@@ -219,88 +446,137 @@ func (s *solver) matVec(p MatVec) {
 	// vector's last traversal, and the output's last store — not the
 	// whole matrix. Reposition the vector and output events (already
 	// charged above) so the next phase's gaps see that recency order.
-	s.tl.Touch(s.key(vi, 0), vecLines)
-	s.tl.Touch(s.key(oi, 0), outLines)
+	s.tl.touch(s.whole(vi).slots[0], vecLines)
+	s.tl.touch(s.whole(oi).slots[0], outLines)
 }
 
-// touchRow is the grid-phase primitive: one (i, j) row of Dim contiguous
-// k-elements, keyed by its element offset within the region.
-func (s *solver) touchRow(ri int, r Region, startElem, dim int) {
-	lines := distinctLines(dim, 1, r.ElemSize, s.cfg.LineSize)
-	s.touch(ri, 1+int64(startElem), lines)
-}
-
+// smooth walks the Algorithm 3 stencil over the interior cells (i, j),
+// touching rows (i,j-1), (i,j+1), (i-1,j), (i+1,j), (i,j), each a segment
+// of the level's row length. Every reuse inside the sweep reaches back at
+// most one stripe (its previous touch is in stripe i-1 or i), and all
+// rows weigh the same, so in every stripe from the second on each
+// reuse's gap is the translate by whole stripes of the same touch's gap
+// in any other such stripe. One measured stripe therefore prices the
+// reuses of all later ones without a timeline query; only the rows the
+// sweep enters (the down neighbors, the two edge columns, and in the
+// first stripe everything) are measured. A stripe whose gaps could span
+// a phantom (see timeline.regrow) is measured in full instead.
 func (s *solver) smooth(p Smooth) {
 	ri, r := s.region(p.Region)
-	n := p.Dim
-	row := func(i, j int) int { return p.OffsetElems + (i*n+j)*n }
-	for i := 1; i < n-1; i++ {
-		for j := 1; j < n-1; j++ {
-			s.touchRow(ri, r, row(i, j-1), n)
-			s.touchRow(ri, r, row(i, j+1), n)
-			s.touchRow(ri, r, row(i-1, j), n)
-			s.touchRow(ri, r, row(i+1, j), n)
-			s.touchRow(ri, r, row(i, j), n)
-		}
+	n, m := p.Dim, p.Dim-2
+	if m <= 0 {
+		return
 	}
+	lines := distinctLines(n, 1, r.ElemSize, s.cfg.LineSize)
+	level := s.grid(ri, p.OffsetElems, n)
+	if s.settled(level) {
+		return
+	}
+	rows := level.slots
+	if cap(s.stripe) < 5*m {
+		s.stripe = make([]float64, 5*m)
+	}
+	stripe := s.stripe[:5*m]
+	priced := false // stripe holds a measured stripe's charges
+	s.tl.begin(s.touches(p), true)
+	for i := 1; i <= m; i++ {
+		// Touch indices of stripe i start at 5m(i-1)+1; its gaps reach
+		// back into stripe i-1.
+		clean := !s.tl.growsWithin(5*m) && !s.tl.ghostSince(int32(5*m*(i-2)+1))
+		translate := priced && clean
+		record := i >= 2 && clean && !translate
+		for j := 1; j <= m; j++ {
+			c := i*n + j
+			for o, k := range [5]int{c - 1, c + 1, c - n, c + n, c} {
+				slot, x := rows[k], 5*(j-1)+o
+				if translate && s.tl.reused(slot) {
+					s.tl.repeat(slot, lines)
+					s.miss[ri] += stripe[x]
+					continue
+				}
+				v := s.visit(ri, slot, lines)
+				if record {
+					stripe[x] = v
+				}
+			}
+		}
+		priced = priced || record
+	}
+	s.tl.commit()
 }
 
+// restrict and prolong touch every fine and coarse row once per coarse
+// cell, so (short of overlapping levels) every touch enters the phase.
 func (s *solver) restrict(p Restrict) {
 	ri, r := s.region(p.Region)
 	nf, nc := p.FineDim, p.CoarseDim
-	rowF := func(i, j int) int { return p.FineOffset + (i*nf+j)*nf }
-	rowC := func(i, j int) int { return p.CoarseOffs + (i*nc+j)*nc }
+	fl, cl := s.grid(ri, p.FineOffset, nf), s.grid(ri, p.CoarseOffs, nc)
+	if s.settled(fl, cl) {
+		return
+	}
+	fine, coarse := fl.slots, cl.slots
+	lf := distinctLines(nf, 1, r.ElemSize, s.cfg.LineSize)
+	lc := distinctLines(nc, 1, r.ElemSize, s.cfg.LineSize)
+	s.tl.begin(s.touches(p), false)
 	for i := 0; i < nc; i++ {
 		for j := 0; j < nc; j++ {
 			for di := 0; di < 2; di++ {
 				for dj := 0; dj < 2; dj++ {
-					s.touchRow(ri, r, rowF(2*i+di, 2*j+dj), nf)
+					s.visit(ri, fine[(2*i+di)*nf+2*j+dj], lf)
 				}
 			}
-			s.touchRow(ri, r, rowC(i, j), nc)
+			s.visit(ri, coarse[i*nc+j], lc)
 		}
 	}
+	s.tl.commit()
 }
 
 func (s *solver) prolong(p Prolong) {
 	ri, r := s.region(p.Region)
 	nf, nc := p.FineDim, p.CoarseDim
-	rowF := func(i, j int) int { return p.FineOffset + (i*nf+j)*nf }
-	rowC := func(i, j int) int { return p.CoarseOffs + (i*nc+j)*nc }
+	fl, cl := s.grid(ri, p.FineOffset, nf), s.grid(ri, p.CoarseOffs, nc)
+	if s.settled(fl, cl) {
+		return
+	}
+	fine, coarse := fl.slots, cl.slots
+	lf := distinctLines(nf, 1, r.ElemSize, s.cfg.LineSize)
+	lc := distinctLines(nc, 1, r.ElemSize, s.cfg.LineSize)
+	s.tl.begin(s.touches(p), false)
 	for i := 0; i < nc; i++ {
 		for j := 0; j < nc; j++ {
-			s.touchRow(ri, r, rowC(i, j), nc)
+			s.visit(ri, coarse[i*nc+j], lc)
 			for di := 0; di < 2; di++ {
 				for dj := 0; dj < 2; dj++ {
-					s.touchRow(ri, r, rowF(2*i+di, 2*j+dj), nf)
+					s.visit(ri, fine[(2*i+di)*nf+2*j+dj], lf)
 				}
 			}
 		}
 	}
+	s.tl.commit()
 }
 
-// touchLine is the permutation-phase primitive: one cache line, keyed by
-// its line index within the region.
-func (s *solver) touchLine(ri int, line int64) {
-	d, e, first := s.tl.Touch(s.key(ri, 1+line), 1)
-	if first {
-		s.miss[ri]++
-		return
-	}
-	s.miss[ri] += s.fracGap(d, e, 1)
-}
-
+// bitReverse visits, for every pair i < j = rev(i), the lines of
+// elements i and j. The swap's load/store pairs re-touch the same lines
+// back to back; one visit per element carries the whole swap's miss
+// behaviour. The visit order is a bit-reversed shuffle, not a stream, so
+// every line touch is counted — entries against the timeline, reuses on
+// the phase's local tree.
 func (s *solver) bitReverse(p BitReverse) {
 	ri, r := s.region(p.Region)
-	es, ls := int64(r.ElemSize), int64(s.cfg.LineSize)
+	es := int64(r.ElemSize)
+	shift := bits.TrailingZeros(uint(s.cfg.LineSize)) // line sizes are powers of two
+	fam := s.lines(ri, s.bitReverseLines(p, r))
+	if s.settled(fam) {
+		return
+	}
+	lines := fam.slots
 	logN := bits.TrailingZeros(uint(p.N))
 	visit := func(e int64) {
-		for b := e * es / ls; b <= (e*es+es-1)/ls; b++ {
-			s.touchLine(ri, b)
+		for b := e * es >> shift; b <= (e*es+es-1)>>shift; b++ {
+			s.visit(ri, lines[b], 1)
 		}
 	}
-	// The swap's load/store pairs re-touch the same lines back to back;
-	// one visit per element carries the whole swap's miss behaviour.
+	s.tl.begin(s.touches(p), true)
 	for i := 0; i < p.N; i++ {
 		j := int(bits.Reverse32(uint32(i)) >> (32 - logN))
 		if i < j {
@@ -308,29 +584,48 @@ func (s *solver) bitReverse(p BitReverse) {
 			visit(int64(j))
 		}
 	}
+	s.tl.commit()
 }
 
+// butterflies charges the log2(N) passes, each one traversal of the
+// array touching every line once. The first pass enters every line
+// against what the bit-reversal left. In every later pass a line's gap
+// is exactly the array's other lines: the middle passes are charged
+// from the segment model's pure self-interference term, the last one
+// from the timeline gap (lines-1 lines in lines-1 events) it would
+// measure. That last pass leaves the recency order as the first pass
+// left it, so the timeline is not touched again — unless a phantom (see
+// timeline.regrow) lands in either pass, in which case the last pass is
+// measured like the first.
 func (s *solver) butterflies(p Butterflies) {
 	ri, r := s.region(p.Region)
 	lines := distinctLines(p.N, 1, r.ElemSize, s.cfg.LineSize)
-	passes := bits.TrailingZeros(uint(p.N)) // log2(N) passes, N >= 4 so >= 2
-	emitPass := func() {
-		for b := int64(0); b < lines; b++ {
-			s.touchLine(ri, b)
-		}
+	fam := s.lines(ri, lines)
+	if s.settled(fam) {
+		return
 	}
-	// First and last pass run through the interval counter so the
-	// boundaries against neighboring phases (bit-reversal before, the next
-	// round's bit-reversal after) carry real distances; the middle passes
-	// are uniform — every line's touches in consecutive passes are
-	// separated by exactly the rest of the array.
-	emitPass()
+	slots := fam.slots
+	passes := bits.TrailingZeros(uint(p.N)) // log2(N) passes, N >= 4 so >= 2
+	pass := func() {
+		s.tl.begin(len(slots), false)
+		for _, slot := range slots {
+			s.visit(ri, slot, 1)
+		}
+		s.tl.commit()
+	}
+	measureLast := s.tl.growsWithin(2 * len(slots))
+	pass()
 	if mid := passes - 2; mid > 0 {
-		// Consecutive-pass reuse: a line's gap is exactly one traversal of
-		// its own array — pure self-interference.
 		s.miss[ri] += float64(mid) * float64(lines) * s.fracParts(nil, lines)
 	}
-	if passes >= 2 {
-		emitPass()
+	if measureLast {
+		pass()
+		return
+	}
+	s.tl.skip(len(slots))
+	if c := s.frac(lines-1, lines-1, 1); c != 0 {
+		for range slots {
+			s.miss[ri] += c
+		}
 	}
 }

@@ -9,42 +9,50 @@ import (
 )
 
 // TestAnalyticSpeedupAtLargeTier is the engine's headline cost guarantee:
-// at the Large verification tier, solving CG analytically must be at
-// least 100x faster than the batched sequential replay of its recorded
-// trace — the acceptance bar for a microsecond-scale DVF profile. The
-// measured gap is ~1000x, so the 100x floor leaves an order of magnitude
-// for slow or loaded machines; both sides are timed best-of to shed
-// scheduler noise.
+// at the Large verification tier, an analytic solve must beat the
+// batched sequential replay of the kernel's recorded trace by a floor.
+// CG's floor is 100x against a measured gap of ~1000x. MG and FT get 3x:
+// their closed-form grid and permutation phases measure ~40x and ~9x,
+// while counting every row and line (the per-row solver) measured 1.2x
+// and 0.6x, so a regression to per-row counting fails here. Both sides
+// are timed best-of to shed scheduler noise.
 func TestAnalyticSpeedupAtLargeTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records and replays a 5M-reference trace")
 	}
-	k, err := kernels.ByName("CG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ok := kernels.Affine(k)
-	if !ok {
-		t.Fatal("CG lost its affine pattern")
-	}
-	rec := &trace.BatchRecorder{}
-	if _, err := k.Run(rec); err != nil {
-		t.Fatal(err)
-	}
-	cfg := cache.Large
-	seq, err := replayCell("CG", cfg, rec, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := analyticCell("CG", cfg, d, int64(rec.Len()), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.WallNs <= 0 {
-		t.Fatalf("analytic solve not timed: %+v", an)
-	}
-	if speed := float64(seq.WallNs) / float64(an.WallNs); speed < 100 {
-		t.Errorf("analytic solve only %.1fx faster than sequential replay (replay %dns, solve %dns), want >= 100x",
-			speed, seq.WallNs, an.WallNs)
+	for _, c := range []struct {
+		kernel string
+		floor  float64
+	}{{"CG", 100}, {"MG", 3}, {"FT", 3}} {
+		k, err := kernels.ByName(c.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, ok := kernels.Affine(k)
+		if !ok {
+			t.Fatalf("%s lost its affine pattern", c.kernel)
+		}
+		rec := &trace.BatchRecorder{}
+		if _, err := k.Run(rec); err != nil {
+			t.Fatal(err)
+		}
+		cfg := cache.Large
+		seq, err := replayCell(c.kernel, cfg, rec, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := analyticCell(c.kernel, cfg, d, int64(rec.Len()), 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.WallNs <= 0 {
+			t.Fatalf("%s analytic solve not timed: %+v", c.kernel, an)
+		}
+		speed := float64(seq.WallNs) / float64(an.WallNs)
+		t.Logf("%s: replay %dns, solve %dns, %.1fx", c.kernel, seq.WallNs, an.WallNs, speed)
+		if speed < c.floor {
+			t.Errorf("%s analytic solve only %.1fx faster than sequential replay (replay %dns, solve %dns), want >= %gx",
+				c.kernel, speed, seq.WallNs, an.WallNs, c.floor)
+		}
 	}
 }

@@ -130,7 +130,9 @@ func Affine(k Kernel) bool {
 
 // SolveAnalytic runs the trace-free analytic engine: it derives the
 // kernel's per-structure main-memory access counts symbolically from its
-// affine loop structure, in microseconds instead of a full trace replay.
+// affine loop structure, without a trace (microseconds for VM and CG,
+// and for MG and FT on conflict-free caches; a fraction of a
+// millisecond for MG and FT elsewhere — see analytic.Solve).
 // The result matches the sequential simulator within the documented
 // per-kernel tolerances (analytic.Tolerance, enforced by the differential
 // wall and by dvf-verify -engine analytic).

@@ -300,12 +300,12 @@ func OpenTraceFile(path string) (*TraceFile, error) {
 	}
 	data, closer, err := mapFile(f, st.Size())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	tr, err := DecodeV2(data)
 	if err != nil {
 		_ = closer() // the decode error is the one to report
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &TraceFile{Regions: tr.Regions, tr: tr, closer: closer}, nil
 }

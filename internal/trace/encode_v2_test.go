@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -250,6 +251,9 @@ func TestTraceFileLifetime(t *testing.T) {
 		tf, err := OpenTraceFile(p)
 		if !errors.Is(err, ErrBadTrace) {
 			t.Errorf("%s: OpenTraceFile error = %v, want ErrBadTrace", name, err)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), p+": ") {
+			t.Errorf("%s: OpenTraceFile error %q does not name the file", name, err)
 		}
 		if tf != nil {
 			t.Errorf("%s: OpenTraceFile returned a file with its error", name)
