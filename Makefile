@@ -19,6 +19,7 @@
 #                     experiments package replays every figure)
 #   make bench-smoke  one iteration of the cache simulator's batched and
 #                     per-reference replay benchmarks, CG's CGPMAC models,
+#                     one Figure 4 CG cell per verification cache,
 #                     the fft Aspen evaluation, a dvf-serve analyze miss
 #                     (CG, cgpmac and analytic) and the MG and FT analytic
 #                     solves on every bundled cache, as a compile-and-run
@@ -29,7 +30,8 @@
 #                     oracle, the trace container round-trip (incl.
 #                     misalignment and truncation), the template counter
 #                     against its brute-force oracles, steady-state
-#                     extrapolation against full simulation and bench
+#                     extrapolation against full simulation (templates,
+#                     and traced streams with period boundaries) and bench
 #                     manifest decoding for -compare; FUZZTIME bounds
 #                     each target (default 10s)
 #   make trace-smoke  record the fig4 and fig7 timelines with -trace-out
@@ -104,6 +106,7 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench='BenchmarkBatchReplay|BenchmarkSimulatorAccess' -benchtime=1x ./internal/cache
 	$(GO) test -run '^$$' -bench='^BenchmarkCGTemplateModel$$' -benchtime=1x ./internal/kernels
+	$(GO) test -run '^$$' -bench='^BenchmarkVerifyKernelCG$$' -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
 	$(GO) test -run '^$$' -bench='^BenchmarkServeAnalyzeMiss$$' -benchtime=1x ./internal/serve
 	$(GO) test -run '^$$' -bench='^BenchmarkAnalyticSolve$$' -benchtime=1x ./internal/analytic
@@ -115,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSteadyReplayVsFull$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyStateVsFull$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench

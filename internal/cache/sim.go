@@ -65,6 +65,13 @@ func (c *counters) add(o *counters) {
 	c.evictions += o.evictions
 }
 
+func (c *counters) sub(o *counters) {
+	c.accesses -= o.accesses
+	c.misses -= o.misses
+	c.writebacks -= o.writebacks
+	c.evictions -= o.evictions
+}
+
 func (c *counters) stats() Stats {
 	return Stats{
 		Accesses:   c.accesses,
@@ -119,6 +126,13 @@ type Simulator struct {
 	dense      [denseStructIDs]counters
 	sparse     map[StructID]*counters
 	structName map[StructID]string
+
+	// steady is RefConsumer's period state, allocated at the first
+	// boundary; Consumer and Reset clear it. extrapolated and
+	// extrapolatedRefs count the periods it has added rather than
+	// simulated, and the references they held.
+	steady                         *steadyState
+	extrapolated, extrapolatedRefs int64
 
 	// Tracing state, attached by Trace; nil until then and nil-safe
 	// everywhere, so the untraced miss path pays one nil check and the
@@ -193,13 +207,70 @@ func (s *Simulator) Access(addr uint64, size uint32, write bool, owner StructID)
 }
 
 // Consumer returns the simulator as a trace.Consumer whose Access calls
-// straight into Simulator.Access, with no closure in between.
-func (s *Simulator) Consumer() RefConsumer { return RefConsumer{s} }
+// straight into Simulator.Access, with no closure in between. It starts
+// a new stream: the period state of an earlier consumer is dropped, so
+// take one consumer per kernel run.
+func (s *Simulator) Consumer() RefConsumer {
+	s.steady = nil
+	return RefConsumer{s}
+}
 
-// RefConsumer adapts a Simulator to trace.Consumer; Simulator.Consumer
-// returns one. It is a value type holding only the simulator pointer, so
-// storing it in a trace.Consumer does not allocate.
+// RefConsumer adapts a Simulator to trace.Consumer and
+// trace.PeriodConsumer; Simulator.Consumer returns one. It is a value
+// type holding only the simulator pointer, so storing it in a
+// trace.Consumer does not allocate.
 type RefConsumer struct{ s *Simulator }
+
+// steadyState is what RefConsumer.EndPeriod keeps between boundaries:
+// the counters at the last one, and once a period has ended in the cache
+// state it started from, that period's counter delta.
+type steadyState struct {
+	saved   bool
+	stopped bool
+	base    [denseStructIDs]counters
+	delta   [denseStructIDs]counters
+}
+
+// EndPeriod implements trace.PeriodConsumer. At each boundary it
+// snapshots the cache state and the counters. When a period ends in the
+// state the last snapshot holds, every later period repeats that
+// period's counter deltas exactly (see SameState), so it keeps the delta
+// and stops the stream; at each later boundary it adds the delta instead
+// of simulating the period. It uses, and overwrites, the SaveState
+// snapshot. A stream with out-of-range structure IDs is simulated in
+// full.
+func (c RefConsumer) EndPeriod(refs int64) bool {
+	s := c.s
+	st := s.steady
+	if st == nil {
+		st = &steadyState{}
+		s.steady = st
+	}
+	if st.stopped {
+		for i := range s.dense {
+			s.dense[i].add(&st.delta[i])
+		}
+		s.extrapolated++
+		s.extrapolatedRefs += refs
+		return true
+	}
+	if len(s.sparse) > 0 {
+		return false
+	}
+	if st.saved && s.SameState() {
+		for i := range s.dense {
+			d := s.dense[i]
+			d.sub(&st.base[i])
+			st.delta[i] = d
+		}
+		st.stopped = true
+		return true
+	}
+	s.SaveState()
+	st.base = s.dense
+	st.saved = true
+	return false
+}
 
 // Access presents r to the simulator, attributed to owner.
 //
@@ -332,6 +403,7 @@ func (s *Simulator) Reset() {
 	s.empty()
 	s.dense = [denseStructIDs]counters{}
 	clear(s.sparse)
+	s.steady, s.extrapolated, s.extrapolatedRefs = nil, 0, 0
 }
 
 // SaveState snapshots the cache contents: every set's fill count and
@@ -471,9 +543,11 @@ func (s *Simulator) traceNamed(tz tracez.Recorder, name string) {
 
 // PublishStats exports the simulator's aggregate counters as gauges under
 // prefix ("<prefix>.accesses", ".hits", ".misses", ".evictions",
-// ".writebacks"). The counters are maintained by the simulation itself, so
-// publishing is one sum over the structures and a handful of gauge stores
-// at reporting time — the hot path is never touched.
+// ".writebacks"), and as "<prefix>.periods_extrapolated" the number of
+// periods RefConsumer counted without simulating them. The counters are
+// maintained by the simulation itself, so publishing is one sum over the
+// structures and a handful of gauge stores at reporting time — the hot
+// path is never touched.
 func (s *Simulator) PublishStats(sink metrics.Sink, prefix string) {
 	if sink == nil {
 		return
@@ -484,6 +558,14 @@ func (s *Simulator) PublishStats(sink metrics.Sink, prefix string) {
 	sink.Gauge(prefix + ".misses").Set(st.Misses)
 	sink.Gauge(prefix + ".evictions").Set(st.Evictions)
 	sink.Gauge(prefix + ".writebacks").Set(st.Writebacks)
+	sink.Gauge(prefix + ".periods_extrapolated").Set(s.extrapolated)
+}
+
+// Extrapolated returns how many periods RefConsumer has counted without
+// simulating them since the simulator was built or Reset, and how many
+// references those periods held.
+func (s *Simulator) Extrapolated() (periods, refs int64) {
+	return s.extrapolated, s.extrapolatedRefs
 }
 
 // ResidentBlocks returns how many valid lines currently belong to id,

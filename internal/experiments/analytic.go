@@ -167,7 +167,7 @@ func VerifyKernelAnalytic(k kernels.Kernel, cfg cache.Config) ([]AnalyticRow, An
 	}
 	//dvf:allow determinism same cost-telemetry argument as the solve timer above
 	t0 = time.Now()
-	info, err := k.Run(sim.Consumer())
+	info, err := replay(sim, k.Run)
 	replayNs := time.Since(t0).Nanoseconds()
 	if err != nil {
 		return nil, AnalyticCell{}, fmt.Errorf("experiments: running %s: %w", k.Name(), err)

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/dvf"
 	"github.com/resilience-models/dvf/internal/kernels"
+	"github.com/resilience-models/dvf/internal/trace"
 )
 
 // TestFig4AllWithin15Percent is the paper's headline verification claim:
@@ -308,5 +311,76 @@ func TestBaselineCostRatioZeroGuard(t *testing.T) {
 	cmp := &BaselineComparison{DVFSeconds: 0, InjectSeconds: 5}
 	if cmp.CostRatio() != 0 {
 		t.Error("zero model time should report 0 rather than dividing")
+	}
+}
+
+// BenchmarkVerifyKernelCG times one Figure 4 CG cell (n=500, 10
+// iterations) per verification cache: the traced run into the
+// simulator, which stops once the cache state repeats, plus the CGPMAC
+// models.
+func BenchmarkVerifyKernelCG(b *testing.B) {
+	for _, cfg := range cache.VerificationConfigs() {
+		b.Run(cfg.Name, func(b *testing.B) {
+			for range b.N {
+				if _, err := VerifyKernel(kernels.NewCG(500, 10), cfg, Env{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestCGExitBetweenBoundariesFallsBack forces CG's p.q == 0 exit, which
+// leaves the loop part-way through an iteration. At n=2 the residual
+// underflows to zero after 20 iterations; by then the cache state has
+// long repeated, so the iteration's matvec and dot product were withheld
+// from the stopped simulator. The bare run must fail rather than report
+// counters short of those references, and replay must fall back to a
+// full replay and return its counts, so VerifyKernel and
+// VerifyKernelAnalytic answer on this input.
+func TestCGExitBetweenBoundariesFallsBack(t *testing.T) {
+	mk := func() *kernels.CG { return &kernels.CG{N: 2, MaxIters: 1000} }
+	newSim := func() *cache.Simulator {
+		sim, err := cache.NewSimulator(cache.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	full := newSim()
+	plain := full.Consumer()
+	want, err := mk().Run(trace.ConsumerFunc(plain.Access))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters := int(want.Measured["iters"]); iters >= 1000 {
+		t.Fatalf("CG n=2 ran %d iterations; the p.q == 0 exit did not fire", iters)
+	}
+	if info, err := mk().Run(newSim().Consumer()); !errors.Is(err, trace.ErrPartialPeriod) {
+		t.Fatalf("exit between boundaries: info %+v, err %v; want trace.ErrPartialPeriod", info, err)
+	}
+
+	sim := newSim()
+	got, err := replay(sim, mk().Run)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RunInfo: replay %+v, full %+v", got, want)
+	}
+	if g, w := sim.PerStructStats(), full.PerStructStats(); !reflect.DeepEqual(g, w) {
+		t.Errorf("PerStructStats: replay %v, full %v", g, w)
+	}
+	if g, w := sim.TotalStats(), full.TotalStats(); g != w {
+		t.Errorf("TotalStats: replay %+v, full %+v", g, w)
+	}
+	if p, _ := sim.Extrapolated(); p != 0 {
+		t.Errorf("the fallback extrapolated %d periods", p)
+	}
+	if _, err := VerifyKernel(mk(), cache.Small, Env{}); err != nil {
+		t.Errorf("VerifyKernel: %v", err)
+	}
+	if _, _, err := VerifyKernelAnalytic(mk(), cache.Small); err != nil {
+		t.Errorf("VerifyKernelAnalytic: %v", err)
 	}
 }

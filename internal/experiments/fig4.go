@@ -5,12 +5,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/kernels"
 	"github.com/resilience-models/dvf/internal/trace"
+	"github.com/resilience-models/dvf/internal/tracez"
 )
 
 // Fig4Row is one bar pair of Figure 4: the analytically estimated and the
@@ -55,18 +57,42 @@ func (res *Fig4Result) MaxAbsErrorPct() float64 {
 	return max
 }
 
+// replay runs a kernel into sim through its RefConsumer, which stops
+// simulating once the kernel's cache state repeats and counts the
+// remaining periods (cache.RefConsumer.EndPeriod). A run that leaves
+// its loop between period boundaries after the stop (CG's p.q == 0
+// exit) fails with trace.ErrPartialPeriod; replay then resets sim and
+// runs again with every reference delivered, so the counts are always a
+// full replay's.
+func replay(sim *cache.Simulator, run func(trace.Consumer) (*kernels.RunInfo, error)) (*kernels.RunInfo, error) {
+	info, err := run(sim.Consumer())
+	if errors.Is(err, trace.ErrPartialPeriod) {
+		sim.Reset()
+		full := sim.Consumer()
+		info, err = run(trace.ConsumerFunc(full.Access))
+	}
+	return info, err
+}
+
 // VerifyKernel runs one kernel traced through the cache simulator on cfg
 // and compares the per-structure CGPMAC estimates against the simulated
 // miss counts — the Figure 4 procedure for a single (kernel, cache) cell.
 // One cell is one sequential replay, so env.Workers is not used.
 //
+// The kernel runs through replay, so a kernel that marks period
+// boundaries (CG) stops being simulated once its cache state repeats,
+// and the remaining periods are counted; the counts equal a full
+// replay's.
+//
 // A live env.Metrics receives the kernel's reference-stream counters
-// (trace.Instrumented), a "experiments.kernel_run_ns" timing of the
-// traced run and the cell's final cache counters. A live env.Tracer
-// gives the cell its own track ("fig4 CG/Verify256KB") carrying a "run"
-// span around the traced kernel execution and a "model" span around the
-// estimator evaluation, plus the simulator's own track
-// (Simulator.Trace). The rows are byte-identical for every Env.
+// (trace.Instrumented, references delivered to the simulator), a
+// "experiments.kernel_run_ns" timing of the traced run and the cell's
+// final cache counters. A live env.Tracer gives the cell its own track
+// ("fig4 CG/Verify256KB") carrying a "run" span around the traced kernel
+// execution, with the references made ("refs") and those simulated
+// ("simulated_refs"), and a "model" span around the estimator
+// evaluation, plus the simulator's own track (Simulator.Trace). The rows
+// are byte-identical for every Env.
 func VerifyKernel(k kernels.Kernel, cfg cache.Config, env Env) ([]Fig4Row, error) {
 	sim, err := cache.NewSimulator(cfg)
 	if err != nil {
@@ -74,17 +100,19 @@ func VerifyKernel(k kernels.Kernel, cfg cache.Config, env Env) ([]Fig4Row, error
 	}
 	sim.Trace(env.Tracer)
 	tk := env.Tracer.Track("fig4 " + k.Name() + "/" + cfg.Name)
-	sink := trace.Instrumented(sim.Consumer(), env.Metrics, "experiments.trace")
 	sw := env.Metrics.Timer("experiments.kernel_run_ns").Start()
 	sp := tk.Begin("run")
-	info, err := k.Run(sink)
+	info, err := replay(sim, func(c trace.Consumer) (*kernels.RunInfo, error) {
+		return k.Run(trace.Instrumented(c, env.Metrics, "experiments.trace"))
+	})
 	sw.Stop()
 	defer sim.PublishStats(env.Metrics, "cache."+k.Name()+"."+cfg.Name)
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
 	}
-	sp.EndInt("refs", info.Refs)
+	_, extrapolated := sim.Extrapolated()
+	sp.EndArgs(tracez.Arg{Key: "refs", Val: info.Refs}, tracez.Arg{Key: "simulated_refs", Val: info.Refs - extrapolated})
 	sp = tk.Begin("model")
 	defer sp.End()
 	specs, err := k.Models(info)

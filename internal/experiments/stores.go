@@ -37,7 +37,7 @@ func VerifyStores(k kernels.StoreModeler, cfg cache.Config) ([]StoreRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	info, err := k.Run(sim.Consumer())
+	info, err := replay(sim, k.Run)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", k.Name(), err)
 	}

@@ -196,6 +196,7 @@ func (c *CG) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 		rho = rhoNew
 		flops += xpay(r, beta, p) // p = r + beta p
 		iters++
+		m.mem.Period()
 		if c.Tol > 0 && math.Sqrt(rho) <= c.Tol*bNorm {
 			break
 		}
@@ -204,6 +205,10 @@ func (c *CG) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 		if err := inj.finish(); err != nil {
 			return nil, err
 		}
+	}
+	//dvf:extract assume-false Err reports only references withheld from a stopped consumer, never a change to the references the run makes
+	if err := m.mem.Err(); err != nil {
+		return nil, fmt.Errorf("cg: %w", err)
 	}
 
 	return &RunInfo{

@@ -69,10 +69,26 @@ func (a *tmat) set(i, j int, x float64) {
 }
 
 // matVec computes dst = a * src with the canonical dense access order:
-// per row, the row of a is streamed and src is fully re-traversed.
+// per row, the row of a is streamed and src is fully re-traversed. While
+// no consumer receives references it works on the raw slices, in the
+// same summation order, and counts each row's 2n+1 references at once.
 func matVec(dst, src *tvec, a *tmat) int64 {
 	n := a.n
 	var flops int64
+	//dvf:extract assume-false the quiet path makes the same references as the traced loop below, only without emitting them, and is taken only when no consumer receives any
+	if a.mem.Quiet() {
+		for i := 0; i < n; i++ {
+			row := a.data[i*n : i*n+n]
+			sum := 0.0
+			for j, v := range row {
+				sum += v * src.data[j]
+			}
+			dst.data[i] = sum
+			a.mem.AddRefs(int64(2*n + 1))
+			flops += int64(2 * n)
+		}
+		return flops
+	}
 	for i := 0; i < n; i++ {
 		sum := 0.0
 		for j := 0; j < n; j++ {

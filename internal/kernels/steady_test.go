@@ -1,0 +1,153 @@
+package kernels
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/resilience-models/dvf/internal/cache"
+	"github.com/resilience-models/dvf/internal/metrics"
+	"github.com/resilience-models/dvf/internal/trace"
+)
+
+// replayBoth runs mk() once into cfg's simulator through its RefConsumer,
+// which may stop at a steady state, and once through a plain
+// trace.ConsumerFunc, which sees every reference. It returns both
+// simulators and run infos.
+func replayBoth(t *testing.T, mk func() Kernel, cfg cache.Config) (steady, full *cache.Simulator, si, fi *RunInfo) {
+	t.Helper()
+	steady, err := cache.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err = cache.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si, err = mk().Run(steady.Consumer()); err != nil {
+		t.Fatal(err)
+	}
+	plain := full.Consumer()
+	if fi, err = mk().Run(trace.ConsumerFunc(plain.Access)); err != nil {
+		t.Fatal(err)
+	}
+	return steady, full, si, fi
+}
+
+// requireSameReplay fails unless both simulators hold equal per-structure
+// and total counters and both runs report equal RunInfo.
+func requireSameReplay(t *testing.T, steady, full *cache.Simulator, si, fi *RunInfo) {
+	t.Helper()
+	if got, want := steady.PerStructStats(), full.PerStructStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("PerStructStats: steady-state %v, full %v", got, want)
+	}
+	if got, want := steady.TotalStats(), full.TotalStats(); got != want {
+		t.Errorf("TotalStats: steady-state %+v, full %+v", got, want)
+	}
+	if si.Refs != fi.Refs {
+		t.Errorf("RunInfo.Refs: steady-state %d, full %d", si.Refs, fi.Refs)
+	}
+	if !reflect.DeepEqual(si, fi) {
+		t.Errorf("RunInfo: steady-state %+v, full %+v", si, fi)
+	}
+}
+
+// TestSteadyReplayMatchesFull is the steady-state replay differential:
+// every verification kernel on every Table IV geometry, plus CG run to
+// convergence, give the simulator the same counters and the run the
+// same RunInfo whether the simulator may stop at a steady state or sees
+// every reference.
+func TestSteadyReplayMatchesFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays every kernel on six geometries twice")
+	}
+	type tc struct {
+		name string
+		mk   func() Kernel
+	}
+	var cases []tc
+	for _, k := range VerificationSuite() {
+		name := k.Name()
+		cases = append(cases, tc{name, func() Kernel { k, _ := ByName(name); return k }})
+	}
+	cases = append(cases, tc{"CG-tol", func() Kernel { return NewCGToConvergence(120, 1e-8) }})
+	configs := append(cache.VerificationConfigs(), cache.ProfilingConfigs()...)
+	for _, c := range cases {
+		for _, cfg := range configs {
+			t.Run(c.name+"/"+cfg.Name, func(t *testing.T) {
+				steady, full, si, fi := replayBoth(t, c.mk, cfg)
+				requireSameReplay(t, steady, full, si, fi)
+				if n, _ := full.Extrapolated(); n != 0 {
+					t.Errorf("a plain consumer extrapolated %d periods", n)
+				}
+				if periods, _ := steady.Extrapolated(); c.name == "CG" && periods == 0 {
+					t.Errorf("CG on %s simulated every iteration", cfg.Name)
+				}
+			})
+		}
+	}
+}
+
+// TestCGSteadyReplayStopsEarly pins the saving: on both verification
+// caches, the references that reach the simulator during the Figure 4
+// CG run (n=500, 10 iterations) are at most the prefix (the initial rho
+// loop) plus two of the ten iterations.
+func TestCGSteadyReplayStopsEarly(t *testing.T) {
+	k := NewCG(500, 10)
+	n := int64(k.N)
+	prefix := n
+	iteration := n*(2*n+1) + 2*n + 3*n + 3*n + n + 3*n
+	for _, cfg := range cache.VerificationConfigs() {
+		sim, err := cache.NewSimulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.New()
+		info, err := k.Run(trace.Instrumented(sim.Consumer(), reg, "t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := prefix + 10*iteration; info.Refs != want {
+			t.Fatalf("%s: RunInfo.Refs %d, want %d", cfg.Name, info.Refs, want)
+		}
+		delivered := reg.Snapshot().Counters["t.refs"]
+		if limit := prefix + 2*iteration; delivered > limit {
+			t.Errorf("%s: %d references reached the simulator, want at most %d (prefix + 2 iterations)",
+				cfg.Name, delivered, limit)
+		}
+		periods, refs := sim.Extrapolated()
+		if delivered+refs != info.Refs || periods != (info.Refs-delivered)/iteration {
+			t.Errorf("%s: %d delivered + %d extrapolated in %d periods, want %d refs in whole iterations",
+				cfg.Name, delivered, refs, periods, info.Refs)
+		}
+	}
+}
+
+// TestCGInjectedMatchesFull: an injected run never extrapolates (the
+// injector wrapping the sink has no EndPeriod), so a flip in iteration 3
+// or later, after the cache state has repeated, gives the simulator the
+// same counters behind its RefConsumer as behind a plain consumer.
+func TestCGInjectedMatchesFull(t *testing.T) {
+	const n, iters = 100, 8
+	iteration := int64(n*(2*n+1) + 12*n)
+	for _, it := range []int64{3, 5, 8} {
+		fault := Fault{Structure: "p", ByteOffset: 8 * 17, Bit: 6, AtRef: n + (it-1)*iteration + 5*n}
+		for _, cfg := range cache.VerificationConfigs() {
+			t.Run(fmt.Sprintf("iter%d/%s", it, cfg.Name), func(t *testing.T) {
+				steady, full, si, fi := replayBoth(t, func() Kernel { return injected{NewCG(n, iters), fault} }, cfg)
+				requireSameReplay(t, steady, full, si, fi)
+				if p, _ := steady.Extrapolated(); p != 0 {
+					t.Errorf("an injected run extrapolated %d periods", p)
+				}
+			})
+		}
+	}
+}
+
+// injected runs its kernel with the fault armed.
+type injected struct {
+	*CG
+	fault Fault
+}
+
+func (k injected) Run(sink trace.Consumer) (*RunInfo, error) { return k.RunInjected(k.fault, sink) }

@@ -2,30 +2,58 @@ package trace
 
 import "github.com/resilience-models/dvf/internal/metrics"
 
-// Instrumented wraps a consumer so every reference flowing through it is
+// Instrumented wraps a consumer so every reference delivered to it is
 // tallied into sink under prefix: <prefix>.refs, <prefix>.bytes and
 // <prefix>.writes counters. This is how kernel trace generation and trace
-// replay are observed without touching the kernels themselves. A nil sink
-// returns next unchanged, so the uninstrumented path keeps its exact call
-// graph; a nil next with a live sink yields a pure counting consumer.
+// replay are observed without touching the kernels themselves. When next
+// is a PeriodConsumer the wrapper is one too and forwards each period
+// boundary, so an instrumented run stops where the bare one would; the
+// counters then hold the references delivered, not those the kernel
+// made (RunInfo.Refs). A nil sink returns next unchanged, so the
+// uninstrumented path keeps its exact call graph; a nil next with a live
+// sink yields a pure counting consumer.
 func Instrumented(next Consumer, sink metrics.Sink, prefix string) Consumer {
 	if sink == nil {
 		return next
 	}
-	refs := sink.Counter(prefix + ".refs")
-	bytes := sink.Counter(prefix + ".bytes")
-	writes := sink.Counter(prefix + ".writes")
-	return ConsumerFunc(func(r Ref, owner int32) {
-		refs.Inc()
-		bytes.Add(int64(r.Size))
-		if r.Write {
-			writes.Inc()
-		}
-		if next != nil {
-			next.Access(r, owner)
-		}
-	})
+	c := &instrumented{
+		next:   next,
+		refs:   sink.Counter(prefix + ".refs"),
+		bytes:  sink.Counter(prefix + ".bytes"),
+		writes: sink.Counter(prefix + ".writes"),
+	}
+	if p, ok := next.(PeriodConsumer); ok {
+		return instrumentedPeriods{c, p}
+	}
+	return c
 }
+
+// instrumented is the consumer Instrumented returns.
+type instrumented struct {
+	next                Consumer
+	refs, bytes, writes *metrics.Counter
+}
+
+// Access tallies r and passes it on.
+func (c *instrumented) Access(r Ref, owner int32) {
+	c.refs.Inc()
+	c.bytes.Add(int64(r.Size))
+	if r.Write {
+		c.writes.Inc()
+	}
+	if c.next != nil {
+		c.next.Access(r, owner)
+	}
+}
+
+// instrumentedPeriods is instrumented over a PeriodConsumer.
+type instrumentedPeriods struct {
+	*instrumented
+	period PeriodConsumer
+}
+
+// EndPeriod forwards the boundary.
+func (c instrumentedPeriods) EndPeriod(refs int64) bool { return c.period.EndPeriod(refs) }
 
 // InstrumentedBatch is Instrumented for the batched replay path: the same
 // <prefix>.refs/.bytes/.writes counters, tallied once per batch from the

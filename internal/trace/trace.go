@@ -13,6 +13,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -115,23 +116,99 @@ func (g *Registry) Lookup(addr uint64) (Region, bool) {
 //
 //	mem.LoadN(a, i, 8)   // read  the 8-byte element a[i]
 //	mem.StoreN(c, i, 8)  // write the 8-byte element c[i]
+//
+// A kernel whose stream repeats marks its period boundaries with Period.
+// When the consumer is a PeriodConsumer and reports a steady state at a
+// boundary, the Memory stops delivering references and lets the consumer
+// count each later period itself; Refs still counts every reference.
 type Memory struct {
 	reg  *Registry
-	sink Consumer
+	sink Consumer // nil when discarding, or once a PeriodConsumer stopped
 	refs int64
+
+	// period is the consumer told of period boundaries: the sink when it
+	// implements PeriodConsumer, nil otherwise.
+	period PeriodConsumer
+	// mark is Refs at the last boundary. Once period stopped, steady is
+	// the length of the period at whose end it did.
+	mark, steady int64
+	stopped      bool
+	err          error
 }
+
+// PeriodConsumer is a Consumer that can stand in for the repeats of a
+// periodic reference stream. Memory calls EndPeriod at each boundary a
+// kernel marks with Period, passing the number of references the period
+// held. Once EndPeriod returns true the consumer has reached a steady
+// state: it receives no further references, and at every later boundary
+// EndPeriod must count one more period, of the same references as the one
+// that ended where it stopped, and return true again. A consumer that
+// only observes the stream (Recorder, Tee, Instrumented over a plain
+// consumer) does not implement it and receives every reference.
+type PeriodConsumer interface {
+	Consumer
+	EndPeriod(refs int64) (stop bool)
+}
+
+// ErrPartialPeriod reports that references made while a PeriodConsumer
+// was stopped do not form whole periods, so the consumer cannot have
+// counted them: the stream ended, or reached a boundary, part-way through
+// a period.
+var ErrPartialPeriod = errors.New("trace: references outside a whole period were withheld from a stopped consumer")
 
 // NewMemory builds a Memory that reports references to sink. A nil sink
 // discards references (useful when only the algorithm's result is needed).
 func NewMemory(reg *Registry, sink Consumer) *Memory {
-	return &Memory{reg: reg, sink: sink}
+	m := &Memory{reg: reg, sink: sink}
+	m.period, _ = sink.(PeriodConsumer)
+	return m
 }
 
 // Registry returns the underlying registry.
 func (m *Memory) Registry() *Registry { return m.reg }
 
-// Refs returns the number of references emitted so far.
+// Refs returns the number of references made so far, delivered or not.
 func (m *Memory) Refs() int64 { return m.refs }
+
+// Quiet reports whether references currently reach no consumer: the sink
+// is nil, or a PeriodConsumer stopped. A kernel may then compute on its
+// raw data and count the references it made with AddRefs.
+func (m *Memory) Quiet() bool { return m.sink == nil }
+
+// AddRefs counts n references made without emitting them. Call it only
+// while Quiet reports true.
+func (m *Memory) AddRefs(n int64) { m.refs += n }
+
+// Period marks the end of one period of the stream. Every period after
+// the first boundary must make the same references in the same order;
+// what precedes the first boundary is free. A stopped consumer is told
+// of the period only when it is as long as the period it stopped at.
+func (m *Memory) Period() {
+	if m.period == nil || m.err != nil {
+		return
+	}
+	n := m.refs - m.mark
+	m.mark = m.refs
+	if m.stopped && n != m.steady {
+		m.err = fmt.Errorf("%w: a period of %d references after a steady period of %d", ErrPartialPeriod, n, m.steady)
+		return
+	}
+	if m.period.EndPeriod(n) && !m.stopped {
+		m.sink, m.steady, m.stopped = nil, n, true
+	}
+}
+
+// Err reports ErrPartialPeriod when references were withheld from a
+// stopped consumer that it could not count: a period of another length,
+// or references after the last boundary. A kernel that marks periods
+// checks it before returning its counts; nil means every reference
+// reached the consumer or lies in a period it counted.
+func (m *Memory) Err() error {
+	if m.err == nil && m.stopped && m.refs != m.mark {
+		return fmt.Errorf("%w: %d references after the last boundary", ErrPartialPeriod, m.refs-m.mark)
+	}
+	return m.err
+}
 
 // Load emits a read of size bytes at byte offset off within region r.
 func (m *Memory) Load(r Region, off uint64, size uint32) {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,6 +124,65 @@ func TestMemoryNilSinkCountsOnly(t *testing.T) {
 	}
 	if mem.Refs() != 8 {
 		t.Errorf("Refs = %d, want 8", mem.Refs())
+	}
+}
+
+// stopAfter is a PeriodConsumer that stops at its stop-th boundary and
+// records every reference and every period length it is told of.
+type stopAfter struct {
+	Recorder
+	stop    int
+	periods []int64
+}
+
+func (c *stopAfter) EndPeriod(refs int64) bool {
+	c.periods = append(c.periods, refs)
+	return len(c.periods) >= c.stop
+}
+
+func TestMemoryPeriodsStop(t *testing.T) {
+	g := NewRegistry()
+	a := g.Alloc("A", 64)
+	period := func(mem *Memory) {
+		mem.LoadN(a, 0, 8)
+		mem.StoreN(a, 1, 8)
+	}
+	c := &stopAfter{stop: 2}
+	mem := NewMemory(g, c)
+	mem.LoadN(a, 2, 8) // prefix
+	for range 4 {
+		period(mem)
+		mem.Period()
+	}
+	if !mem.Quiet() || c.Len() != 5 || mem.Refs() != 9 {
+		t.Fatalf("after stopping at boundary 2: quiet %v, %d delivered, %d refs; want quiet, 5, 9",
+			mem.Quiet(), c.Len(), mem.Refs())
+	}
+	if want := []int64{3, 2, 2, 2}; !slices.Equal(c.periods, want) {
+		t.Errorf("periods told %v, want %v", c.periods, want)
+	}
+	if err := mem.Err(); err != nil {
+		t.Errorf("stream ended on a boundary, yet Err: %v", err)
+	}
+
+	mem.AddRefs(1) // a reference made on raw data while quiet
+	if err := mem.Err(); !errors.Is(err, ErrPartialPeriod) {
+		t.Errorf("reference after the last boundary: Err %v, want ErrPartialPeriod", err)
+	}
+	mem.AddRefs(2)
+	mem.Period() // a period of 3 after a steady period of 2
+	if err := mem.Err(); !errors.Is(err, ErrPartialPeriod) || len(c.periods) != 4 {
+		t.Errorf("uneven period: Err %v and %d periods told, want ErrPartialPeriod and 4", err, len(c.periods))
+	}
+
+	rec := &Recorder{} // no EndPeriod: every reference is delivered
+	mem = NewMemory(g, rec)
+	for range 3 {
+		period(mem)
+		mem.Period()
+	}
+	if mem.Quiet() || rec.Len() != 6 || mem.Err() != nil {
+		t.Errorf("plain consumer: quiet %v, %d delivered, Err %v", mem.Quiet(), rec.Len(), mem.Err())
 	}
 }
 
