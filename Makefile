@@ -18,7 +18,8 @@
 #   make race         full suite under the race detector (slow: the
 #                     experiments package replays every figure)
 #   make bench-smoke  one iteration of the cache simulator's batched and
-#                     per-reference replay benchmarks, CG's CGPMAC models,
+#                     per-reference replay benchmarks, the CG, MG and FT
+#                     CGPMAC models (with and without line runs),
 #                     one Figure 4 CG cell per verification cache,
 #                     the fft Aspen evaluation, a dvf-serve analyze miss
 #                     (CG, cgpmac and analytic) and the MG and FT analytic
@@ -27,9 +28,12 @@
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
 #                     differential, the simulator against its naive LRU
-#                     oracle, the trace container round-trip (incl.
-#                     misalignment and truncation), the template counter
-#                     against its brute-force oracles, steady-state
+#                     oracle, line-run repeats (AccessRun, VisitRun)
+#                     against plain walks, the trace container round-trip
+#                     (incl. misalignment and truncation), the template
+#                     counter against its brute-force oracles, the Aspen
+#                     compiler end to end (never a panic; templates
+#                     equal to their flattened walk), steady-state
 #                     extrapolation against full simulation (templates,
 #                     and traced streams with period boundaries) and bench
 #                     manifest decoding for -compare; FUZZTIME bounds
@@ -105,7 +109,7 @@ race:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench='BenchmarkBatchReplay|BenchmarkSimulatorAccess' -benchtime=1x ./internal/cache
-	$(GO) test -run '^$$' -bench='^BenchmarkCGTemplateModel$$' -benchtime=1x ./internal/kernels
+	$(GO) test -run '^$$' -bench='^Benchmark(CG|MG|FT)TemplateModel$$' -benchtime=1x ./internal/kernels
 	$(GO) test -run '^$$' -bench='^BenchmarkVerifyKernelCG$$' -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
 	$(GO) test -run '^$$' -bench='^BenchmarkServeAnalyzeMiss$$' -benchtime=1x ./internal/serve
@@ -117,10 +121,13 @@ bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessRunVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyReplayVsFull$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
+	$(GO) test -run '^$$' -fuzz '^FuzzVisitRunVsVisit$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyStateVsFull$$' -fuzztime $(FUZZTIME) ./internal/patterns
+	$(GO) test -run '^$$' -fuzz '^FuzzAspenEvaluate$$' -fuzztime $(FUZZTIME) ./internal/aspen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
 
 TRACEOUT ?= trace-out

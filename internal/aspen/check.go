@@ -118,7 +118,7 @@ func checkPattern(m *Model, d *Data, vars env) error {
 		if err != nil {
 			return err
 		}
-		if _, err := expandTemplate(p, vars, repeats); err != nil {
+		if _, err := lowerTemplateWalk(p, vars, repeats); err != nil {
 			return err
 		}
 	default:

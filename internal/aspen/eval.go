@@ -3,7 +3,6 @@ package aspen
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -599,9 +598,9 @@ func orderInterference(seq []string, target string, sizes map[string]int64) (int
 	return totalGaps / int64(gaps), len(positions)
 }
 
-// lowerTemplate expands a template pattern's ranges and list into element
-// indices lazily per cache configuration, then counts misses through the
-// two-step algorithm, one repeat per patterns.RunPeriods period.
+// lowerTemplate lowers a template pattern onto its walk, then counts
+// misses through the two-step algorithm lazily per cache configuration,
+// one repeat per patterns.RunPeriods period.
 func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator, error) {
 	elem, err := evalInt(p.ElemSize, vars, "element size", p.Pos)
 	if err != nil {
@@ -614,18 +613,17 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 	if err != nil {
 		return nil, err
 	}
-	elems, err := expandTemplate(p, vars, repeats)
+	w, err := lowerTemplateWalk(p, vars, repeats)
 	if err != nil {
 		return nil, err
 	}
-	maxElems := size / int64(elem)
-	for _, e := range elems {
+	w.elem = int64(elem)
+	maxElems := size / w.elem
+	if e, ok := w.outside(maxElems); ok {
 		if e < 0 {
 			return nil, errAt(p.Pos, "template element index %d is negative", e)
 		}
-		if maxElems > 0 && e >= maxElems {
-			return nil, errAt(p.Pos, "template element index %d exceeds the structure's %d elements", e, maxElems)
-		}
+		return nil, errAt(p.Pos, "template element index %d exceeds the structure's %d elements", e, maxElems)
 	}
 	return patterns.Func{
 		Name:  "template",
@@ -635,28 +633,94 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 			// spans; bound those visits too (to within the one extra line
 			// a misaligned element may touch) before the counter grows a
 			// node per block.
-			span := mathx.CeilDiv(int64(elem), int64(cfg.LineSize))
-			if int64(len(elems))*int64(repeats) > maxTemplateAccesses/span {
+			span := mathx.CeilDiv(w.elem, int64(cfg.LineSize))
+			if w.accesses()*int64(w.repeats) > maxTemplateAccesses/span {
 				return 0, errAt(p.Pos, "template of %d-byte elements on %d-byte lines exceeds the %d block-visit limit",
-					elem, cfg.LineSize, int64(maxTemplateAccesses))
+					w.elem, cfg.LineSize, int64(maxTemplateAccesses))
 			}
-			// Each repeat is one period: once the LRU state repeats, the
-			// remaining repeats are counted, not replayed.
-			ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
-			misses := patterns.RunPeriods(repeats, ctr, func(dst []int64) []int64 {
-				return append(dst, ctr.Misses())
-			}, func() {
-				for _, e := range elems {
-					first := e * int64(elem) / int64(cfg.LineSize)
-					last := (e*int64(elem) + int64(elem) - 1) / int64(cfg.LineSize)
-					for b := first; b <= last; b++ {
-						ctr.Visit(b)
-					}
-				}
-			})
-			return float64(misses[0]), nil
+			return float64(w.misses(cfg)), nil
 		},
 	}, nil
+}
+
+// templateWalk is a lowered template: its ranged groups, then its
+// explicit list, the whole repeated repeats times, over elements of elem
+// bytes.
+type templateWalk struct {
+	groups  []rangeGroup
+	list    []int64
+	elem    int64
+	repeats int
+}
+
+// rangeGroup is one ranged group: count steps, where step g touches
+// element bases[i] + g*step of every member i, in member order.
+type rangeGroup struct {
+	bases       []int64
+	step, count int64
+}
+
+// outside returns an element index of the walk outside [0, maxElems),
+// if there is one. A ranged group's indices move by a fixed step, so its
+// members' two ends bound them.
+func (w *templateWalk) outside(maxElems int64) (int64, bool) {
+	for _, g := range w.groups {
+		for _, b := range g.bases {
+			last := b + (g.count-1)*g.step
+			if e := min(b, last); e < 0 {
+				return e, true
+			}
+			if e := max(b, last); e >= maxElems {
+				return e, true
+			}
+		}
+	}
+	for _, e := range w.list {
+		if e < 0 || e >= maxElems {
+			return e, true
+		}
+	}
+	return 0, false
+}
+
+// accesses returns the element accesses of one repeat.
+func (w *templateWalk) accesses() int64 {
+	n := int64(len(w.list))
+	for _, g := range w.groups {
+		n += g.count * int64(len(g.bases))
+	}
+	return n
+}
+
+// misses feeds the walk for cfg through a TemplateCounter and returns
+// its misses. The ranged groups go one line run at a time (see
+// patterns.LineRun): the steps for which every member stays in its line
+// visit one block group again and again. The list goes element by
+// element. Each repeat is one period: once the LRU state repeats, the
+// remaining repeats are counted, not replayed.
+func (w *templateWalk) misses(cfg cache.Config) int64 {
+	ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
+	run := patterns.NewLineRun(ctr, cfg.LineSize)
+	misses := patterns.RunPeriods(w.repeats, ctr, func(dst []int64) []int64 {
+		return append(dst, ctr.Misses())
+	}, func() {
+		for _, g := range w.groups {
+			stride := g.step * w.elem
+			for s := int64(0); s < g.count; {
+				run.Start(int(g.count - s))
+				for _, b := range g.bases {
+					run.Add((b+s*g.step)*w.elem, w.elem, stride)
+				}
+				s += int64(run.End())
+			}
+		}
+		for _, e := range w.list {
+			run.Start(1)
+			run.Add(e*w.elem, w.elem, 0)
+			run.End()
+		}
+	})
+	return misses[0]
 }
 
 // templateRepeats evaluates a template's repeat count, 1 when absent.
@@ -678,13 +742,15 @@ func templateRepeats(p *TemplatePattern, vars env) (int, error) {
 // before it is rejected.
 const maxTemplateAccesses = 1 << 22
 
-// expandTemplate linearizes the ranged groups and explicit list into a
-// single element-index sequence (ranges first, in declaration order). The
-// sequence, replayed repeats times, must stay within maxTemplateAccesses;
-// each range's size is checked from its bounds before it is expanded.
-func expandTemplate(p *TemplatePattern, vars env, repeats int) ([]int64, error) {
+// lowerTemplateWalk evaluates a template's ranged groups (in declaration
+// order) and explicit list into its walk, with no element size yet. The
+// walk's element accesses, replayed repeats times, must stay within
+// maxTemplateAccesses; each range's size is checked from its bounds
+// before it is kept.
+func lowerTemplateWalk(p *TemplatePattern, vars env, repeats int) (*templateWalk, error) {
+	w := &templateWalk{repeats: repeats}
 	budget := int64(maxTemplateAccesses / repeats) // accesses one repeat may use
-	var elems []int64
+	var used int64
 	if len(p.Ranges) > 0 && len(p.Dims) == 0 {
 		return nil, errAt(p.Pos, "ranged templates require a dims declaration")
 	}
@@ -718,32 +784,28 @@ func expandTemplate(p *TemplatePattern, vars env, repeats int) ([]int64, error) 
 				return nil, errAt(r.Pos, "range group members advance unevenly (%d vs %d steps)", count, got)
 			}
 		}
-		if count > (budget-int64(len(elems)))/int64(len(from)) {
+		if count > (budget-used)/int64(len(from)) {
 			return nil, errAt(r.Pos, "range of %d steps x %d references, repeated %d times, exceeds the %d-access template limit",
 				count, len(from), repeats, int64(maxTemplateAccesses))
 		}
-		elems = slices.Grow(elems, int(count)*len(from))
-		for g := int64(0); g < count; g++ {
-			for i := range from {
-				elems = append(elems, from[i]+g*step)
-			}
-		}
+		used += count * int64(len(from))
+		w.groups = append(w.groups, rangeGroup{bases: from, step: step, count: count})
 	}
-	if int64(len(elems)+len(p.List)) > budget {
+	if used+int64(len(p.List)) > budget {
 		return nil, errAt(p.Pos, "template of %d accesses, repeated %d times, exceeds the %d-access template limit",
-			len(elems)+len(p.List), repeats, int64(maxTemplateAccesses))
+			used+int64(len(p.List)), repeats, int64(maxTemplateAccesses))
 	}
 	for _, le := range p.List {
 		v, err := evalExpr(le, vars)
 		if err != nil {
 			return nil, err
 		}
-		elems = append(elems, int64(v))
+		w.list = append(w.list, int64(v))
 	}
-	if len(elems) == 0 {
+	if used+int64(len(w.list)) == 0 {
 		return nil, errAt(p.Pos, "template declares no accesses (need range or list)")
 	}
-	return elems, nil
+	return w, nil
 }
 
 // dimStrides converts dims (n3, n2, n1) into linearization strides

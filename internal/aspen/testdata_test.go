@@ -258,9 +258,11 @@ func checkNHa(t *testing.T, m *Model, cacheName string, want []nha) {
 // BenchmarkAspenEvaluate times what perfbench reports as
 // aspen.evaluate_us.<model>: Evaluate on a parsed bundled model against
 // its own machine cache. fft is the template model whose 12 repeats
-// dominate its cost.
+// dominate its cost; its 8-byte lines split every element, so it walks
+// no line runs. multigrid's 32-byte lines give its ranged stencil runs
+// of up to four steps.
 func BenchmarkAspenEvaluate(b *testing.B) {
-	for _, name := range []string{"fft"} {
+	for _, name := range []string{"fft", "multigrid"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name+".aspen"))
 		if err != nil {
 			b.Fatal(err)

@@ -206,6 +206,105 @@ func (s *Simulator) Access(addr uint64, size uint32, write bool, owner StructID)
 	s.lookup(setIdx, tag, write, owner)
 }
 
+// Ref is one reference of the group AccessRun repeats: the arguments of
+// one Access call.
+type Ref struct {
+	Addr  uint64
+	Size  uint32
+	Write bool
+	Owner StructID
+}
+
+// AccessRun presents the group refs times over, pass after pass: the
+// same as calling Access for every reference of every pass. Only the
+// first pass is simulated when it leaves every block of the group
+// resident, that is when the group's lines fit in the ways of their
+// sets. By the LRU stack property, each later pass then hits on every
+// block and leaves every set as the first pass left it: the group's
+// lines on top in the order of their last references, their dirty bits
+// already set by the first pass's writes, and no eviction. Those passes
+// are charged to each reference's owner as hits, one access per block.
+// A group that does not fit is simulated pass by pass.
+func (s *Simulator) AccessRun(refs []Ref, times int) {
+	if times < 1 {
+		return
+	}
+	blocks := 0
+	for i := range refs {
+		r := &refs[i]
+		s.Access(r.Addr, r.Size, r.Write, r.Owner)
+		blocks += s.blocks(r.Addr, r.Size)
+	}
+	if times == 1 {
+		return
+	}
+	// A group of at most Associativity blocks fits whatever sets its
+	// blocks map to; a larger one fits when the first pass left every
+	// block resident.
+	if blocks > s.assoc {
+		for i := range refs {
+			if !s.resident(refs[i].Addr, refs[i].Size) {
+				for ; times > 1; times-- {
+					for j := range refs {
+						r := &refs[j]
+						s.Access(r.Addr, r.Size, r.Write, r.Owner)
+					}
+				}
+				return
+			}
+		}
+	}
+	more := int64(times - 1)
+	for i := range refs {
+		r := &refs[i]
+		s.count(r.Owner).accesses += more * int64(s.blocks(r.Addr, r.Size))
+	}
+}
+
+// blocks returns how many blocks Access presents for a reference: none
+// when it wraps past the top of the address space.
+func (s *Simulator) blocks(addr uint64, size uint32) int {
+	first, last := s.span(addr, size)
+	if last < first {
+		return 0
+	}
+	return int(last-first) + 1
+}
+
+// span returns the first and last block Access presents for a reference;
+// last < first when it presents none (the reference wraps past the top
+// of the address space).
+func (s *Simulator) span(addr uint64, size uint32) (first, last uint64) {
+	first = addr >> s.lineShift
+	if size <= 1 {
+		return first, first
+	}
+	return first, (addr + uint64(size) - 1) >> s.lineShift
+}
+
+// resident reports whether every block of the reference is in the cache.
+func (s *Simulator) resident(addr uint64, size uint32) bool {
+	first, last := s.span(addr, size)
+	for blk := first; blk <= last; blk++ {
+		setIdx, tag := blk&s.setMask, blk>>s.tagShift
+		base := int(setIdx) * s.assoc
+		found := false
+		for _, ln := range s.ways[base : base+int(s.fill[setIdx])] {
+			if ln.tag == tag {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+		if blk == last {
+			break // last may be the top block, where blk++ would wrap
+		}
+	}
+	return true
+}
+
 // Consumer returns the simulator as a trace.Consumer whose Access calls
 // straight into Simulator.Access, with no closure in between. It starts
 // a new stream: the period state of an earlier consumer is dropped, so

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/resilience-models/dvf/internal/analytic"
 	"github.com/resilience-models/dvf/internal/cache"
@@ -289,80 +290,121 @@ func (c *CG) Models(info *RunInfo) ([]ModelSpec, error) {
 // template is derived from the pseudocode alone (loop structure and access
 // order), exactly the CGPMAC workflow: no instruction-level trace is
 // involved, but the element-level interleaving — which the closed-form
-// equations abstract away — is preserved. Every iteration replays the same
-// body, so the iterations run as patterns.RunPeriods periods: once the
-// cache state repeats, the rest are counted, not simulated.
+// equations abstract away — is preserved.
 func (c *CG) templateModel(iters int, structure string) (patterns.Estimator, error) {
 	n := c.N
-	// The regions are resolved once, up front: touch runs for every
-	// element of every phase, so it takes the region itself rather than a
-	// name to look up.
-	reg := trace.NewRegistry()
-	A := reg.Alloc("A", uint64(n)*uint64(n)*elem8)
-	x := reg.Alloc("x", uint64(n)*elem8)
-	p := reg.Alloc("p", uint64(n)*elem8)
-	r := reg.Alloc("r", uint64(n)*elem8)
-	q := reg.Alloc("q", uint64(n)*elem8)
-	var target cache.StructID
-	for _, rg := range reg.Regions() {
-		if rg.Name == structure {
-			target = cache.StructID(rg.ID)
-		}
-	}
-	if target == cache.Unattributed {
+	// The regions are resolved once, up front: the walk touches them for
+	// every element of every phase.
+	regs := cgTemplateRegions(n)
+	target := slices.IndexFunc(regs, func(rg trace.Region) bool { return rg.Name == structure })
+	if target < 0 {
 		return nil, fmt.Errorf("cg: template model has no structure %q", structure)
 	}
 	return patterns.Func{
 		Name:  "template",
 		Bytes: int64(n) * elem8,
 		F: func(cfg cache.Config) (float64, error) {
-			sim, err := cache.NewSimulator(cfg)
+			counts, err := cgTemplateCounts(n, regs, cfg, iters)
 			if err != nil {
 				return 0, err
 			}
-			touch := func(rg *trace.Region, i int, write bool) {
-				sim.Access(rg.Base+uint64(i)*elem8, elem8, write, cache.StructID(rg.ID))
-			}
-			// Initial rho = r.r.
-			for i := 0; i < n; i++ {
-				touch(&r, i, false)
-			}
-			misses := patterns.RunPeriods(iters, sim, func(dst []int64) []int64 {
-				return append(dst, sim.StructStats(target).Misses)
-			}, func() {
-				for i := 0; i < n; i++ { // q = A p
-					for j := 0; j < n; j++ {
-						touch(&A, i*n+j, false)
-						touch(&p, j, false)
-					}
-					touch(&q, i, true)
-				}
-				for i := 0; i < n; i++ { // p.q
-					touch(&p, i, false)
-					touch(&q, i, false)
-				}
-				for i := 0; i < n; i++ { // x += alpha p
-					touch(&x, i, false)
-					touch(&p, i, false)
-					touch(&x, i, true)
-				}
-				for i := 0; i < n; i++ { // r -= alpha q
-					touch(&r, i, false)
-					touch(&q, i, false)
-					touch(&r, i, true)
-				}
-				for i := 0; i < n; i++ { // rho' = r.r
-					touch(&r, i, false)
-				}
-				for i := 0; i < n; i++ { // p = r + beta p
-					touch(&r, i, false)
-					touch(&p, i, false)
-					touch(&p, i, true)
-				}
-			})
-			return float64(misses[0]), nil
+			return float64(counts[target].Misses), nil
 		},
 	}, nil
+}
+
+// cgTemplateRegions lays out the template's structures A, x, p, r and q,
+// in that order, as Run's registry does.
+func cgTemplateRegions(n int) []trace.Region {
+	reg := trace.NewRegistry()
+	reg.Alloc("A", uint64(n)*uint64(n)*elem8)
+	for _, name := range []string{"x", "p", "r", "q"} {
+		reg.Alloc(name, uint64(n)*elem8)
+	}
+	return reg.Regions()
+}
+
+// cgTemplateCounts replays the Algorithm 4 access template, iters
+// iterations, through a simulator of cfg and returns the counters of
+// each of regs (cgTemplateRegions). Every iteration replays the same
+// body, so the iterations run as patterns.RunPeriods periods: once the
+// cache state repeats, the rest are counted, not simulated.
+func cgTemplateCounts(n int, regs []trace.Region, cfg cache.Config, iters int) ([]cache.Stats, error) {
+	sim, err := cache.NewSimulator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	A, x, p, r, q := &regs[0], &regs[1], &regs[2], &regs[3], &regs[4]
+	touch := func(rg *trace.Region, i int, write bool) {
+		sim.Access(rg.Base+uint64(i)*elem8, elem8, write, cache.StructID(rg.ID))
+	}
+	line := int64(cfg.LineSize)
+	// run is one step of the matvec's inner loop: A(i,j), then p(j).
+	run := [2]cache.Ref{
+		{Size: elem8, Owner: cache.StructID(A.ID)},
+		{Size: elem8, Owner: cache.StructID(p.ID)},
+	}
+	// Initial rho = r.r.
+	for i := 0; i < n; i++ {
+		touch(r, i, false)
+	}
+	counts := patterns.RunPeriods(iters, sim, func(dst []int64) []int64 {
+		for _, rg := range regs {
+			st := sim.StructStats(cache.StructID(rg.ID))
+			dst = append(dst, st.Accesses, st.Misses, st.Writebacks, st.Evictions)
+		}
+		return dst
+	}, func() {
+		for i := 0; i < n; i++ { // q = A p
+			// Consecutive j touch the same two lines until A(i,j) or p(j)
+			// leaves its line: one AccessRun per line run.
+			for j := 0; j < n; {
+				run[0].Addr = A.Base + uint64(i*n+j)*elem8
+				run[1].Addr = p.Base + uint64(j)*elem8
+				steps := min(int64(n-j),
+					patterns.StepsInLine(int64(run[0].Addr), elem8, elem8, line),
+					patterns.StepsInLine(int64(run[1].Addr), elem8, elem8, line))
+				// A one-step run (always, when a line holds one element)
+				// is two plain accesses.
+				if steps == 1 {
+					sim.Access(run[0].Addr, elem8, false, run[0].Owner)
+					sim.Access(run[1].Addr, elem8, false, run[1].Owner)
+				} else {
+					sim.AccessRun(run[:], int(steps))
+				}
+				j += int(steps)
+			}
+			touch(q, i, true)
+		}
+		for i := 0; i < n; i++ { // p.q
+			touch(p, i, false)
+			touch(q, i, false)
+		}
+		for i := 0; i < n; i++ { // x += alpha p
+			touch(x, i, false)
+			touch(p, i, false)
+			touch(x, i, true)
+		}
+		for i := 0; i < n; i++ { // r -= alpha q
+			touch(r, i, false)
+			touch(q, i, false)
+			touch(r, i, true)
+		}
+		for i := 0; i < n; i++ { // rho' = r.r
+			touch(r, i, false)
+		}
+		for i := 0; i < n; i++ { // p = r + beta p
+			touch(r, i, false)
+			touch(p, i, false)
+			touch(p, i, true)
+		}
+	})
+	out := make([]cache.Stats, len(regs))
+	for i := range out {
+		c := counts[4*i:]
+		out[i] = cache.Stats{Accesses: c[0], Hits: c[0] - c[1], Misses: c[1], Writebacks: c[2], Evictions: c[3]}
+	}
+	return out, nil
 }
 
 // cgVectorParams describes the composite reuse behaviour of a CG vector:

@@ -217,9 +217,22 @@ func TestCGTemplateModelUnknownStructure(t *testing.T) {
 // BenchmarkCGTemplateModel times what perfbench reports as
 // patterns.estimate_ms.CG.<cache>: building CG's four CGPMAC models at
 // the verification size (500x500, 10 iterations) and evaluating each on
-// one verification cache. The template model for p is most of it.
-func BenchmarkCGTemplateModel(b *testing.B) {
-	k := NewCG(500, 10)
+// one cache. The template model for p is most of it.
+func BenchmarkCGTemplateModel(b *testing.B) { benchModels(b, NewCG(500, 10)) }
+
+// BenchmarkMGTemplateModel times MG's template model at the
+// verification size (32^3, one V-cycle).
+func BenchmarkMGTemplateModel(b *testing.B) { benchModels(b, NewMG(32, 1)) }
+
+// BenchmarkFTTemplateModel times FT's template model at the
+// verification size (2048 points).
+func BenchmarkFTTemplateModel(b *testing.B) { benchModels(b, NewFT(2048)) }
+
+// benchModels builds k's CGPMAC models and evaluates each on the two
+// verification caches and on the 16KB profiling cache, whose 8-byte
+// lines hold one element or less, so its template walks find no line
+// runs.
+func benchModels(b *testing.B, k Kernel) {
 	info, err := k.Run(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -227,7 +240,7 @@ func BenchmarkCGTemplateModel(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		cfg  cache.Config
-	}{{"small", cache.Small}, {"large", cache.Large}} {
+	}{{"small", cache.Small}, {"large", cache.Large}, {"16kb", cache.Profile16KB}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				specs, err := k.Models(info)

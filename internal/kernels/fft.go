@@ -152,7 +152,8 @@ func (f *FT) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 }
 
 // Models returns the template-based model for X: the exact bit-reversal +
-// butterfly access template through the two-step reuse-distance algorithm.
+// butterfly access template through the two-step reuse-distance algorithm,
+// the butterflies one cache-line run at a time.
 // This captures the paper's Figure 5(e) behaviour — once the cache cannot
 // hold the whole array, every pass misses and the access count (and DVF)
 // jumps suddenly.
@@ -160,52 +161,58 @@ func (f *FT) Models(info *RunInfo) ([]ModelSpec, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
+	k := *f
+	est := patterns.Func{
+		Name:  "template",
+		Bytes: int64(f.N) * ftElemSize,
+		F: func(c cache.Config) (float64, error) {
+			return float64(k.templateWalk(c).Misses()), nil
+		},
+	}
+	return []ModelSpec{{Structure: "X", Estimator: est}}, nil
+}
+
+// templateWalk feeds the transform's element template for cache c
+// through a TemplateCounter and returns the counter.
+func (f *FT) templateWalk(c cache.Config) *patterns.TemplateCounter {
 	rounds := f.Rounds
 	if rounds == 0 {
 		rounds = 1
 	}
 	n := f.N
 	logN := bits.TrailingZeros(uint(n))
-	bytesX := int64(n) * ftElemSize
-
-	est := patterns.Func{
-		Name:  "template",
-		Bytes: bytesX,
-		F: func(c cache.Config) (float64, error) {
-			ctr := patterns.NewTemplateCounter(c.Lines(), false)
-			visit := func(elem int) {
-				first := int64(elem) * ftElemSize / int64(c.LineSize)
-				last := (int64(elem)*ftElemSize + ftElemSize - 1) / int64(c.LineSize)
-				for b := first; b <= last; b++ {
-					ctr.Visit(b)
+	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	// The butterflies walk j by line runs (see LineRun); a bit-reversal
+	// swap is one step of its own.
+	run := patterns.NewLineRun(ctr, c.LineSize)
+	add := func(elem int) { run.Add(int64(elem)*ftElemSize, ftElemSize, ftElemSize) }
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < n; i++ {
+			j := int(bits.Reverse32(uint32(i)) >> (32 - logN))
+			if i < j {
+				run.Start(1)
+				add(i)
+				add(j)
+				add(i)
+				add(j)
+				run.End()
+			}
+		}
+		for size := 2; size <= n; size *= 2 {
+			half := size / 2
+			for start := 0; start < n; start += size {
+				for j := 0; j < half; {
+					run.Start(half - j)
+					add(start + j)
+					add(start + j + half)
+					add(start + j)
+					add(start + j + half)
+					j += run.End()
 				}
 			}
-			for round := 0; round < rounds; round++ {
-				for i := 0; i < n; i++ {
-					j := int(bits.Reverse32(uint32(i)) >> (32 - logN))
-					if i < j {
-						visit(i)
-						visit(j)
-						visit(i)
-						visit(j)
-					}
-				}
-				for size := 2; size <= n; size *= 2 {
-					half := size / 2
-					for start := 0; start < n; start += size {
-						for j := 0; j < half; j++ {
-							visit(start + j)
-							visit(start + j + half)
-							visit(start + j)
-							visit(start + j + half)
-						}
-					}
-				}
-			}
-			return float64(ctr.Misses()), nil
-		},
+		}
 	}
-	return []ModelSpec{{Structure: "X", Estimator: est}}, nil
+	return ctr
 }
 
 // AccessPattern implements PatternSource: per round, the bit-reversal

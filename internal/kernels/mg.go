@@ -264,13 +264,29 @@ func (mg *MG) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 
 // Models returns the template-based model for R: it replays the V-cycle's
 // element template (exactly the access order of the pseudocode above)
-// through the two-step reuse-distance algorithm of Section III-C. The
-// template is generated lazily per cache configuration, since the block
-// conversion depends on the line size.
+// through the two-step reuse-distance algorithm of Section III-C, one
+// cache-line run of the innermost loop at a time. The template is
+// generated lazily per cache configuration, since the block conversion
+// depends on the line size.
 func (mg *MG) Models(info *RunInfo) ([]ModelSpec, error) {
 	if err := mg.Validate(); err != nil {
 		return nil, err
 	}
+	_, total := mgOffsets(mgLevels(mg.N))
+	k := *mg
+	est := patterns.Func{
+		Name:  "template",
+		Bytes: int64(total) * elem8,
+		F: func(c cache.Config) (float64, error) {
+			return float64(k.templateWalk(c).Misses()), nil
+		},
+	}
+	return []ModelSpec{{Structure: "R", Estimator: est}}, nil
+}
+
+// templateWalk feeds the V-cycle's element template for cache c through
+// a TemplateCounter and returns the counter.
+func (mg *MG) templateWalk(c cache.Config) *patterns.TemplateCounter {
 	cycles := mg.Cycles
 	if cycles == 0 {
 		cycles = 1
@@ -280,99 +296,98 @@ func (mg *MG) Models(info *RunInfo) ([]ModelSpec, error) {
 		sweeps = 1
 	}
 	dims := mgLevels(mg.N)
-	offsets, total := mgOffsets(dims)
-	bytesR := int64(total) * elem8
-
-	est := patterns.Func{
-		Name:  "template",
-		Bytes: bytesR,
-		F: func(c cache.Config) (float64, error) {
-			ctr := patterns.NewTemplateCounter(c.Lines(), false)
-			visit := func(elem int) {
-				first := int64(elem) * elem8 / int64(c.LineSize)
-				last := (int64(elem)*elem8 + elem8 - 1) / int64(c.LineSize)
-				for b := first; b <= last; b++ {
-					ctr.Visit(b)
-				}
-			}
-			smoothT := func(l int) {
-				n := dims[l]
-				at := func(i, j, k int) int { return offsets[l] + (i*n+j)*n + k }
-				for i := 1; i < n-1; i++ {
-					for j := 1; j < n-1; j++ {
-						for k := 0; k < n; k++ {
-							visit(at(i, j-1, k))
-							visit(at(i, j+1, k))
-							visit(at(i-1, j, k))
-							visit(at(i+1, j, k))
-							visit(at(i, j, k)) // the store
-						}
-					}
-				}
-			}
-			restrictT := func(l int) {
-				nc := dims[l+1]
-				nf := dims[l]
-				atF := func(i, j, k int) int { return offsets[l] + (i*nf+j)*nf + k }
-				atC := func(i, j, k int) int { return offsets[l+1] + (i*nc+j)*nc + k }
-				for i := 0; i < nc; i++ {
-					for j := 0; j < nc; j++ {
-						for k := 0; k < nc; k++ {
-							for di := 0; di < 2; di++ {
-								for dj := 0; dj < 2; dj++ {
-									for dk := 0; dk < 2; dk++ {
-										visit(atF(2*i+di, 2*j+dj, 2*k+dk))
-									}
-								}
-							}
-							visit(atC(i, j, k))
-						}
-					}
-				}
-			}
-			prolongT := func(l int) {
-				nc := dims[l+1]
-				nf := dims[l]
-				atF := func(i, j, k int) int { return offsets[l] + (i*nf+j)*nf + k }
-				atC := func(i, j, k int) int { return offsets[l+1] + (i*nc+j)*nc + k }
-				for i := 0; i < nc; i++ {
-					for j := 0; j < nc; j++ {
-						for k := 0; k < nc; k++ {
-							visit(atC(i, j, k))
-							for di := 0; di < 2; di++ {
-								for dj := 0; dj < 2; dj++ {
-									for dk := 0; dk < 2; dk++ {
-										f := atF(2*i+di, 2*j+dj, 2*k+dk)
-										visit(f)
-										visit(f)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-			for cyc := 0; cyc < cycles; cyc++ {
-				for l := 0; l < len(dims)-1; l++ {
-					for s := 0; s < sweeps; s++ {
-						smoothT(l)
-					}
-					restrictT(l)
-				}
-				for s := 0; s < 2*sweeps; s++ {
-					smoothT(len(dims) - 1)
-				}
-				for l := len(dims) - 2; l >= 0; l-- {
-					prolongT(l)
-					for s := 0; s < sweeps; s++ {
-						smoothT(l)
-					}
-				}
-			}
-			return float64(ctr.Misses()), nil
-		},
+	offsets, _ := mgOffsets(dims)
+	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	// Each phase walks its innermost index k by line runs: the steps
+	// for which every element of a k step stays in its line visit one
+	// block group again and again (see LineRun).
+	run := patterns.NewLineRun(ctr, c.LineSize)
+	// add visits elem, which moves stride elements per k step, as part
+	// of the step.
+	add := func(elem, stride int) {
+		run.Add(int64(elem)*elem8, elem8, int64(stride)*elem8)
 	}
-	return []ModelSpec{{Structure: "R", Estimator: est}}, nil
+	smoothT := func(l int) {
+		n := dims[l]
+		at := func(i, j, k int) int { return offsets[l] + (i*n+j)*n + k }
+		for i := 1; i < n-1; i++ {
+			for j := 1; j < n-1; j++ {
+				for k := 0; k < n; {
+					run.Start(n - k)
+					add(at(i, j-1, k), 1)
+					add(at(i, j+1, k), 1)
+					add(at(i-1, j, k), 1)
+					add(at(i+1, j, k), 1)
+					add(at(i, j, k), 1) // the store
+					k += run.End()
+				}
+			}
+		}
+	}
+	restrictT := func(l int) {
+		nc := dims[l+1]
+		nf := dims[l]
+		atF := func(i, j, k int) int { return offsets[l] + (i*nf+j)*nf + k }
+		atC := func(i, j, k int) int { return offsets[l+1] + (i*nc+j)*nc + k }
+		for i := 0; i < nc; i++ {
+			for j := 0; j < nc; j++ {
+				for k := 0; k < nc; {
+					run.Start(nc - k)
+					for di := 0; di < 2; di++ {
+						for dj := 0; dj < 2; dj++ {
+							for dk := 0; dk < 2; dk++ {
+								add(atF(2*i+di, 2*j+dj, 2*k+dk), 2)
+							}
+						}
+					}
+					add(atC(i, j, k), 1)
+					k += run.End()
+				}
+			}
+		}
+	}
+	prolongT := func(l int) {
+		nc := dims[l+1]
+		nf := dims[l]
+		atF := func(i, j, k int) int { return offsets[l] + (i*nf+j)*nf + k }
+		atC := func(i, j, k int) int { return offsets[l+1] + (i*nc+j)*nc + k }
+		for i := 0; i < nc; i++ {
+			for j := 0; j < nc; j++ {
+				for k := 0; k < nc; {
+					run.Start(nc - k)
+					add(atC(i, j, k), 1)
+					for di := 0; di < 2; di++ {
+						for dj := 0; dj < 2; dj++ {
+							for dk := 0; dk < 2; dk++ {
+								f := atF(2*i+di, 2*j+dj, 2*k+dk)
+								add(f, 2) // the load
+								add(f, 2) // the store
+							}
+						}
+					}
+					k += run.End()
+				}
+			}
+		}
+	}
+	for cyc := 0; cyc < cycles; cyc++ {
+		for l := 0; l < len(dims)-1; l++ {
+			for s := 0; s < sweeps; s++ {
+				smoothT(l)
+			}
+			restrictT(l)
+		}
+		for s := 0; s < 2*sweeps; s++ {
+			smoothT(len(dims) - 1)
+		}
+		for l := len(dims) - 2; l >= 0; l-- {
+			prolongT(l)
+			for s := 0; s < sweeps; s++ {
+				smoothT(l)
+			}
+		}
+	}
+	return ctr
 }
 
 // AccessPattern implements PatternSource: the V-cycle phase sequence over

@@ -1,0 +1,245 @@
+package kernels
+
+import (
+	"fmt"
+	"math/bits"
+	"reflect"
+	"testing"
+
+	"github.com/resilience-models/dvf/internal/cache"
+	"github.com/resilience-models/dvf/internal/patterns"
+	"github.com/resilience-models/dvf/internal/trace"
+)
+
+// The element walks below are the template models as the pseudocode
+// states them: every element of every loop step visited on its own. The
+// line-run walks the models run must match them in every counter.
+
+// visitElem feeds the blocks of the size-byte element elem to ctr.
+func visitElem(ctr *patterns.TemplateCounter, elem int, size, lineSize int64) {
+	first := int64(elem) * size / lineSize
+	last := (int64(elem)*size + size - 1) / lineSize
+	for b := first; b <= last; b++ {
+		ctr.Visit(b)
+	}
+}
+
+// mgElementWalk is MG's template, element by element.
+func mgElementWalk(mg *MG, c cache.Config) *patterns.TemplateCounter {
+	cycles, sweeps := max(mg.Cycles, 1), max(mg.Smooth, 1)
+	dims := mgLevels(mg.N)
+	offsets, _ := mgOffsets(dims)
+	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	visit := func(elem int) { visitElem(ctr, elem, elem8, int64(c.LineSize)) }
+	smoothT := func(l int) {
+		n := dims[l]
+		at := func(i, j, k int) int { return offsets[l] + (i*n+j)*n + k }
+		for i := 1; i < n-1; i++ {
+			for j := 1; j < n-1; j++ {
+				for k := 0; k < n; k++ {
+					visit(at(i, j-1, k))
+					visit(at(i, j+1, k))
+					visit(at(i-1, j, k))
+					visit(at(i+1, j, k))
+					visit(at(i, j, k))
+				}
+			}
+		}
+	}
+	eachChild := func(l, i, j, k int, fn func(fine int)) {
+		nf := dims[l]
+		for di := 0; di < 2; di++ {
+			for dj := 0; dj < 2; dj++ {
+				for dk := 0; dk < 2; dk++ {
+					fn(offsets[l] + ((2*i+di)*nf+2*j+dj)*nf + 2*k + dk)
+				}
+			}
+		}
+	}
+	restrictT := func(l int) {
+		nc := dims[l+1]
+		for i := 0; i < nc; i++ {
+			for j := 0; j < nc; j++ {
+				for k := 0; k < nc; k++ {
+					eachChild(l, i, j, k, visit)
+					visit(offsets[l+1] + (i*nc+j)*nc + k)
+				}
+			}
+		}
+	}
+	prolongT := func(l int) {
+		nc := dims[l+1]
+		for i := 0; i < nc; i++ {
+			for j := 0; j < nc; j++ {
+				for k := 0; k < nc; k++ {
+					visit(offsets[l+1] + (i*nc+j)*nc + k)
+					eachChild(l, i, j, k, func(f int) { visit(f); visit(f) })
+				}
+			}
+		}
+	}
+	for cyc := 0; cyc < cycles; cyc++ {
+		for l := 0; l < len(dims)-1; l++ {
+			for s := 0; s < sweeps; s++ {
+				smoothT(l)
+			}
+			restrictT(l)
+		}
+		for s := 0; s < 2*sweeps; s++ {
+			smoothT(len(dims) - 1)
+		}
+		for l := len(dims) - 2; l >= 0; l-- {
+			prolongT(l)
+			for s := 0; s < sweeps; s++ {
+				smoothT(l)
+			}
+		}
+	}
+	return ctr
+}
+
+// ftElementWalk is FT's template, element by element.
+func ftElementWalk(f *FT, c cache.Config) *patterns.TemplateCounter {
+	n := f.N
+	logN := bits.TrailingZeros(uint(n))
+	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	visit := func(elem int) { visitElem(ctr, elem, ftElemSize, int64(c.LineSize)) }
+	for round := 0; round < max(f.Rounds, 1); round++ {
+		for i := 0; i < n; i++ {
+			j := int(bits.Reverse32(uint32(i)) >> (32 - logN))
+			if i < j {
+				visit(i)
+				visit(j)
+				visit(i)
+				visit(j)
+			}
+		}
+		for size := 2; size <= n; size *= 2 {
+			half := size / 2
+			for start := 0; start < n; start += size {
+				for j := 0; j < half; j++ {
+					visit(start + j)
+					visit(start + j + half)
+					visit(start + j)
+					visit(start + j + half)
+				}
+			}
+		}
+	}
+	return ctr
+}
+
+// cgElementWalk is CG's template, element by element and every
+// iteration simulated, returning each region's counters.
+func cgElementWalk(t *testing.T, n, iters int, cfg cache.Config) []cache.Stats {
+	t.Helper()
+	regs := cgTemplateRegions(n)
+	sim, err := cache.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	A, x, p, r, q := &regs[0], &regs[1], &regs[2], &regs[3], &regs[4]
+	touch := func(rg *trace.Region, i int, write bool) {
+		sim.Access(rg.Base+uint64(i)*elem8, elem8, write, cache.StructID(rg.ID))
+	}
+	for i := 0; i < n; i++ {
+		touch(r, i, false)
+	}
+	for it := 0; it < iters; it++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				touch(A, i*n+j, false)
+				touch(p, j, false)
+			}
+			touch(q, i, true)
+		}
+		for i := 0; i < n; i++ {
+			touch(p, i, false)
+			touch(q, i, false)
+		}
+		for i := 0; i < n; i++ {
+			touch(x, i, false)
+			touch(p, i, false)
+			touch(x, i, true)
+		}
+		for i := 0; i < n; i++ {
+			touch(r, i, false)
+			touch(q, i, false)
+			touch(r, i, true)
+		}
+		for i := 0; i < n; i++ {
+			touch(r, i, false)
+		}
+		for i := 0; i < n; i++ {
+			touch(r, i, false)
+			touch(p, i, false)
+			touch(p, i, true)
+		}
+	}
+	out := make([]cache.Stats, len(regs))
+	for i, rg := range regs {
+		out[i] = sim.StructStats(cache.StructID(rg.ID))
+	}
+	return out
+}
+
+// lineRunGeometries are the Table IV caches plus a direct-mapped one, a
+// one-set (fully associative) one and one whose 4-byte lines split
+// every element.
+func lineRunGeometries() []cache.Config {
+	return append(append(cache.VerificationConfigs(), cache.ProfilingConfigs()...),
+		cache.Config{Name: "direct-mapped", Associativity: 1, Sets: 128, LineSize: 32},
+		cache.Config{Name: "one-set", Associativity: 96, Sets: 1, LineSize: 64},
+		cache.Config{Name: "4B-lines", Associativity: 2, Sets: 64, LineSize: 4},
+	)
+}
+
+// requireSameCounter fails unless the line-run walk's counter equals the
+// element walk's in every counter.
+func requireSameCounter(t *testing.T, got, want *patterns.TemplateCounter) {
+	t.Helper()
+	if got.Misses() != want.Misses() || got.Visits() != want.Visits() || got.DistinctBlocks() != want.DistinctBlocks() {
+		t.Errorf("line runs: misses %d, visits %d, distinct %d; element walk: %d, %d, %d",
+			got.Misses(), got.Visits(), got.DistinctBlocks(), want.Misses(), want.Visits(), want.DistinctBlocks())
+	}
+}
+
+// TestLineRunWalksMatchElementWalks is the line-run differential: MG,
+// FT and CG's template models give the same counters as their element
+// walks on every geometry, at sizes whose rows do not line up with the
+// cache lines.
+func TestLineRunWalksMatchElementWalks(t *testing.T) {
+	geoms := lineRunGeometries()
+	for _, n := range []int{8, 16, 32} {
+		for _, mg := range []*MG{{N: n}, {N: n, Cycles: 2, Smooth: 2}} {
+			for _, cfg := range geoms {
+				t.Run(fmt.Sprintf("MG/n%d/c%d/%s", n, mg.Cycles, cfg.Name), func(t *testing.T) {
+					requireSameCounter(t, mg.templateWalk(cfg), mgElementWalk(mg, cfg))
+				})
+			}
+		}
+	}
+	for n := 16; n <= 2048; n *= 2 {
+		for _, f := range []*FT{{N: n}, {N: n, Rounds: 2}} {
+			for _, cfg := range geoms {
+				t.Run(fmt.Sprintf("FT/n%d/r%d/%s", n, f.Rounds, cfg.Name), func(t *testing.T) {
+					requireSameCounter(t, f.templateWalk(cfg), ftElementWalk(f, cfg))
+				})
+			}
+		}
+	}
+	for _, c := range []struct{ n, iters int }{{37, 3}, {101, 4}, {255, 2}} {
+		regs := cgTemplateRegions(c.n)
+		for _, cfg := range geoms {
+			t.Run(fmt.Sprintf("CG/n%d/%s", c.n, cfg.Name), func(t *testing.T) {
+				got, err := cgTemplateCounts(c.n, regs, cfg, c.iters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := cgElementWalk(t, c.n, c.iters, cfg); !reflect.DeepEqual(got, want) {
+					t.Errorf("line runs %+v\nelement walk %+v", got, want)
+				}
+			})
+		}
+	}
+}

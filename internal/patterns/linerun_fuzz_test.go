@@ -1,0 +1,78 @@
+package patterns
+
+import (
+	"math"
+	"testing"
+)
+
+// FuzzVisitRunVsVisit checks VisitRun against a Visit loop over the same
+// passes. The program is read op by op: an op byte with its low two bits
+// clear takes a SaveState on both counters; any other op byte is a group
+// of 1 + op>>5 blocks, the next bytes, each folded to one of 8 ids so
+// groups repeat blocks, visited 1 + (op>>2)&7 times. After every op both
+// counters must agree on Misses, Visits, DistinctBlocks and SameState.
+// Capacity is folded into 0-8, so groups both fit and overflow it. The
+// committed corpus under testdata/fuzz pins a group that fits, one that
+// overflows, capacity 0 and raw-distance mode.
+func FuzzVisitRunVsVisit(f *testing.F) {
+	f.Add([]byte{0x25, 1, 2, 0, 0x2d, 1, 2}, uint8(4), false)
+	f.Fuzz(func(t *testing.T, prog []byte, capSel uint8, raw bool) {
+		if len(prog) > 512 {
+			prog = prog[:512]
+		}
+		capacity := int(capSel % 9)
+		run, loop := NewTemplateCounter(capacity, raw), NewTemplateCounter(capacity, raw)
+		for len(prog) > 0 {
+			op := prog[0]
+			prog = prog[1:]
+			if op&3 == 0 {
+				run.SaveState()
+				loop.SaveState()
+			} else {
+				size := min(1+int(op>>5), len(prog))
+				blocks := make([]int64, size)
+				for i, b := range prog[:size] {
+					blocks[i] = int64(b & 7)
+				}
+				prog = prog[size:]
+				times := 1 + int(op>>2&7)
+				run.VisitRun(blocks, times)
+				for range times {
+					for _, b := range blocks {
+						loop.Visit(b)
+					}
+				}
+			}
+			if run.Misses() != loop.Misses() || run.Visits() != loop.Visits() ||
+				run.DistinctBlocks() != loop.DistinctBlocks() || run.SameState() != loop.SameState() {
+				t.Fatalf("capacity %d raw=%v: VisitRun misses %d visits %d distinct %d same %v; Visit loop %d %d %d %v",
+					capacity, raw, run.Misses(), run.Visits(), run.DistinctBlocks(), run.SameState(),
+					loop.Misses(), loop.Visits(), loop.DistinctBlocks(), loop.SameState())
+			}
+		}
+	})
+}
+
+// TestStepsInLine pins the run bounds: forward and backward strides, an
+// element that spans a line boundary, and one that never moves.
+func TestStepsInLine(t *testing.T) {
+	for _, c := range []struct {
+		addr, size, stride, line, want int64
+	}{
+		{0, 8, 8, 64, 8},
+		{56, 8, 8, 64, 1},
+		{8, 8, 16, 64, 4},
+		{16, 16, 16, 32, 1},
+		{0, 16, 16, 8, 1},   // spans two lines
+		{60, 8, 8, 64, 1},   // spans two lines
+		{56, 8, -8, 64, 8},  // walks down to the line start
+		{8, 8, -16, 64, 1},  // the next step leaves the line
+		{24, 8, -16, 64, 2}, // 24, then 8
+		{40, 8, 0, 64, math.MaxInt64},
+		{0, 8, 8, 8, 1},
+	} {
+		if got := StepsInLine(c.addr, c.size, c.stride, c.line); got != c.want {
+			t.Errorf("StepsInLine(%d, %d, %d, %d) = %d, want %d", c.addr, c.size, c.stride, c.line, got, c.want)
+		}
+	}
+}

@@ -122,6 +122,7 @@ type TemplateCounter struct {
 	dense    []int32
 	sparse   map[int64]int32
 	nodes    []tcNode // one per distinct block; int32 indexes reach 2^31 of them
+	last     []int64  // raw mode: each node's last visit time
 	mru, lru int32    // ends of the resident list, noNode when empty
 	resident int
 
@@ -136,11 +137,10 @@ type TemplateCounter struct {
 // (an FFT bit reversal, a stencil's far neighbours) before filling in.
 const denseSlack = 4096
 
-// tcNode is one distinct block: its links in the resident list (stack
-// mode) or its last visit time (raw mode).
+// tcNode is one distinct block's links in the resident list (stack
+// mode).
 type tcNode struct {
 	prev, next int32 // toward mru / toward lru; noNode at the ends
-	last       int64
 }
 
 const (
@@ -164,13 +164,22 @@ func NewTemplateCounter(capacityBlocks int, raw bool) *TemplateCounter {
 // as a main-memory access (first touch or reuse beyond capacity).
 func (tc *TemplateCounter) Visit(block int64) bool {
 	tc.visits++
-	i, seen := tc.find(block)
+	var (
+		i    int32
+		seen bool
+	)
+	// A block the dense index already holds, the common case, skips the
+	// call to find.
+	if uint64(block) < uint64(len(tc.dense)) && tc.dense[block] != 0 {
+		i, seen = tc.dense[block]-1, true
+	} else {
+		i, seen = tc.find(block)
+	}
 	var miss bool
 	if tc.raw {
 		// step 2 on the raw index distance: entries strictly in between.
-		n := &tc.nodes[i]
-		miss = !seen || tc.visits-n.last-1 >= int64(tc.capacity)
-		n.last = tc.visits
+		miss = !seen || tc.visits-tc.last[i]-1 >= int64(tc.capacity)
+		tc.last[i] = tc.visits
 	} else {
 		// step 1 (first appearance) and step 2 (evicted, so its stack
 		// distance reached capacity) are both "not resident".
@@ -181,6 +190,40 @@ func (tc *TemplateCounter) Visit(block int64) bool {
 		tc.misses++
 	}
 	return miss
+}
+
+// VisitRun feeds blocks, as a group, times over: the same as calling
+// Visit for every block of the group, pass after pass. Only the first
+// pass is walked when the counter is in stack-distance mode and the
+// group fits, len(blocks) <= capacity. By the LRU stack property, the
+// first pass leaves the group's distinct blocks at the top of the
+// recency stack, ordered by their last visits. Each later pass therefore
+// hits on every block and leaves that order, and so the whole state, as
+// the first pass left it. Those passes are counted as visits, not
+// walked. Raw-distance mode walks every pass, since each visit moves a
+// block's last-visit time.
+func (tc *TemplateCounter) VisitRun(blocks []int64, times int) {
+	if times < 1 {
+		return
+	}
+	for _, b := range blocks {
+		tc.Visit(b)
+	}
+	tc.revisit(blocks, times-1)
+}
+
+// revisit feeds blocks, the group just visited, times more over:
+// VisitRun after its first pass.
+func (tc *TemplateCounter) revisit(blocks []int64, times int) {
+	if !tc.raw && len(blocks) <= tc.capacity {
+		tc.visits += int64(times) * int64(len(blocks))
+		return
+	}
+	for ; times > 0; times-- {
+		for _, b := range blocks {
+			tc.Visit(b)
+		}
+	}
 }
 
 // find returns block's node, creating it on first sight.
@@ -210,6 +253,9 @@ func (tc *TemplateCounter) newNode() int32 {
 		tc.nodes = grown
 	}
 	tc.nodes = append(tc.nodes, tcNode{prev: detached, next: noNode})
+	if tc.raw {
+		tc.last = append(tc.last, 0)
+	}
 	return int32(len(tc.nodes) - 1)
 }
 
