@@ -20,7 +20,8 @@
 #   make bench-smoke  one iteration of the cache simulator's batched and
 #                     per-reference replay benchmarks, the CG, MG and FT
 #                     CGPMAC models (with and without line runs),
-#                     one Figure 4 CG cell per verification cache,
+#                     one Figure 4 CG and MG cell per verification
+#                     cache,
 #                     the fft Aspen evaluation, a dvf-serve analyze miss
 #                     (CG, cgpmac and analytic) and the MG and FT analytic
 #                     solves on every bundled cache, as a compile-and-run
@@ -29,7 +30,8 @@
 #   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
 #                     differential, the simulator against its naive LRU
 #                     oracle, line-run repeats (AccessRun, VisitRun)
-#                     against plain walks, the trace container round-trip
+#                     and strided groups (AccessStrided) against plain
+#                     walks, the trace container round-trip
 #                     (incl. misalignment and truncation), the template
 #                     counter against its brute-force oracles, the Aspen
 #                     compiler end to end (never a panic; templates
@@ -110,7 +112,7 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench='BenchmarkBatchReplay|BenchmarkSimulatorAccess' -benchtime=1x ./internal/cache
 	$(GO) test -run '^$$' -bench='^Benchmark(CG|MG|FT)TemplateModel$$' -benchtime=1x ./internal/kernels
-	$(GO) test -run '^$$' -bench='^BenchmarkVerifyKernelCG$$' -benchtime=1x ./internal/experiments
+	$(GO) test -run '^$$' -bench='^BenchmarkVerifyKernel(CG|MG)$$' -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
 	$(GO) test -run '^$$' -bench='^BenchmarkServeAnalyzeMiss$$' -benchtime=1x ./internal/serve
 	$(GO) test -run '^$$' -bench='^BenchmarkAnalyticSolve$$' -benchtime=1x ./internal/analytic
@@ -122,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessRunVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzStridedVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyReplayVsFull$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns

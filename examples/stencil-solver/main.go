@@ -56,7 +56,7 @@ func stencilTemplate(cfg cache.Config) (float64, error) {
 						for b := a / line; b <= (a+elemSize-1)/line; b++ {
 							group = append(group, b)
 						}
-						run = min(run, patterns.StepsInLine(a, elemSize, elemSize, line))
+						run = min(run, cache.StepsInLine(a, elemSize, elemSize, line))
 					}
 					ctr.VisitRun(group, int(run))
 					k += int(run)

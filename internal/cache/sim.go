@@ -134,6 +134,10 @@ type Simulator struct {
 	steady                         *steadyState
 	extrapolated, extrapolatedRefs int64
 
+	// group holds the references of a strided group while
+	// AccessStrided walks it.
+	group [maxGroup]Ref
+
 	// Tracing state, attached by Trace; nil until then and nil-safe
 	// everywhere, so the untraced miss path pays one nil check and the
 	// hit path none.
@@ -225,15 +229,25 @@ type Ref struct {
 // already set by the first pass's writes, and no eviction. Those passes
 // are charged to each reference's owner as hits, one access per block.
 // A group that does not fit is simulated pass by pass.
-func (s *Simulator) AccessRun(refs []Ref, times int) {
+func (s *Simulator) AccessRun(refs []Ref, times int) { s.accessRun(refs, times, false) }
+
+// accessRun is AccessRun. oneBlock says that every reference presents
+// exactly one block, as in a strided group's line run, so the blocks
+// need not be counted.
+func (s *Simulator) accessRun(refs []Ref, times int, oneBlock bool) {
 	if times < 1 {
 		return
 	}
-	blocks := 0
+	blocks := len(refs)
+	if !oneBlock {
+		blocks = 0
+	}
 	for i := range refs {
 		r := &refs[i]
 		s.Access(r.Addr, r.Size, r.Write, r.Owner)
-		blocks += s.blocks(r.Addr, r.Size)
+		if !oneBlock {
+			blocks += s.blocks(r.Addr, r.Size)
+		}
 	}
 	if times == 1 {
 		return
@@ -257,7 +271,11 @@ func (s *Simulator) AccessRun(refs []Ref, times int) {
 	more := int64(times - 1)
 	for i := range refs {
 		r := &refs[i]
-		s.count(r.Owner).accesses += more * int64(s.blocks(r.Addr, r.Size))
+		n := more
+		if !oneBlock {
+			n *= int64(s.blocks(r.Addr, r.Size))
+		}
+		s.count(r.Owner).accesses += n
 	}
 }
 
@@ -314,10 +332,10 @@ func (s *Simulator) Consumer() RefConsumer {
 	return RefConsumer{s}
 }
 
-// RefConsumer adapts a Simulator to trace.Consumer and
-// trace.PeriodConsumer; Simulator.Consumer returns one. It is a value
-// type holding only the simulator pointer, so storing it in a
-// trace.Consumer does not allocate.
+// RefConsumer adapts a Simulator to trace.Consumer,
+// trace.PeriodConsumer and trace.StridedConsumer; Simulator.Consumer
+// returns one. It is a value type holding only the simulator pointer, so
+// storing it in a trace.Consumer does not allocate.
 type RefConsumer struct{ s *Simulator }
 
 // steadyState is what RefConsumer.EndPeriod keeps between boundaries:

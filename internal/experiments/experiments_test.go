@@ -330,6 +330,22 @@ func BenchmarkVerifyKernelCG(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyKernelMG times one Figure 4 MG cell (class S, 32^3,
+// one V-cycle) per verification cache: the traced run into the
+// simulator, whose smooth, restrict and prolong loops reach it as
+// strided groups, plus the CGPMAC model.
+func BenchmarkVerifyKernelMG(b *testing.B) {
+	for _, cfg := range cache.VerificationConfigs() {
+		b.Run(cfg.Name, func(b *testing.B) {
+			for range b.N {
+				if _, err := VerifyKernel(kernels.NewMG(32, 1), cfg, Env{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestCGExitBetweenBoundariesFallsBack forces CG's p.q == 0 exit, which
 // leaves the loop part-way through an iteration. At n=2 the residual
 // underflows to zero after 20 iterations; by then the cache state has

@@ -338,12 +338,13 @@ func cgTemplateCounts(n int, regs []trace.Region, cfg cache.Config, iters int) (
 	touch := func(rg *trace.Region, i int, write bool) {
 		sim.Access(rg.Base+uint64(i)*elem8, elem8, write, cache.StructID(rg.ID))
 	}
-	line := int64(cfg.LineSize)
-	// run is one step of the matvec's inner loop: A(i,j), then p(j).
-	run := [2]cache.Ref{
+	// The matvec's inner loop over j is one strided group per row:
+	// A(i,j), then p(j), each moving one element per step.
+	row := [2]cache.Ref{
 		{Size: elem8, Owner: cache.StructID(A.ID)},
-		{Size: elem8, Owner: cache.StructID(p.ID)},
+		{Addr: p.Base, Size: elem8, Owner: cache.StructID(p.ID)},
 	}
+	strides := [2]int64{elem8, elem8}
 	// Initial rho = r.r.
 	for i := 0; i < n; i++ {
 		touch(r, i, false)
@@ -356,24 +357,8 @@ func cgTemplateCounts(n int, regs []trace.Region, cfg cache.Config, iters int) (
 		return dst
 	}, func() {
 		for i := 0; i < n; i++ { // q = A p
-			// Consecutive j touch the same two lines until A(i,j) or p(j)
-			// leaves its line: one AccessRun per line run.
-			for j := 0; j < n; {
-				run[0].Addr = A.Base + uint64(i*n+j)*elem8
-				run[1].Addr = p.Base + uint64(j)*elem8
-				steps := min(int64(n-j),
-					patterns.StepsInLine(int64(run[0].Addr), elem8, elem8, line),
-					patterns.StepsInLine(int64(run[1].Addr), elem8, elem8, line))
-				// A one-step run (always, when a line holds one element)
-				// is two plain accesses.
-				if steps == 1 {
-					sim.Access(run[0].Addr, elem8, false, run[0].Owner)
-					sim.Access(run[1].Addr, elem8, false, run[1].Owner)
-				} else {
-					sim.AccessRun(run[:], int(steps))
-				}
-				j += int(steps)
-			}
+			row[0].Addr = A.Base + uint64(i*n)*elem8
+			sim.AccessStrided(row[:], strides[:], n)
 			touch(q, i, true)
 		}
 		for i := 0; i < n; i++ { // p.q

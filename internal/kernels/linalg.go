@@ -69,22 +69,28 @@ func (a *tmat) set(i, j int, x float64) {
 }
 
 // matVec computes dst = a * src with the canonical dense access order:
-// per row, the row of a is streamed and src is fully re-traversed. While
-// no consumer receives references it works on the raw slices, in the
-// same summation order, and counts each row's 2n+1 references at once.
+// per row, the row of a is streamed and src is fully re-traversed. When
+// no consumer needs the references one at a time (trace.Memory's
+// TakesGroups), each row's inner loop is one strided group, emitted
+// before the row is summed on the raw slices in the same order.
 func matVec(dst, src *tvec, a *tmat) int64 {
 	n := a.n
 	var flops int64
-	//dvf:extract assume-false the quiet path makes the same references as the traced loop below, only without emitting them, and is taken only when no consumer receives any
-	if a.mem.Quiet() {
+	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a row's inner loop at a time, and is taken only when no consumer needs them one by one
+	if a.mem.TakesGroups() {
+		row := [2]trace.Strided{
+			{Region: a.reg, Size: elem8, Stride: elem8},
+			{Region: src.reg, Size: elem8, Stride: elem8},
+		}
+		x := src.data[:n]
 		for i := 0; i < n; i++ {
-			row := a.data[i*n : i*n+n]
+			row[0].Off = uint64(i*n) * elem8
+			a.mem.Strided(row[:], n)
 			sum := 0.0
-			for j, v := range row {
-				sum += v * src.data[j]
+			for j, v := range a.data[i*n : i*n+n] {
+				sum += v * x[j]
 			}
-			dst.data[i] = sum
-			a.mem.AddRefs(int64(2*n + 1))
+			dst.store(i, sum)
 			flops += int64(2 * n)
 		}
 		return flops

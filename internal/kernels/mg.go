@@ -81,6 +81,12 @@ type mgGrid struct {
 
 func (g *mgGrid) idx(i, j, k int) int { return (i*g.n+j)*g.n + k }
 
+// row returns the raw k row (i, j, 0..n-1) of g.
+func (g *mgGrid) row(i, j int) []float64 {
+	e := g.offset + g.idx(i, j, 0)
+	return g.data[e : e+g.n : e+g.n]
+}
+
 func (g *mgGrid) load(i, j, k int) float64 {
 	e := g.idx(i, j, k)
 	g.mem.LoadN(g.reg, g.offset+e, elem8)
@@ -93,12 +99,48 @@ func (g *mgGrid) store(i, j, k int, v float64) {
 	g.mem.StoreN(g.reg, g.offset+e, elem8)
 }
 
+// initGroup makes every element of group an 8-byte read of g's region
+// moving stride elements per step, for the caller to place. The grouped
+// bodies below emit one group per innermost k loop (see
+// trace.Memory.TakesGroups) and then compute that loop on the raw data,
+// in the element loop's order.
+func (g *mgGrid) initGroup(group []trace.Strided, stride int64) {
+	for e := range group {
+		group[e] = trace.Strided{Region: g.reg, Size: elem8, Stride: stride * elem8}
+	}
+}
+
+// at returns the byte offset of element (i, j, k) of g within R.
+func (g *mgGrid) at(i, j, k int) uint64 { return uint64(g.offset+g.idx(i, j, k)) * elem8 }
+
 // smooth applies the Algorithm 3 smoother: every interior cell is replaced
 // by the scaled sum of its four lateral neighbors (the paper's pseudocode,
 // a damped Jacobi-like relaxation in the j/i plane).
 func (g *mgGrid) smooth() int64 {
 	n := g.n
 	var flops int64
+	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a k row at a time, and is taken only when no consumer needs them one by one
+	if g.mem.TakesGroups() {
+		var row [5]trace.Strided // the four neighbours, then the store
+		g.initGroup(row[:], 1)
+		row[4].Write = true
+		for i := 1; i < n-1; i++ {
+			for j := 1; j < n-1; j++ {
+				row[0].Off, row[1].Off = g.at(i, j-1, 0), g.at(i, j+1, 0)
+				row[2].Off, row[3].Off = g.at(i-1, j, 0), g.at(i+1, j, 0)
+				row[4].Off = g.at(i, j, 0)
+				g.mem.Strided(row[:], n)
+				w, e := g.row(i, j-1), g.row(i, j+1)
+				s, nn := g.row(i-1, j), g.row(i+1, j)
+				c := g.row(i, j)
+				for k := range c {
+					c[k] = 0.25 * (w[k] + e[k] + s[k] + nn[k])
+				}
+				flops += int64(4 * n)
+			}
+		}
+		return flops
+	}
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
 			for k := 0; k < n; k++ {
@@ -119,6 +161,39 @@ func (g *mgGrid) smooth() int64 {
 func restrictGrid(fine, coarse *mgGrid) int64 {
 	nc := coarse.n
 	var flops int64
+	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a coarse k row at a time, and is taken only when no consumer needs them one by one
+	if fine.mem.TakesGroups() {
+		var row [9]trace.Strided // the eight children, then the store
+		fine.initGroup(row[:8], 2)
+		coarse.initGroup(row[8:], 1)
+		row[8].Write = true
+		var kids [4][]float64 // the fine rows, one per (di, dj)
+		for i := 0; i < nc; i++ {
+			for j := 0; j < nc; j++ {
+				for di := 0; di < 2; di++ {
+					for dj := 0; dj < 2; dj++ {
+						for dk := 0; dk < 2; dk++ {
+							row[4*di+2*dj+dk].Off = fine.at(2*i+di, 2*j+dj, dk)
+						}
+						kids[2*di+dj] = fine.row(2*i+di, 2*j+dj)
+					}
+				}
+				row[8].Off = coarse.at(i, j, 0)
+				fine.mem.Strided(row[:], nc)
+				c := coarse.row(i, j)
+				for k := range c {
+					sum := 0.0
+					for _, kid := range kids {
+						sum += kid[2*k]
+						sum += kid[2*k+1]
+					}
+					c[k] = sum / 8
+				}
+				flops += int64(8 * nc)
+			}
+		}
+		return flops
+	}
 	for i := 0; i < nc; i++ {
 		for j := 0; j < nc; j++ {
 			for k := 0; k < nc; k++ {
@@ -142,6 +217,41 @@ func restrictGrid(fine, coarse *mgGrid) int64 {
 func prolong(coarse, fine *mgGrid) int64 {
 	nc := coarse.n
 	var flops int64
+	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a coarse k row at a time, and is taken only when no consumer needs them one by one
+	if fine.mem.TakesGroups() {
+		// The coarse load, then each child's load and store.
+		var row [17]trace.Strided
+		coarse.initGroup(row[:1], 1)
+		fine.initGroup(row[1:], 2)
+		for e := 2; e < len(row); e += 2 {
+			row[e].Write = true
+		}
+		var kids [4][]float64 // the fine rows, one per (di, dj)
+		for i := 0; i < nc; i++ {
+			for j := 0; j < nc; j++ {
+				row[0].Off = coarse.at(i, j, 0)
+				for di := 0; di < 2; di++ {
+					for dj := 0; dj < 2; dj++ {
+						for dk := 0; dk < 2; dk++ {
+							e := 1 + 2*(4*di+2*dj+dk)
+							row[e].Off = fine.at(2*i+di, 2*j+dj, dk)
+							row[e+1].Off = row[e].Off
+						}
+						kids[2*di+dj] = fine.row(2*i+di, 2*j+dj)
+					}
+				}
+				fine.mem.Strided(row[:], nc)
+				for k, v := range coarse.row(i, j) {
+					for _, kid := range kids {
+						kid[2*k] += 0.5 * v
+						kid[2*k+1] += 0.5 * v
+					}
+				}
+				flops += int64(8 * nc)
+			}
+		}
+		return flops
+	}
 	for i := 0; i < nc; i++ {
 		for j := 0; j < nc; j++ {
 			for k := 0; k < nc; k++ {

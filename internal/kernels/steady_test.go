@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -146,8 +147,106 @@ func TestCGInjectedMatchesFull(t *testing.T) {
 
 // injected runs its kernel with the fault armed.
 type injected struct {
-	*CG
+	Injectable
 	fault Fault
 }
 
 func (k injected) Run(sink trace.Consumer) (*RunInfo, error) { return k.RunInjected(k.fault, sink) }
+
+// TestStridedReplayMatchesElements is the strided-group differential.
+// The simulator's RefConsumer takes CG's matvec and MG's smooth,
+// restrict and prolong one strided group per inner loop, while a plain
+// trace.ConsumerFunc takes every reference of the element loops. On the
+// geometries where line runs are shortest or conflicts most common
+// (direct-mapped, one-set, 4-byte lines), MG over its sizes, cycles and
+// sweeps and CG at odd n must give both equal counters and the same
+// RunInfo, Checksum bits included. So must Run(nil), which takes the
+// grouped bodies with no consumer at all, and an Instrumented simulator,
+// which must forward the groups and tally every reference delivered.
+// Injected runs take the element loops behind either consumer and must
+// match too.
+func TestStridedReplayMatchesElements(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays MG and CG on three geometries several ways")
+	}
+	type tc struct {
+		name  string
+		mk    func() Kernel
+		fault Fault
+	}
+	var cases []tc
+	for _, n := range []int{8, 16, 32} {
+		for _, cycles := range []int{1, 2} {
+			for _, smooth := range []int{1, 2} {
+				mg := MG{N: n, Cycles: cycles, Smooth: smooth}
+				cases = append(cases, tc{
+					name:  fmt.Sprintf("MG-n%d-c%d-s%d", n, cycles, smooth),
+					mk:    func() Kernel { k := mg; return &k },
+					fault: Fault{Structure: "R", ByteOffset: 8*int64(n*n+3) + 7, Bit: 4, AtRef: int64(n * n * n)},
+				})
+			}
+		}
+	}
+	for _, n := range []int{37, 101} {
+		cases = append(cases, tc{
+			name:  fmt.Sprintf("CG-n%d", n),
+			mk:    func() Kernel { return NewCG(n, 4) },
+			fault: Fault{Structure: "A", ByteOffset: 8*int64(n+1) + 6, Bit: 3, AtRef: int64(n * n)},
+		})
+	}
+	for _, c := range cases {
+		for _, cfg := range lineRunGeometries()[6:] {
+			t.Run(c.name+"/"+cfg.Name, func(t *testing.T) {
+				steady, full, si, fi := replayBoth(t, c.mk, cfg)
+				requireSameReplay(t, steady, full, si, fi)
+				requireSameChecksum(t, "RefConsumer", si, fi)
+
+				ni, err := c.mk().Run(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ni, fi) {
+					t.Errorf("RunInfo: Run(nil) %+v, element loops %+v", ni, fi)
+				}
+				requireSameChecksum(t, "Run(nil)", ni, fi)
+
+				sim, err := cache.NewSimulator(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := metrics.New()
+				sink := trace.Instrumented(sim.Consumer(), reg, "t")
+				if _, ok := sink.(trace.StridedConsumer); !ok {
+					t.Fatalf("Instrumented over the simulator takes no groups")
+				}
+				ii, err := c.mk().Run(sink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameReplay(t, sim, full, ii, fi)
+				_, extrapolated := sim.Extrapolated()
+				if delivered := reg.Snapshot().Counters["t.refs"]; delivered+extrapolated != ii.Refs {
+					t.Errorf("Instrumented tallied %d references and %d were extrapolated, want %d in all",
+						delivered, extrapolated, ii.Refs)
+				}
+
+				inj := func() Kernel { return injected{c.mk().(Injectable), c.fault} }
+				steady, full, si, fi = replayBoth(t, inj, cfg)
+				requireSameReplay(t, steady, full, si, fi)
+				requireSameChecksum(t, "injected", si, fi)
+				if fi.Checksum == ni.Checksum {
+					t.Errorf("the injected run's checksum %v equals the clean run's", fi.Checksum)
+				}
+			})
+		}
+	}
+}
+
+// requireSameChecksum fails unless both checksums have the same bits,
+// which reflect.DeepEqual does not check for NaN or signed zeros.
+func requireSameChecksum(t *testing.T, path string, got, want *RunInfo) {
+	t.Helper()
+	if math.Float64bits(got.Checksum) != math.Float64bits(want.Checksum) {
+		t.Errorf("%s: Checksum %x, element loops %x", path, math.Float64bits(got.Checksum), math.Float64bits(want.Checksum))
+	}
+}

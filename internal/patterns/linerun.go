@@ -1,8 +1,9 @@
 package patterns
 
 import (
-	"math"
 	"math/bits"
+
+	"github.com/resilience-models/dvf/internal/cache"
 )
 
 // LineRun walks one step of a template's inner loop at a time through a
@@ -10,10 +11,10 @@ import (
 // blocks. Each element of a step advances by its own byte stride per
 // step and touches the same lines for as long as it stays inside them,
 // so consecutive steps repeat one block group. A step's run is the
-// fewest such steps over its elements, capped by the steps left in the
-// loop; the counter sees the group once per step of the run, through
-// the VisitRun shortcut. When a line holds no more than one element,
-// every run is one step.
+// fewest such steps over its elements (cache.StepsInLine), capped by the
+// steps left in the loop; the counter sees the group once per step of
+// the run, through the VisitRun shortcut. When a line holds no more than
+// one element, every run is one step.
 //
 //	for k := 0; k < n; {
 //		run.Start(n - k)
@@ -46,7 +47,7 @@ func (r *LineRun) Start(left int) {
 // bounds the run by the steps the element stays in its line.
 func (r *LineRun) Add(addr, size, stride int64) {
 	if r.steps > 1 {
-		r.steps = int(min(int64(r.steps), StepsInLine(addr, size, stride, r.line)))
+		r.steps = int(min(int64(r.steps), cache.StepsInLine(addr, size, stride, r.line)))
 	}
 	for b, last := addr>>r.shift, (addr+size-1)>>r.shift; b <= last; b++ {
 		r.ctr.Visit(b)
@@ -64,29 +65,4 @@ func (r *LineRun) End() int {
 		r.ctr.revisit(r.blocks, r.steps-1)
 	}
 	return r.steps
-}
-
-// StepsInLine returns how many consecutive steps, this one included, an
-// element of size bytes at byte address addr >= 0 stays inside the line
-// of lineSize bytes (a power of two) that holds it, moving stride bytes
-// per step. An element that already spans a line boundary gets 1; one
-// that never moves (stride 0) is never bounded.
-func StepsInLine(addr, size, stride, lineSize int64) int64 {
-	off := addr & (lineSize - 1)
-	room := lineSize - off - size // bytes the element can still move up
-	switch {
-	case room < 0:
-		return 1
-	case stride > 0:
-		if room < stride {
-			return 1
-		}
-		return room/stride + 1
-	case stride < 0:
-		if off < -stride {
-			return 1
-		}
-		return off/-stride + 1
-	}
-	return math.MaxInt64
 }

@@ -1,9 +1,6 @@
 package patterns
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // FuzzVisitRunVsVisit checks VisitRun against a Visit loop over the same
 // passes. The program is read op by op: an op byte with its low two bits
@@ -51,28 +48,4 @@ func FuzzVisitRunVsVisit(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestStepsInLine pins the run bounds: forward and backward strides, an
-// element that spans a line boundary, and one that never moves.
-func TestStepsInLine(t *testing.T) {
-	for _, c := range []struct {
-		addr, size, stride, line, want int64
-	}{
-		{0, 8, 8, 64, 8},
-		{56, 8, 8, 64, 1},
-		{8, 8, 16, 64, 4},
-		{16, 16, 16, 32, 1},
-		{0, 16, 16, 8, 1},   // spans two lines
-		{60, 8, 8, 64, 1},   // spans two lines
-		{56, 8, -8, 64, 8},  // walks down to the line start
-		{8, 8, -16, 64, 1},  // the next step leaves the line
-		{24, 8, -16, 64, 2}, // 24, then 8
-		{40, 8, 0, 64, math.MaxInt64},
-		{0, 8, 8, 8, 1},
-	} {
-		if got := StepsInLine(c.addr, c.size, c.stride, c.line); got != c.want {
-			t.Errorf("StepsInLine(%d, %d, %d, %d) = %d, want %d", c.addr, c.size, c.stride, c.line, got, c.want)
-		}
-	}
 }

@@ -9,9 +9,12 @@ import "github.com/resilience-models/dvf/internal/metrics"
 // is a PeriodConsumer the wrapper is one too and forwards each period
 // boundary, so an instrumented run stops where the bare one would; the
 // counters then hold the references delivered, not those the kernel
-// made (RunInfo.Refs). A nil sink returns next unchanged, so the
-// uninstrumented path keeps its exact call graph; a nil next with a live
-// sink yields a pure counting consumer.
+// made (RunInfo.Refs). When next is a StridedConsumer the wrapper is one
+// too: it tallies each group once and forwards it, so an instrumented
+// run takes the kernels' grouped path as the bare one does. A nil sink
+// returns next unchanged, so the uninstrumented path keeps its exact
+// call graph; a nil next with a live sink yields a pure counting
+// consumer.
 func Instrumented(next Consumer, sink metrics.Sink, prefix string) Consumer {
 	if sink == nil {
 		return next
@@ -22,8 +25,15 @@ func Instrumented(next Consumer, sink metrics.Sink, prefix string) Consumer {
 		bytes:  sink.Counter(prefix + ".bytes"),
 		writes: sink.Counter(prefix + ".writes"),
 	}
-	if p, ok := next.(PeriodConsumer); ok {
+	p, period := next.(PeriodConsumer)
+	s, strided := next.(StridedConsumer)
+	switch {
+	case period && strided:
+		return instrumentedBoth{instrumentedGroups{c, s}, p}
+	case period:
 		return instrumentedPeriods{c, p}
+	case strided:
+		return instrumentedGroups{c, s}
 	}
 	return c
 }
@@ -54,6 +64,39 @@ type instrumentedPeriods struct {
 
 // EndPeriod forwards the boundary.
 func (c instrumentedPeriods) EndPeriod(refs int64) bool { return c.period.EndPeriod(refs) }
+
+// instrumentedGroups is instrumented over a StridedConsumer.
+type instrumentedGroups struct {
+	*instrumented
+	strided StridedConsumer
+}
+
+// AccessStrided tallies the group's steps*len(refs) references and
+// passes the group on.
+func (c instrumentedGroups) AccessStrided(refs []Ref, owners []int32, strides []int64, steps int) {
+	var nbytes, nwrites int64
+	for _, r := range refs {
+		nbytes += int64(r.Size)
+		if r.Write {
+			nwrites++
+		}
+	}
+	n := int64(steps)
+	c.refs.Add(n * int64(len(refs)))
+	c.bytes.Add(n * nbytes)
+	c.writes.Add(n * nwrites)
+	c.strided.AccessStrided(refs, owners, strides, steps)
+}
+
+// instrumentedBoth is instrumented over a consumer that is both a
+// StridedConsumer and a PeriodConsumer, as cache.RefConsumer is.
+type instrumentedBoth struct {
+	instrumentedGroups
+	period PeriodConsumer
+}
+
+// EndPeriod forwards the boundary.
+func (c instrumentedBoth) EndPeriod(refs int64) bool { return c.period.EndPeriod(refs) }
 
 // InstrumentedBatch is Instrumented for the batched replay path: the same
 // <prefix>.refs/.bytes/.writes counters, tallied once per batch from the

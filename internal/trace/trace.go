@@ -15,6 +15,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -117,6 +118,9 @@ func (g *Registry) Lookup(addr uint64) (Region, bool) {
 //	mem.LoadN(a, i, 8)   // read  the 8-byte element a[i]
 //	mem.StoreN(c, i, 8)  // write the 8-byte element c[i]
 //
+// An affine inner loop can also be emitted whole, as a strided group
+// (Strided); see TakesGroups for when a kernel may do so.
+//
 // A kernel whose stream repeats marks its period boundaries with Period.
 // When the consumer is a PeriodConsumer and reports a steady state at a
 // boundary, the Memory stops delivering references and lets the consumer
@@ -127,13 +131,21 @@ type Memory struct {
 	refs int64
 
 	// period is the consumer told of period boundaries: the sink when it
-	// implements PeriodConsumer, nil otherwise.
-	period PeriodConsumer
+	// implements PeriodConsumer, nil otherwise. strided is the sink when
+	// it implements StridedConsumer, nil otherwise.
+	period  PeriodConsumer
+	strided StridedConsumer
 	// mark is Refs at the last boundary. Once period stopped, steady is
 	// the length of the period at whose end it did.
 	mark, steady int64
 	stopped      bool
 	err          error
+
+	// The step-0 references, owners and strides of the group Strided
+	// hands to strided, reused from group to group.
+	groupRefs    []Ref
+	groupOwners  []int32
+	groupStrides []int64
 }
 
 // PeriodConsumer is a Consumer that can stand in for the repeats of a
@@ -150,6 +162,29 @@ type PeriodConsumer interface {
 	EndPeriod(refs int64) (stop bool)
 }
 
+// StridedConsumer is a Consumer that takes a strided group at once:
+// steps iterations of an inner loop in which element e makes refs[e],
+// owned by owners[e], moved by strides[e] bytes per step. It must act
+// exactly as the element loop's Access calls would, step after step and
+// within a step element after element:
+//
+//	for k := 0; k < steps; k++ {
+//		for e := range refs {
+//			r := refs[e]
+//			r.Addr += uint64(int64(k) * strides[e])
+//			c.Access(r, owners[e])
+//		}
+//	}
+//
+// It must not retain the slices. A consumer that must see the data
+// between two references (the kernels' fault injector, which flips a
+// bit at an exact reference) does not implement it; neither do Recorder,
+// Tee and ConsumerFunc.
+type StridedConsumer interface {
+	Consumer
+	AccessStrided(refs []Ref, owners []int32, strides []int64, steps int)
+}
+
 // ErrPartialPeriod reports that references made while a PeriodConsumer
 // was stopped do not form whole periods, so the consumer cannot have
 // counted them: the stream ended, or reached a boundary, part-way through
@@ -161,6 +196,7 @@ var ErrPartialPeriod = errors.New("trace: references outside a whole period were
 func NewMemory(reg *Registry, sink Consumer) *Memory {
 	m := &Memory{reg: reg, sink: sink}
 	m.period, _ = sink.(PeriodConsumer)
+	m.strided, _ = sink.(StridedConsumer)
 	return m
 }
 
@@ -170,14 +206,12 @@ func (m *Memory) Registry() *Registry { return m.reg }
 // Refs returns the number of references made so far, delivered or not.
 func (m *Memory) Refs() int64 { return m.refs }
 
-// Quiet reports whether references currently reach no consumer: the sink
-// is nil, or a PeriodConsumer stopped. A kernel may then compute on its
-// raw data and count the references it made with AddRefs.
-func (m *Memory) Quiet() bool { return m.sink == nil }
-
-// AddRefs counts n references made without emitting them. Call it only
-// while Quiet reports true.
-func (m *Memory) AddRefs(n int64) { m.refs += n }
+// TakesGroups reports whether no consumer needs the references of a
+// strided group one at a time: the sink is nil, a PeriodConsumer
+// stopped, or the sink is a StridedConsumer. A kernel may then emit an
+// inner loop's references with Strided and compute the loop on its raw
+// data afterwards.
+func (m *Memory) TakesGroups() bool { return m.sink == nil || m.strided != nil }
 
 // Period marks the end of one period of the stream. Every period after
 // the first boundary must make the same references in the same order;
@@ -231,14 +265,101 @@ func (m *Memory) StoreN(r Region, idx int, elemSize uint32) {
 }
 
 func (m *Memory) emit(r Region, off uint64, size uint32, write bool) {
-	if off+uint64(size) > r.Size {
-		panic(fmt.Sprintf("trace: access %s+%d(%dB) out of bounds", r, off, size))
+	if !inBounds(off, size, r.Size) {
+		panic(outOfBounds(r, off, size))
 	}
 	m.refs++
 	if m.sink == nil {
 		return
 	}
 	m.sink.Access(Ref{Addr: r.Base + off, Size: size, Write: write}, r.ID)
+}
+
+// inBounds reports whether size bytes at byte offset off lie inside a
+// region of regionSize bytes. It cannot wrap: a negative index converted
+// to an offset is far past regionSize, not below it.
+func inBounds(off uint64, size uint32, regionSize uint64) bool {
+	return off <= regionSize && uint64(size) <= regionSize-off
+}
+
+// outOfBounds is the panic message for an access that fails inBounds.
+//
+//go:noinline
+func outOfBounds(r Region, off uint64, size uint32) string {
+	return fmt.Sprintf("trace: access %s+%d(%dB) out of bounds", r, off, size)
+}
+
+// Strided is one element of a strided group: the reference an inner
+// loop makes at its first step, and the bytes it moves per step.
+type Strided struct {
+	Region Region
+	Off    uint64 // byte offset of the first step's reference within Region
+	Size   uint32
+	Write  bool
+	Stride int64 // bytes moved per step; zero or negative allowed
+}
+
+// Strided emits steps iterations of an inner loop whose step k makes,
+// element after element, the reference group[e] moved by k*Stride
+// bytes: the same references, in the same order, as the LoadN/StoreN
+// calls of the element loop. Before anything is delivered it checks
+// each element's first and last step against its region; the steps
+// between lie between them. A StridedConsumer receives the group at
+// once, any other consumer reference by reference, and a nil or stopped
+// sink none.
+func (m *Memory) Strided(group []Strided, steps int) {
+	if steps < 1 {
+		return
+	}
+	for i := range group {
+		g := &group[i]
+		if !inBounds(g.Off, g.Size, g.Region.Size) {
+			panic(outOfBounds(g.Region, g.Off, g.Size))
+		}
+		last, ok := lastOffset(g.Off, g.Stride, steps)
+		if !ok {
+			panic(fmt.Sprintf("trace: access %s+%d(%dB) moving %d bytes for %d steps out of bounds", g.Region, g.Off, g.Size, g.Stride, steps))
+		}
+		if !inBounds(last, g.Size, g.Region.Size) {
+			panic(outOfBounds(g.Region, last, g.Size))
+		}
+	}
+	m.refs += int64(steps) * int64(len(group))
+	switch {
+	case m.sink == nil:
+	case m.strided != nil:
+		m.groupRefs, m.groupOwners, m.groupStrides = m.groupRefs[:0], m.groupOwners[:0], m.groupStrides[:0]
+		for i := range group {
+			g := &group[i]
+			m.groupRefs = append(m.groupRefs, Ref{Addr: g.Region.Base + g.Off, Size: g.Size, Write: g.Write})
+			m.groupOwners = append(m.groupOwners, g.Region.ID)
+			m.groupStrides = append(m.groupStrides, g.Stride)
+		}
+		m.strided.AccessStrided(m.groupRefs, m.groupOwners, m.groupStrides, steps)
+	default:
+		for k := range steps {
+			for i := range group {
+				g := &group[i]
+				off := g.Off + uint64(int64(k)*g.Stride)
+				m.sink.Access(Ref{Addr: g.Region.Base + off, Size: g.Size, Write: g.Write}, g.Region.ID)
+			}
+		}
+	}
+}
+
+// lastOffset returns the byte offset at step steps-1 of an element at
+// byte offset off that moves stride bytes per step, and false when that
+// offset lies outside [0, 2^64).
+func lastOffset(off uint64, stride int64, steps int) (uint64, bool) {
+	mag := uint64(stride)
+	if stride < 0 {
+		mag = -mag
+	}
+	hi, span := bits.Mul64(uint64(steps-1), mag)
+	if stride < 0 {
+		return off - span, hi == 0 && span <= off
+	}
+	return off + span, hi == 0 && off+span >= off
 }
 
 // Recorder is a Consumer that stores the full stream, mainly for tests and

@@ -154,9 +154,9 @@ func TestMemoryPeriodsStop(t *testing.T) {
 		period(mem)
 		mem.Period()
 	}
-	if !mem.Quiet() || c.Len() != 5 || mem.Refs() != 9 {
-		t.Fatalf("after stopping at boundary 2: quiet %v, %d delivered, %d refs; want quiet, 5, 9",
-			mem.Quiet(), c.Len(), mem.Refs())
+	if !mem.TakesGroups() || c.Len() != 5 || mem.Refs() != 9 {
+		t.Fatalf("after stopping at boundary 2: takes groups %v, %d delivered, %d refs; want true, 5, 9",
+			mem.TakesGroups(), c.Len(), mem.Refs())
 	}
 	if want := []int64{3, 2, 2, 2}; !slices.Equal(c.periods, want) {
 		t.Errorf("periods told %v, want %v", c.periods, want)
@@ -165,11 +165,12 @@ func TestMemoryPeriodsStop(t *testing.T) {
 		t.Errorf("stream ended on a boundary, yet Err: %v", err)
 	}
 
-	mem.AddRefs(1) // a reference made on raw data while quiet
+	mem.LoadN(a, 0, 8) // withheld from the stopped consumer
 	if err := mem.Err(); !errors.Is(err, ErrPartialPeriod) {
 		t.Errorf("reference after the last boundary: Err %v, want ErrPartialPeriod", err)
 	}
-	mem.AddRefs(2)
+	mem.LoadN(a, 1, 8)
+	mem.LoadN(a, 2, 8)
 	mem.Period() // a period of 3 after a steady period of 2
 	if err := mem.Err(); !errors.Is(err, ErrPartialPeriod) || len(c.periods) != 4 {
 		t.Errorf("uneven period: Err %v and %d periods told, want ErrPartialPeriod and 4", err, len(c.periods))
@@ -181,8 +182,8 @@ func TestMemoryPeriodsStop(t *testing.T) {
 		period(mem)
 		mem.Period()
 	}
-	if mem.Quiet() || rec.Len() != 6 || mem.Err() != nil {
-		t.Errorf("plain consumer: quiet %v, %d delivered, Err %v", mem.Quiet(), rec.Len(), mem.Err())
+	if mem.TakesGroups() || rec.Len() != 6 || mem.Err() != nil {
+		t.Errorf("plain consumer: takes groups %v, %d delivered, Err %v", mem.TakesGroups(), rec.Len(), mem.Err())
 	}
 }
 
