@@ -19,7 +19,7 @@
 #                     experiments package replays every figure)
 #   make bench-smoke  one iteration of the cache simulator's batched and
 #                     per-reference replay benchmarks, the CG, MG and FT
-#                     CGPMAC models (with and without line runs),
+#                     CGPMAC models on each of the six Table IV caches,
 #                     one Figure 4 CG and MG cell per verification
 #                     cache,
 #                     the fft Aspen evaluation, a dvf-serve analyze miss

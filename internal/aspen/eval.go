@@ -638,7 +638,8 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 				return 0, errAt(p.Pos, "template of %d-byte elements on %d-byte lines exceeds the %d block-visit limit",
 					w.elem, cfg.LineSize, int64(maxTemplateAccesses))
 			}
-			return float64(w.misses(cfg)), nil
+			misses, _ := w.misses(cfg)
+			return float64(misses), nil
 		},
 	}, nil
 }
@@ -693,17 +694,19 @@ func (w *templateWalk) accesses() int64 {
 }
 
 // misses feeds the walk for cfg through a TemplateCounter and returns
-// its misses. The ranged groups go one line run at a time (see
+// the walk's misses, and the counter, which holds only the repeats
+// simulated. The ranged groups go one line run at a time (see
 // patterns.LineRun): the steps for which every member stays in its line
 // visit one block group again and again. The list goes element by
-// element. Each repeat is one period: once the LRU state repeats, the
-// remaining repeats are counted, not replayed.
-func (w *templateWalk) misses(cfg cache.Config) int64 {
+// element. Each repeat is one period: once the LRU state repeats, or a
+// repeat evicts nothing, the remaining repeats are counted, not
+// replayed.
+func (w *templateWalk) misses(cfg cache.Config) (int64, *patterns.TemplateCounter) {
 	ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
 	run := patterns.NewLineRun(ctr, cfg.LineSize)
-	misses := patterns.RunPeriods(w.repeats, ctr, func(dst []int64) []int64 {
-		return append(dst, ctr.Misses())
-	}, func() {
+	counts := patterns.RunPeriods(w.repeats, ctr, func(dst []cache.Stats) []cache.Stats {
+		return append(dst, ctr.Stats())
+	}, func(func() bool) {
 		for _, g := range w.groups {
 			stride := g.step * w.elem
 			for s := int64(0); s < g.count; {
@@ -720,7 +723,7 @@ func (w *templateWalk) misses(cfg cache.Config) int64 {
 			run.End()
 		}
 	})
-	return misses[0]
+	return counts[0].Misses, ctr
 }
 
 // templateRepeats evaluates a template's repeat count, 1 when absent.

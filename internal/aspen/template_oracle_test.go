@@ -104,6 +104,30 @@ func TestTemplateLineRunsMatchFlattenedWalk(t *testing.T) {
 	}
 }
 
+// TestTemplateRepeatThatFitsRunsOnce: fft.aspen's 32 KB array fits the
+// 8MB cache, so its first pass evicts nothing and is the only one of
+// the 12 simulated; the count equals the flattened walk's.
+func TestTemplateRepeatThatFitsRunsOnce(t *testing.T) {
+	m, _ := readModel(t, "fft.aspen")
+	vars, err := bindParams(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Data[0].Pattern.(*TemplatePattern)
+	w, err := lowerTemplateWalk(p, vars, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.elem = 16
+	misses, ctr := w.misses(cache.Profile8MB)
+	if want := flatTemplateMisses(t, m, m.Data[0], cache.Profile8MB); float64(misses) != want {
+		t.Errorf("misses %d, flattened walk %g", misses, want)
+	}
+	if pass := w.accesses(); ctr.Visits() != pass {
+		t.Errorf("%d visits simulated, want one pass of %d", ctr.Visits(), pass)
+	}
+}
+
 // TestTemplateIndexBoundWithoutWholeElement: a structure smaller than
 // one element holds no element, so every template index is out of
 // range, as it is for a zero-sized structure.

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"github.com/resilience-models/dvf/internal/metrics"
@@ -112,11 +111,11 @@ type Simulator struct {
 	ways []line
 	fill []int32
 
-	// savedFill and savedWays are the snapshot SaveState takes and
-	// SameState compares against: the fill counts, and the valid lines
-	// of every set packed in set order. nil until the first save.
-	savedFill []int32
-	savedWays []line
+	// saved is the snapshot SaveState takes and SameState compares
+	// against, as AppendState encodes it; hasSaved tells an empty
+	// snapshot from none.
+	saved    []uint64
+	hasSaved bool
 
 	// Per-structure counters: IDs in [0, denseStructIDs) index dense
 	// directly; any other ID (negative, or large, as a hand-written or
@@ -339,8 +338,8 @@ func (s *Simulator) Consumer() RefConsumer {
 type RefConsumer struct{ s *Simulator }
 
 // steadyState is what RefConsumer.EndPeriod keeps between boundaries:
-// the counters at the last one, and once a period has ended in the cache
-// state it started from, that period's counter delta.
+// the counters at the last one, and once the stream has proved that the
+// rest repeats, the counter delta of each later period.
 type steadyState struct {
 	saved   bool
 	stopped bool
@@ -349,13 +348,20 @@ type steadyState struct {
 }
 
 // EndPeriod implements trace.PeriodConsumer. At each boundary it
-// snapshots the cache state and the counters. When a period ends in the
-// state the last snapshot holds, every later period repeats that
-// period's counter deltas exactly (see SameState), so it keeps the delta
-// and stops the stream; at each later boundary it adds the delta instead
-// of simulating the period. It uses, and overwrites, the SaveState
-// snapshot. A stream with out-of-range structure IDs is simulated in
-// full.
+// snapshots the cache state and the counters, and it stops the stream
+// once the period just ended proves that every later one repeats:
+//
+//   - when the period ended in the state the last snapshot holds,
+//     every later period repeats its counter deltas exactly (see
+//     SameState);
+//   - when the period evicted nothing, every block it touched is still
+//     resident, so each later period, the same references, hits on
+//     every access and leaves the state unchanged: its delta is its
+//     accesses, with no miss, writeback or eviction.
+//
+// At each later boundary it adds the delta instead of simulating the
+// period. It uses, and overwrites, the SaveState snapshot. A stream with
+// out-of-range structure IDs is simulated in full.
 func (c RefConsumer) EndPeriod(refs int64) bool {
 	s := c.s
 	st := s.steady
@@ -374,14 +380,25 @@ func (c RefConsumer) EndPeriod(refs int64) bool {
 	if len(s.sparse) > 0 {
 		return false
 	}
-	if st.saved && s.SameState() {
+	if st.saved {
+		var evictions int64
 		for i := range s.dense {
 			d := s.dense[i]
 			d.sub(&st.base[i])
 			st.delta[i] = d
+			evictions += d.evictions
 		}
-		st.stopped = true
-		return true
+		if evictions == 0 {
+			for i := range st.delta {
+				st.delta[i] = counters{accesses: st.delta[i].accesses}
+			}
+			st.stopped = true
+			return true
+		}
+		if s.SameState() {
+			st.stopped = true
+			return true
+		}
 	}
 	s.SaveState()
 	st.base = s.dense
@@ -523,26 +540,14 @@ func (s *Simulator) Reset() {
 	s.steady, s.extrapolated, s.extrapolatedRefs = nil, 0, 0
 }
 
-// SaveState snapshots the cache contents: every set's fill count and
-// the tag, owner and dirty bit of each valid line, packed set after set.
-// The counters are not state. The snapshot holds only the valid lines,
-// so a working set smaller than the cache costs less than the line slab;
-// it is allocated on the first save and grows only when the cache holds
-// more lines than at any earlier save.
+// SaveState snapshots the cache contents, replacing any earlier
+// snapshot. The counters are not state. The snapshot holds only the
+// valid lines, so a working set smaller than the cache costs less than
+// the line slab; it is allocated on the first save and grows only when
+// the cache holds more lines than at any earlier save.
 func (s *Simulator) SaveState() {
-	valid := 0
-	for _, n := range s.fill {
-		valid += int(n)
-	}
-	if s.savedFill == nil {
-		s.savedFill = make([]int32, len(s.fill))
-	}
-	copy(s.savedFill, s.fill)
-	s.savedWays = slices.Grow(s.savedWays[:0], valid)
-	for set, n := range s.fill {
-		base := set * s.assoc
-		s.savedWays = append(s.savedWays, s.ways[base:base+int(n)]...)
-	}
+	s.saved = s.AppendState(s.saved[:0])
+	s.hasSaved = true
 }
 
 // SameState reports whether the cache contents equal the last SaveState
@@ -550,20 +555,78 @@ func (s *Simulator) SaveState() {
 // a reference depends only on its contents, so one reference sequence
 // presented to two equal states changes every counter by the same amount
 // and leaves equal states behind.
-func (s *Simulator) SameState() bool {
-	if s.savedFill == nil || !slices.Equal(s.fill, s.savedFill) {
-		return false
+func (s *Simulator) SameState() bool { return s.hasSaved && s.SameAs(s.saved) }
+
+// StateLen returns the length of AppendState's encoding of the current
+// contents: two words per valid line.
+func (s *Simulator) StateLen() int {
+	valid := 0
+	for _, n := range s.fill {
+		valid += int(n)
 	}
-	saved := s.savedWays
+	return 2 * valid
+}
+
+// StateCap returns the length of the encoding of a full cache: two
+// words per line, as many bytes as the line slab.
+func (s *Simulator) StateCap() int { return 2 * len(s.ways) }
+
+// AppendState appends an encoding of the cache contents to dst: for
+// each valid line, set after set and from most to least recently used,
+// its block number, then its owner and dirty bit. A block number
+// carries its set, so the encoding fixes every set's fill count too,
+// and two simulators hold equal contents exactly when their encodings
+// are equal. The counters are not state.
+func (s *Simulator) AppendState(dst []uint64) []uint64 {
+	// Grown by hand rather than by slices.Grow, whose append of a made
+	// slice allocates that slice too under the race detector: the bytes
+	// a walk allocates are then the same in every build.
+	if n := s.StateLen(); cap(dst)-len(dst) < n {
+		grown := make([]uint64, len(dst), max(len(dst)+n, 2*cap(dst)))
+		copy(grown, dst)
+		dst = grown
+	}
 	for set, n := range s.fill {
 		base := set * s.assoc
-		if !slices.Equal(s.ways[base:base+int(n)], saved[:n]) {
-			return false
+		for _, ln := range s.ways[base : base+int(n)] {
+			dst = append(dst, ln.tag<<s.tagShift|uint64(set), lineMeta(ln))
 		}
-		saved = saved[n:]
+	}
+	return dst
+}
+
+// SameAs reports whether the cache contents are those snap encodes (see
+// AppendState).
+func (s *Simulator) SameAs(snap []uint64) bool {
+	if len(snap) != s.StateLen() {
+		return false
+	}
+	i := 0
+	for set, n := range s.fill {
+		base := set * s.assoc
+		for _, ln := range s.ways[base : base+int(n)] {
+			if snap[i] != ln.tag<<s.tagShift|uint64(set) || snap[i+1] != lineMeta(ln) {
+				return false
+			}
+			i += 2
+		}
 	}
 	return true
 }
+
+// lineMeta is the second word of a line's encoding: its owner, then its
+// dirty bit.
+func lineMeta(ln line) uint64 {
+	m := uint64(uint32(ln.owner)) << 1
+	if ln.dirty {
+		m |= 1
+	}
+	return m
+}
+
+// Evictions returns the lines evicted since the simulator was built or
+// Reset, summed over the structures.
+func (s *Simulator) Evictions() int64 { return s.TotalStats().Evictions }
 
 // count returns id's counters. A dense ID is an array slot; only an ID
 // outside the dense range takes the call to sparseCount.

@@ -173,6 +173,8 @@ func (c *CG) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 		rho += ri * ri
 	}
 	flops += int64(2 * n)
+	// Every iteration is one period, the first one included.
+	m.mem.Period()
 
 	iters := 0
 	for iters < maxIters {
@@ -325,18 +327,22 @@ func cgTemplateRegions(n int) []trace.Region {
 }
 
 // cgTemplateCounts replays the Algorithm 4 access template, iters
-// iterations, through a simulator of cfg and returns the counters of
-// each of regs (cgTemplateRegions). Every iteration replays the same
-// body, so the iterations run as patterns.RunPeriods periods: once the
-// cache state repeats, the rest are counted, not simulated.
+// iterations, through a simulator of cfg and returns the accesses,
+// misses and evictions of each of regs (cgTemplateRegions). The
+// template presents every reference as a read: in a write-allocate LRU
+// cache, hits, misses and evictions do not depend on dirty bits, and the
+// template model reads only misses. Every iteration replays the same
+// body, so the iterations run as patterns.RunPeriods periods, with a
+// mark after each matvec row: once the cache state proves that the rest
+// repeats, the rest is counted, not simulated.
 func cgTemplateCounts(n int, regs []trace.Region, cfg cache.Config, iters int) ([]cache.Stats, error) {
 	sim, err := cache.NewSimulator(cfg)
 	if err != nil {
 		return nil, err
 	}
 	A, x, p, r, q := &regs[0], &regs[1], &regs[2], &regs[3], &regs[4]
-	touch := func(rg *trace.Region, i int, write bool) {
-		sim.Access(rg.Base+uint64(i)*elem8, elem8, write, cache.StructID(rg.ID))
+	touch := func(rg *trace.Region, i int) {
+		sim.Access(rg.Base+uint64(i)*elem8, elem8, false, cache.StructID(rg.ID))
 	}
 	// The matvec's inner loop over j is one strided group per row:
 	// A(i,j), then p(j), each moving one element per step.
@@ -347,49 +353,45 @@ func cgTemplateCounts(n int, regs []trace.Region, cfg cache.Config, iters int) (
 	strides := [2]int64{elem8, elem8}
 	// Initial rho = r.r.
 	for i := 0; i < n; i++ {
-		touch(r, i, false)
+		touch(r, i)
 	}
-	counts := patterns.RunPeriods(iters, sim, func(dst []int64) []int64 {
+	return patterns.RunPeriods(iters, sim, func(dst []cache.Stats) []cache.Stats {
 		for _, rg := range regs {
-			st := sim.StructStats(cache.StructID(rg.ID))
-			dst = append(dst, st.Accesses, st.Misses, st.Writebacks, st.Evictions)
+			dst = append(dst, sim.StructStats(cache.StructID(rg.ID)))
 		}
 		return dst
-	}, func() {
+	}, func(mark func() bool) {
 		for i := 0; i < n; i++ { // q = A p
 			row[0].Addr = A.Base + uint64(i*n)*elem8
 			sim.AccessStrided(row[:], strides[:], n)
-			touch(q, i, true)
+			touch(q, i)
+			if mark() {
+				return
+			}
 		}
 		for i := 0; i < n; i++ { // p.q
-			touch(p, i, false)
-			touch(q, i, false)
+			touch(p, i)
+			touch(q, i)
 		}
 		for i := 0; i < n; i++ { // x += alpha p
-			touch(x, i, false)
-			touch(p, i, false)
-			touch(x, i, true)
+			touch(x, i)
+			touch(p, i)
+			touch(x, i)
 		}
 		for i := 0; i < n; i++ { // r -= alpha q
-			touch(r, i, false)
-			touch(q, i, false)
-			touch(r, i, true)
+			touch(r, i)
+			touch(q, i)
+			touch(r, i)
 		}
 		for i := 0; i < n; i++ { // rho' = r.r
-			touch(r, i, false)
+			touch(r, i)
 		}
 		for i := 0; i < n; i++ { // p = r + beta p
-			touch(r, i, false)
-			touch(p, i, false)
-			touch(p, i, true)
+			touch(r, i)
+			touch(p, i)
+			touch(p, i)
 		}
-	})
-	out := make([]cache.Stats, len(regs))
-	for i := range out {
-		c := counts[4*i:]
-		out[i] = cache.Stats{Accesses: c[0], Hits: c[0] - c[1], Misses: c[1], Writebacks: c[2], Evictions: c[3]}
-	}
-	return out, nil
+	}), nil
 }
 
 // cgVectorParams describes the composite reuse behaviour of a CG vector:

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -214,6 +215,45 @@ func TestCGTemplateModelUnknownStructure(t *testing.T) {
 	}
 }
 
+// TestCGTemplateWalkMemory bounds the snapshots RunPeriods takes: on
+// every Table IV cache, one CG template walk at the verification size
+// (n=500, 10 iterations) allocates, beyond building its simulator, at
+// most about twice the simulator's line slab. That is one period-end
+// snapshot and one state's worth of checkpoint snapshots, each at most
+// as large as the slab, plus a little bookkeeping.
+func TestCGTemplateWalkMemory(t *testing.T) {
+	const n, iters = 500, 10
+	regs := cgTemplateRegions(n)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, cfg := range append(cache.VerificationConfigs(), cache.ProfilingConfigs()...) {
+		var sim *cache.Simulator
+		built := allocated(func() {
+			var err error
+			if sim, err = cache.NewSimulator(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		walk := allocated(func() {
+			if _, err := cgTemplateCounts(n, regs, cfg, iters); err != nil {
+				t.Fatal(err)
+			}
+		})
+		slab := uint64(sim.StateCap()) * 8
+		const bookkeeping = 16 << 10
+		t.Logf("%s: walk %d, simulator %d, slab %d", cfg.Name, walk, built, slab)
+		if walk > built+2*slab+bookkeeping {
+			t.Errorf("%s: a walk allocates %d bytes beyond its %d-byte simulator, want at most twice the %d-byte line slab + %d",
+				cfg.Name, walk-built, built, slab, bookkeeping)
+		}
+	}
+}
+
 // BenchmarkCGTemplateModel times what perfbench reports as
 // patterns.estimate_ms.CG.<cache>: building CG's four CGPMAC models at
 // the verification size (500x500, 10 iterations) and evaluating each on
@@ -228,10 +268,9 @@ func BenchmarkMGTemplateModel(b *testing.B) { benchModels(b, NewMG(32, 1)) }
 // verification size (2048 points).
 func BenchmarkFTTemplateModel(b *testing.B) { benchModels(b, NewFT(2048)) }
 
-// benchModels builds k's CGPMAC models and evaluates each on the two
-// verification caches and on the 16KB profiling cache, whose 8-byte
-// lines hold one element or less, so its template walks find no line
-// runs.
+// benchModels builds k's CGPMAC models and evaluates each on the six
+// Table IV caches. The 16KB profiling cache's 8-byte lines hold one
+// element or less, so its template walks find no line runs.
 func benchModels(b *testing.B, k Kernel) {
 	info, err := k.Run(nil)
 	if err != nil {
@@ -240,7 +279,10 @@ func benchModels(b *testing.B, k Kernel) {
 	for _, c := range []struct {
 		name string
 		cfg  cache.Config
-	}{{"small", cache.Small}, {"large", cache.Large}, {"16kb", cache.Profile16KB}} {
+	}{
+		{"small", cache.Small}, {"large", cache.Large}, {"16kb", cache.Profile16KB},
+		{"128kb", cache.Profile128KB}, {"1mb", cache.Profile1MB}, {"8mb", cache.Profile8MB},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				specs, err := k.Models(info)

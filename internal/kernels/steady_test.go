@@ -54,13 +54,16 @@ func requireSameReplay(t *testing.T, steady, full *cache.Simulator, si, fi *RunI
 }
 
 // TestSteadyReplayMatchesFull is the steady-state replay differential:
-// every verification kernel on every Table IV geometry, plus CG run to
-// convergence, give the simulator the same counters and the run the
-// same RunInfo whether the simulator may stop at a steady state or sees
-// every reference.
+// every verification kernel on every Table IV geometry and on one that
+// holds every kernel's data, plus CG run to convergence, give the
+// simulator the same counters and the run the same RunInfo whether the
+// simulator may stop at a steady state or sees every reference. The
+// Figure 4 rows are those counters' misses against models of that
+// RunInfo, so they are equal too. On the geometry that fits, CG's first
+// iteration evicts nothing, so it is the only one simulated.
 func TestSteadyReplayMatchesFull(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays every kernel on six geometries twice")
+		t.Skip("replays every kernel on seven geometries twice")
 	}
 	type tc struct {
 		name string
@@ -72,7 +75,8 @@ func TestSteadyReplayMatchesFull(t *testing.T) {
 		cases = append(cases, tc{name, func() Kernel { k, _ := ByName(name); return k }})
 	}
 	cases = append(cases, tc{"CG-tol", func() Kernel { return NewCGToConvergence(120, 1e-8) }})
-	configs := append(cache.VerificationConfigs(), cache.ProfilingConfigs()...)
+	fits := cache.Config{Name: "fits", Associativity: 16, Sets: 16384, LineSize: 64}
+	configs := append(append(cache.VerificationConfigs(), cache.ProfilingConfigs()...), fits)
 	for _, c := range cases {
 		for _, cfg := range configs {
 			t.Run(c.name+"/"+cfg.Name, func(t *testing.T) {
@@ -81,18 +85,26 @@ func TestSteadyReplayMatchesFull(t *testing.T) {
 				if n, _ := full.Extrapolated(); n != 0 {
 					t.Errorf("a plain consumer extrapolated %d periods", n)
 				}
-				if periods, _ := steady.Extrapolated(); c.name == "CG" && periods == 0 {
+				periods, _ := steady.Extrapolated()
+				if c.name == "CG" && periods == 0 {
 					t.Errorf("CG on %s simulated every iteration", cfg.Name)
+				}
+				if c.name == "CG" && cfg == fits {
+					if ev := full.TotalStats().Evictions; ev != 0 || periods != 9 {
+						t.Errorf("CG on a cache that holds it: %d evictions, %d of 10 iterations extrapolated; want 0 and 9", ev, periods)
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestCGSteadyReplayStopsEarly pins the saving: on both verification
-// caches, the references that reach the simulator during the Figure 4
-// CG run (n=500, 10 iterations) are at most the prefix (the initial rho
-// loop) plus two of the ten iterations.
+// TestCGSteadyReplayStopsEarly pins the saving: the references that
+// reach the simulator during the Figure 4 CG run (n=500, 10 iterations)
+// are the prefix (the initial rho loop) plus at most two of the ten
+// iterations on the Small cache, where iteration 2 ends in the state
+// iteration 1 left, and plus exactly one on the Large cache, where
+// iteration 1 evicts nothing; the other 9 are extrapolated.
 func TestCGSteadyReplayStopsEarly(t *testing.T) {
 	k := NewCG(500, 10)
 	n := int64(k.N)
@@ -120,6 +132,10 @@ func TestCGSteadyReplayStopsEarly(t *testing.T) {
 		if delivered+refs != info.Refs || periods != (info.Refs-delivered)/iteration {
 			t.Errorf("%s: %d delivered + %d extrapolated in %d periods, want %d refs in whole iterations",
 				cfg.Name, delivered, refs, periods, info.Refs)
+		}
+		if cfg == cache.Large && (delivered != prefix+iteration || periods != 9) {
+			t.Errorf("%s: %d references delivered and %d periods extrapolated, want %d (prefix + 1 iteration) and 9",
+				cfg.Name, delivered, periods, prefix+iteration)
 		}
 	}
 }

@@ -1,6 +1,15 @@
 package patterns
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/resilience-models/dvf/internal/cache"
+)
+
+// counterStats reads a TemplateCounter for RunPeriods.
+func counterStats(ctr *TemplateCounter) func([]cache.Stats) []cache.Stats {
+	return func(dst []cache.Stats) []cache.Stats { return append(dst, ctr.Stats()) }
+}
 
 // TestRunPeriodsStopsOnRepeat streams 8 blocks through a 4-block counter
 // ten times: the LRU state after the second pass equals the state after
@@ -13,15 +22,92 @@ func TestRunPeriodsStopsOnRepeat(t *testing.T) {
 	}{{false, 2}, {true, 10}} {
 		ctr := NewTemplateCounter(4, c.raw)
 		calls := 0
-		got := RunPeriods(10, ctr, func(dst []int64) []int64 { return append(dst, ctr.Misses()) }, func() {
+		got := RunPeriods(10, ctr, counterStats(ctr), func(func() bool) {
 			calls++
 			for b := int64(0); b < 8; b++ {
 				ctr.Visit(b)
 			}
 		})
-		if got[0] != 80 || calls != c.wantCalls {
-			t.Errorf("raw=%v: %d misses in %d simulated periods, want 80 in %d", c.raw, got[0], calls, c.wantCalls)
+		if got[0].Misses != 80 || got[0].Accesses != 80 || calls != c.wantCalls {
+			t.Errorf("raw=%v: %+v in %d simulated periods, want 80 misses in 80 visits in %d",
+				c.raw, got[0], calls, c.wantCalls)
 		}
+	}
+}
+
+// TestRunPeriodsStopsAtCheckpoint streams 16 blocks through a 4-block
+// counter, with a mark after each. The state stops growing at mark 4,
+// so mark 8 is the first checkpoint taken. The state at mark 8 of the
+// second pass, blocks 4-7, equals the state at mark 8 of the first, so
+// the walk stops there: 24 visits simulated, and the counts of all ten
+// passes.
+func TestRunPeriodsStopsAtCheckpoint(t *testing.T) {
+	ctr := NewTemplateCounter(4, false)
+	got := RunPeriods(10, ctr, counterStats(ctr), func(mark func() bool) {
+		for b := int64(0); b < 16; b++ {
+			ctr.Visit(b)
+			if mark() {
+				return
+			}
+		}
+	})
+	want := cache.Stats{Accesses: 160, Misses: 160, Evictions: 156}
+	if got[0] != want || ctr.Visits() != 24 {
+		t.Errorf("%+v after %d simulated visits, want %+v after 24", got[0], ctr.Visits(), want)
+	}
+}
+
+// TestRunPeriodsStopsWithoutEvictions: a pass that fits evicts nothing,
+// so every later pass hits and only the first is simulated, in the
+// counter and in a simulator. Raw-distance mode cannot tell and runs
+// every pass.
+func TestRunPeriodsStopsWithoutEvictions(t *testing.T) {
+	for _, raw := range []bool{false, true} {
+		ctr := NewTemplateCounter(8, raw)
+		calls := 0
+		got := RunPeriods(10, ctr, counterStats(ctr), func(func() bool) {
+			calls++
+			for b := int64(0); b < 6; b++ {
+				ctr.Visit(b)
+			}
+		})
+		wantCalls := 1
+		if raw {
+			wantCalls = 10
+		}
+		if want := (cache.Stats{Accesses: 60, Hits: 54, Misses: 6}); got[0] != want || calls != wantCalls {
+			t.Errorf("raw=%v: %+v in %d simulated periods, want %+v in %d", raw, got[0], calls, want, wantCalls)
+		}
+	}
+
+	sim, err := cache.NewSimulator(cache.Config{Name: "t", Associativity: 2, Sets: 4, LineSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	got := RunPeriods(10, sim, func(dst []cache.Stats) []cache.Stats { return append(dst, sim.StructStats(1)) }, func(func() bool) {
+		calls++
+		for b := uint64(0); b < 6; b++ {
+			sim.Access(8*b, 8, b%2 == 0, 1)
+		}
+	})
+	if want := (cache.Stats{Accesses: 60, Hits: 54, Misses: 6}); got[0] != want || calls != 1 {
+		t.Errorf("simulator: %+v in %d simulated periods, want %+v in 1", got[0], calls, want)
+	}
+}
+
+// TestRunPeriodsZeroCapacity: a counter with no capacity evicts each
+// block as it loads it, so no pass settles as evicting nothing, and
+// every pass misses on every visit.
+func TestRunPeriodsZeroCapacity(t *testing.T) {
+	ctr := NewTemplateCounter(0, false)
+	got := RunPeriods(10, ctr, counterStats(ctr), func(func() bool) {
+		for b := int64(0); b < 3; b++ {
+			ctr.Visit(b)
+		}
+	})
+	if want := (cache.Stats{Accesses: 30, Misses: 30, Evictions: 30}); got[0] != want {
+		t.Errorf("%+v, want %+v", got[0], want)
 	}
 }
 
@@ -30,10 +116,10 @@ func TestRunPeriodsStopsOnRepeat(t *testing.T) {
 func TestRunPeriodsNoPeriods(t *testing.T) {
 	ctr := NewTemplateCounter(4, false)
 	ctr.Visit(1)
-	got := RunPeriods(0, ctr, func(dst []int64) []int64 { return append(dst, ctr.Misses()) }, func() {
+	got := RunPeriods(0, ctr, counterStats(ctr), func(func() bool) {
 		t.Fatal("body ran with no periods")
 	})
-	if got[0] != 1 {
-		t.Errorf("misses %d, want 1", got[0])
+	if got[0].Misses != 1 {
+		t.Errorf("misses %d, want 1", got[0].Misses)
 	}
 }

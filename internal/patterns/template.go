@@ -109,10 +109,11 @@ func ElementTemplate(elems []int64, elemSize, lineSize int) ([]int64, error) {
 // distinct blocks, not with the visits. Raw-distance mode needs no list:
 // the node records the block's last visit time.
 type TemplateCounter struct {
-	capacity int
-	raw      bool
-	misses   int64
-	visits   int64
+	capacity  int
+	raw       bool
+	misses    int64
+	visits    int64
+	evictions int64
 
 	// Block -> node index. dense[b] holds 1 + the node of block b, or 0
 	// while b is unseen; blocks it does not cover live in sparse. dense
@@ -125,11 +126,6 @@ type TemplateCounter struct {
 	last     []int64  // raw mode: each node's last visit time
 	mru, lru int32    // ends of the resident list, noNode when empty
 	resident int
-
-	// saved is the resident list, MRU first, at the last SaveState;
-	// hasSaved tells an empty snapshot from none.
-	saved    []int32
-	hasSaved bool
 }
 
 // denseSlack is how far past twice the distinct count the dense block
@@ -280,9 +276,11 @@ func (tc *TemplateCounter) growDense(block int64) bool {
 }
 
 // touch makes node i the most recently used resident block, evicting the
-// least recently used one when that overfills the capacity.
+// least recently used one when that overfills the capacity. With no
+// capacity at all, block i is evicted as it is loaded.
 func (tc *TemplateCounter) touch(i int32) {
 	if tc.capacity <= 0 {
+		tc.evictions++
 		return
 	}
 	n := &tc.nodes[i]
@@ -307,6 +305,7 @@ func (tc *TemplateCounter) touch(i int32) {
 		tc.unlink(victim)
 		tc.nodes[victim].prev = detached
 		tc.resident--
+		tc.evictions++
 	}
 }
 
@@ -325,37 +324,74 @@ func (tc *TemplateCounter) unlink(i int32) {
 	}
 }
 
-// SaveState snapshots the resident list in recency order: in
-// stack-distance mode, all that decides which later visits miss (a node
-// stands for one block, so equal node orders are equal block orders).
-// Raw-distance mode saves nothing: its state holds every block's last
-// visit time, which only grows, so it never repeats.
-func (tc *TemplateCounter) SaveState() {
+// StateLen implements Periodic: the resident list's length in
+// stack-distance mode. Raw-distance mode has no state to compare: each
+// block's last visit time only grows, so its state never repeats.
+func (tc *TemplateCounter) StateLen() int {
 	if tc.raw {
-		return
+		return 0
 	}
-	tc.saved = slices.Grow(tc.saved[:0], tc.resident)
-	for i := tc.mru; i != noNode; i = tc.nodes[i].next {
-		tc.saved = append(tc.saved, i)
-	}
-	tc.hasSaved = true
+	return tc.resident
 }
 
-// SameState reports whether the resident list equals the last SaveState
-// snapshot. It is false before the first save and always in raw-distance
-// mode.
-func (tc *TemplateCounter) SameState() bool {
-	if tc.raw || !tc.hasSaved || len(tc.saved) != tc.resident {
+// StateCap implements Periodic: the capacity in stack-distance mode.
+func (tc *TemplateCounter) StateCap() int {
+	if tc.raw {
+		return 0
+	}
+	return max(tc.capacity, 0)
+}
+
+// AppendState implements Periodic: it appends the resident list in
+// recency order, MRU first, which is all that decides which later
+// visits miss. A node stands for one block, so equal node orders are
+// equal block orders. Raw-distance mode appends nothing.
+func (tc *TemplateCounter) AppendState(dst []uint64) []uint64 {
+	if tc.raw {
+		return dst
+	}
+	dst = slices.Grow(dst, tc.resident)
+	for i := tc.mru; i != noNode; i = tc.nodes[i].next {
+		dst = append(dst, uint64(i))
+	}
+	return dst
+}
+
+// SameAs implements Periodic: it reports whether the resident list
+// equals the one snap encodes. It is always false in raw-distance mode.
+func (tc *TemplateCounter) SameAs(snap []uint64) bool {
+	if tc.raw || len(snap) != tc.resident {
 		return false
 	}
 	i := tc.mru
-	for _, want := range tc.saved {
-		if i != want {
+	for _, want := range snap {
+		if uint64(i) != want {
 			return false
 		}
 		i = tc.nodes[i].next
 	}
 	return true
+}
+
+// Evictions implements Periodic: the blocks that have left the resident
+// list, or -1 in raw-distance mode, where a reuse can miss with nothing
+// evicted.
+func (tc *TemplateCounter) Evictions() int64 {
+	if tc.raw {
+		return -1
+	}
+	return tc.evictions
+}
+
+// Stats returns the counter's tallies as cache counters: its visits as
+// accesses, and its misses and evictions.
+func (tc *TemplateCounter) Stats() cache.Stats {
+	return cache.Stats{
+		Accesses:  tc.visits,
+		Hits:      tc.visits - tc.misses,
+		Misses:    tc.misses,
+		Evictions: tc.evictions,
+	}
 }
 
 // Misses returns the accumulated estimate of main-memory accesses.

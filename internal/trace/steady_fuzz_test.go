@@ -26,8 +26,9 @@ import (
 // hold equal counters; when no boundary is dropped and the stream ends
 // on a boundary, the error is not allowed. The committed corpus under
 // testdata/fuzz pins a stop with extrapolated periods, a rotated
-// boundary, a tail after the last boundary, a dropped boundary and the
-// hostile owner.
+// boundary, a tail after the last boundary, a dropped boundary, the
+// hostile owner, a period that fits the cache (a stop because it evicts
+// nothing) and a fitting period doubled by a dropped boundary.
 func FuzzSteadyReplayVsFull(f *testing.F) {
 	f.Add([]byte{0, 1}, []byte{2, 3, 36, 5, 70, 7}, uint8(9), uint8(0), uint8(0), uint8(0), false, uint8(1), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, prefix, body []byte, periods, offset, skip, tail uint8, hostile bool, assocSel, setSel, lineSel uint8) {
