@@ -17,18 +17,16 @@
 #   make test         the tier-1 test run
 #   make race         full suite under the race detector (slow: the
 #                     experiments package replays every figure)
-#   make bench-smoke  one iteration of the cache simulator's batched and
-#                     per-reference replay benchmarks, the CG, MG and FT
+#   make bench-smoke  one iteration of the cache simulator's
+#                     per-reference Access benchmark, the CG, MG and FT
 #                     CGPMAC models on each of the six Table IV caches,
-#                     one Figure 4 CG and MG cell per verification
-#                     cache,
+#                     one Figure 4 CG and MG cell per verification cache,
 #                     the fft Aspen evaluation, a dvf-serve analyze miss
 #                     (CG, cgpmac and analytic) and the MG and FT analytic
 #                     solves on every bundled cache, as a compile-and-run
 #                     sanity check
 #   make bench        full benchmark suite (regenerates every figure)
-#   make fuzz-smoke   bounded fuzz of the batched-vs-per-reference cache
-#                     differential, the simulator against its naive LRU
+#   make fuzz-smoke   bounded fuzz of the simulator against its naive LRU
 #                     oracle, line-run repeats (AccessRun, VisitRun)
 #                     and strided groups (AccessStrided) against plain
 #                     walks, the trace container round-trip
@@ -110,7 +108,7 @@ race:
 	$(GO) test -race ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench='BenchmarkBatchReplay|BenchmarkSimulatorAccess' -benchtime=1x ./internal/cache
+	$(GO) test -run '^$$' -bench='^BenchmarkSimulatorAccess$$' -benchtime=1x ./internal/cache
 	$(GO) test -run '^$$' -bench='^Benchmark(CG|MG|FT)TemplateModel$$' -benchtime=1x ./internal/kernels
 	$(GO) test -run '^$$' -bench='^BenchmarkVerifyKernel(CG|MG)$$' -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
@@ -121,7 +119,6 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessRunVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzStridedVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache

@@ -1,10 +1,11 @@
 // Command dvf-bench benchmarks the trace→cache→DVF pipeline and writes a
 // schema-versioned run manifest, the machine-readable perf trajectory CI
-// gates on. Each selected kernel's trace is recorded once (struct-of-
-// arrays), then replayed in RefBatch blocks through the cache simulator
-// on every selected cache; per cell the manifest records refs, wall time,
-// ns/ref and the simulation counters. Affine kernels also get an
-// "analytic" cell timing the trace-free solve.
+// gates on. Each selected kernel's trace is recorded once with a
+// trace.Recorder, then replayed through the cache simulator, one
+// Simulator.Access call per reference, on every selected cache; per cell
+// the manifest records refs, wall time, ns/ref and the simulation
+// counters. Affine kernels also get an "analytic" cell timing the
+// trace-free solve.
 //
 // Benchmark and record:
 //

@@ -14,8 +14,8 @@
 //	dvf-trace -replay ft.trace -all
 //
 // The trace is a columnar container (internal/trace). Replay memory-maps
-// the file and feeds the cache simulator RefBatch blocks — zero-copy on
-// little-endian machines.
+// the file (zero-copy on little-endian machines) and presents every
+// record to one sequential cache simulator, reference by reference.
 //
 // Trace-free analysis:
 //
@@ -240,10 +240,9 @@ func doReplay(path string, cfg cache.Config, sink metrics.Sink, tz tracez.Record
 		return err
 	}
 	sim.Trace(tz)
-	consume := trace.InstrumentedBatch(trace.BatchConsumerFunc(sim.AccessBatch), sink, "trace.replay")
 	sw := sink.Timer("trace.replay_ns").Start()
 	sp := tz.Track("trace.replay").Begin("replay " + cfg.Name)
-	err = tf.Replay(trace.DefaultBatch, consume.AccessBatch)
+	err = tf.Replay(trace.Instrumented(sim.Consumer(), sink, "trace.replay"))
 	sp.End()
 	sw.Stop()
 	if err != nil {

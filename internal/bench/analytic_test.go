@@ -32,7 +32,7 @@ func TestAnalyticSpeedupAtLargeTier(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s lost its affine pattern", c.kernel)
 		}
-		rec := &trace.BatchRecorder{}
+		rec := &trace.Recorder{}
 		if _, err := k.Run(rec); err != nil {
 			t.Fatal(err)
 		}

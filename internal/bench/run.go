@@ -22,12 +22,11 @@ type Options struct {
 	Logf    func(format string, args ...any) // progress output; nil discards
 }
 
-// Run records each selected kernel's trace once (in struct-of-arrays
-// form), then replays the reference stream through the cache simulator on
-// every selected cache, timing each replay. Replay is batched —
-// DefaultBatch-sized RefBatch views into the recording, the same hot path
-// dvf-trace -replay uses. Affine kernels also get an analytic cell timing
-// the trace-free solve.
+// Run records each selected kernel's trace once with a trace.Recorder,
+// then replays the reference stream through the cache simulator on every
+// selected cache, one Simulator.Access call per reference, timing each
+// replay. Affine kernels also get an analytic cell timing the trace-free
+// solve.
 func Run(o Options) (*Manifest, error) {
 	codes := o.Kernels
 	if len(codes) == 0 {
@@ -54,7 +53,7 @@ func Run(o Options) (*Manifest, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec := &trace.BatchRecorder{}
+		rec := &trace.Recorder{}
 		sw := o.Sink.Timer("bench.record_ns").Start()
 		if _, err := k.Run(trace.Instrumented(rec, o.Sink, "bench.record")); err != nil {
 			return nil, fmt.Errorf("bench: recording %s: %w", code, err)
@@ -107,9 +106,8 @@ func Run(o Options) (*Manifest, error) {
 const analyticTarget = 10
 
 // replayCell replays one recorded stream through a fresh cache simulator
-// iters times and keeps the best wall time. The stream is fed in
-// DefaultBatch-sized RefBatch views — the batched hot path.
-func replayCell(kernel string, cfg cache.Config, rec *trace.BatchRecorder, iters int, sink metrics.Sink) (Cell, error) {
+// iters times and keeps the best wall time.
+func replayCell(kernel string, cfg cache.Config, rec *trace.Recorder, iters int, sink metrics.Sink) (Cell, error) {
 	cell := Cell{
 		Kernel:  kernel,
 		Cache:   cfg.Name,
@@ -118,21 +116,15 @@ func replayCell(kernel string, cfg cache.Config, rec *trace.BatchRecorder, iters
 		Iters:   iters,
 		Refs:    int64(rec.Len()),
 	}
-	whole := rec.Batch
 	for it := 0; it < iters; it++ {
 		sim, err := cache.NewSimulator(cfg)
 		if err != nil {
 			return Cell{}, err
 		}
 		t0 := time.Now()
-		var view trace.RefBatch
-		for lo := 0; lo < whole.Len(); lo += trace.DefaultBatch {
-			hi := lo + trace.DefaultBatch
-			if hi > whole.Len() {
-				hi = whole.Len()
-			}
-			view = whole.Slice(lo, hi)
-			sim.AccessBatch(&view)
+		owners := rec.Owners[:len(rec.Refs)]
+		for i, r := range rec.Refs {
+			sim.Access(r.Addr, r.Size, r.Write, cache.StructID(owners[i]))
 		}
 		wall := time.Since(t0).Nanoseconds()
 		if it == 0 || wall < cell.WallNs {

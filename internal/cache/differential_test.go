@@ -1,8 +1,9 @@
-// Differential wall of the batched replay paths: for every registered
-// kernel, replaying the stream through AccessBatch — directly and through
-// a v2 trace encode/decode round trip — must produce exactly the
-// per-reference replay's per-structure counters (Accesses, Hits, Misses,
-// Writebacks and Evictions), totals and report on every cache geometry.
+// Differential wall of trace-file replay: for every registered kernel,
+// replaying the stream through a v2 trace encode/decode round trip into
+// Simulator.Consumer — the path dvf-trace -replay takes — must produce
+// exactly the live per-reference replay's per-structure counters
+// (Accesses, Hits, Misses, Writebacks and Evictions), totals and report
+// on every cache geometry.
 //
 // This file lives in package cache_test because it drives the real Table II
 // kernels, and the kernels package (via patterns) imports cache.
@@ -105,104 +106,59 @@ func replay(e *cache.Simulator, rec *trace.Recorder) {
 	e.Flush()
 }
 
-// batchOf converts a cached recording to struct-of-arrays form, memoized
-// per kernel alongside the Recorder cache.
-var batchMap = map[string]*trace.BatchRecorder{}
-
-func batchKernel(t *testing.T, k kernels.Kernel) (*trace.BatchRecorder, []cache.StructID) {
+// decodeV2 encodes rec as a v2 container and decodes it again.
+func decodeV2(t testing.TB, rec *trace.Recorder) *trace.TraceV2 {
 	t.Helper()
-	rec, ids := recordKernel(t, k)
-	recMu.Lock()
-	defer recMu.Unlock()
-	if br, ok := batchMap[k.Name()]; ok {
-		return br, ids
-	}
-	br := &trace.BatchRecorder{}
+	var buf bytes.Buffer
+	w := trace.NewWriterV2(&buf, trace.NewRegistry())
 	for i, r := range rec.Refs {
-		br.Access(r, rec.Owners[i])
+		w.Access(r, rec.Owners[i])
 	}
-	batchMap[k.Name()] = br
-	return br, ids
+	if err := w.Flush(); err != nil {
+		t.Fatalf("encoding v2: %v", err)
+	}
+	tr, err := trace.DecodeV2(buf.Bytes())
+	if err != nil {
+		t.Fatalf("decoding v2: %v", err)
+	}
+	return tr
 }
 
-// replayBatched feeds the stream through AccessBatch in DefaultBatch-sized
-// views — the exact shape the batched drivers (TraceFile.Replay, dvf-bench)
-// produce.
-func replayBatched(e *cache.Simulator, br *trace.BatchRecorder) {
-	whole := br.Batch
-	var view trace.RefBatch
-	for lo := 0; lo < whole.Len(); lo += trace.DefaultBatch {
-		hi := lo + trace.DefaultBatch
-		if hi > whole.Len() {
-			hi = whole.Len()
-		}
-		view = whole.Slice(lo, hi)
-		e.AccessBatch(&view)
-	}
-	e.Flush()
-}
-
-// TestBatchReplayDifferentialAllKernels is the batched test wall: for
-// every registered kernel × geometry, replaying the stream through
-// AccessBatch — directly and through a v2 encode/decode round trip — must
-// reproduce the per-reference replay's Stats and report byte-for-byte.
-func TestBatchReplayDifferentialAllKernels(t *testing.T) {
+// TestV2ReplayDifferentialAllKernels: for every registered kernel ×
+// geometry, replaying the stream through a v2 encode/decode round trip
+// and TraceV2.Replay must reproduce the per-reference replay's Stats and
+// report byte-for-byte.
+func TestV2ReplayDifferentialAllKernels(t *testing.T) {
 	for _, k := range diffKernels() {
 		k := k
 		t.Run(k.Name(), func(t *testing.T) {
 			rec, ids := recordKernel(t, k)
-			br, _ := batchKernel(t, k)
-
-			// The v2 container round trip shared by all geometries.
-			var v2buf bytes.Buffer
-			w := trace.NewWriterV2(&v2buf, trace.NewRegistry())
-			w.AccessBatch(&br.Batch)
-			if err := w.Flush(); err != nil {
-				t.Fatalf("encoding %s as v2: %v", k.Name(), err)
-			}
-			v2tr, err := trace.DecodeV2(v2buf.Bytes())
-			if err != nil {
-				t.Fatalf("decoding %s v2 container: %v", k.Name(), err)
-			}
-
+			v2tr := decodeV2(t, rec)
 			for _, cfg := range diffConfigs() {
 				seq, err := cache.NewSimulator(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				replay(seq, rec)
-				seqReport := seq.Report()
-
-				check := func(label string, e *cache.Simulator) {
-					t.Helper()
-					for _, id := range ids {
-						if got, want := e.StructStats(id), seq.StructStats(id); got != want {
-							t.Errorf("%s on %s, %s, struct %d: %+v != per-reference %+v",
-								k.Name(), cfg.Name, label, id, got, want)
-						}
-					}
-					if got, want := e.TotalStats(), seq.TotalStats(); got != want {
-						t.Errorf("%s on %s, %s: totals %+v != %+v", k.Name(), cfg.Name, label, got, want)
-					}
-					if got := e.Report(); got != seqReport {
-						t.Errorf("%s on %s, %s: reports differ", k.Name(), cfg.Name, label)
-					}
-				}
-
-				seqBatch, err := cache.NewSimulator(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replayBatched(seqBatch, br)
-				check("sequential batched", seqBatch)
-
 				v2seq, err := cache.NewSimulator(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				v2tr.Batches(trace.DefaultBatch, v2seq.AccessBatch)
+				v2tr.Replay(v2seq.Consumer())
 				v2seq.Flush()
-				check("v2 round-trip", v2seq)
+
+				for _, id := range ids {
+					if got, want := v2seq.StructStats(id), seq.StructStats(id); got != want {
+						t.Errorf("%s on %s, struct %d: v2 replay %+v != per-reference %+v",
+							k.Name(), cfg.Name, id, got, want)
+					}
+				}
+				if got, want := v2seq.TotalStats(), seq.TotalStats(); got != want {
+					t.Errorf("%s on %s: v2 replay totals %+v != %+v", k.Name(), cfg.Name, got, want)
+				}
+				if v2seq.Report() != seq.Report() {
+					t.Errorf("%s on %s: v2 replay report differs", k.Name(), cfg.Name)
+				}
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"github.com/resilience-models/dvf/internal/metrics"
-	"github.com/resilience-models/dvf/internal/trace"
 	"github.com/resilience-models/dvf/internal/tracez"
 )
 
@@ -13,9 +12,6 @@ import (
 type Engine interface {
 	// Access presents one memory reference (split across lines as needed).
 	Access(addr uint64, size uint32, write bool, owner StructID)
-	// AccessBatch presents a whole trace.RefBatch of references — the
-	// batched hot path. The engine must not retain the batch.
-	AccessBatch(b *trace.RefBatch)
 	// Drain waits until every submitted reference has been simulated.
 	Drain()
 	// Flush writes back all dirty lines and invalidates the cache.

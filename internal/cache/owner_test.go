@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -20,23 +21,36 @@ var hostileOwners = []StructID{
 }
 
 // TestHostileOwnersMatchMapOnlyReference drives one stream over the
-// hostile owners through Access and AccessBatch, and requires each to
-// agree with the map-only reference cache on every structure's Stats,
-// the totals and the rendered report.
+// hostile owners through Access, and through a v2 trace file's Replay
+// (owners a trace file can carry), and requires each to agree with the
+// map-only reference cache on every structure's Stats, the totals and
+// the rendered report.
 func TestHostileOwnersMatchMapOnlyReference(t *testing.T) {
 	cfg := tiny()
 	rng := rand.New(rand.NewSource(5))
-	var batch trace.RefBatch
+	var buf bytes.Buffer
+	w := trace.NewWriterV2(&buf, trace.NewRegistry())
+	perRef := mustSim(t, cfg)
 	oracle := newRefCache(cfg)
 	for i := 0; i < 4000; i++ {
 		addr := uint64(rng.Intn(1 << 10))
 		size := uint32(rng.Intn(24) + 1)
 		write := rng.Intn(3) == 0
 		owner := hostileOwners[rng.Intn(len(hostileOwners))]
-		batch.Append(trace.Ref{Addr: addr, Size: size, Write: write}, int32(owner))
+		w.Access(trace.Ref{Addr: addr, Size: size, Write: write}, int32(owner))
+		perRef.Access(addr, size, write, owner)
 		oracle.access(addr, size, write, owner)
 	}
 	oracle.flush()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.DecodeV2(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := mustSim(t, cfg)
+	tr.Replay(replayed.Consumer())
 	want := map[StructID]Stats{}
 	var wantTotal Stats
 	for id, st := range oracle.stats {
@@ -46,17 +60,10 @@ func TestHostileOwnersMatchMapOnlyReference(t *testing.T) {
 	names := map[StructID]string{-1: "neg", math.MaxInt32: "max"}
 	wantReport := renderReport(cfg, want, wantTotal, names)
 
-	perRef := mustSim(t, cfg)
-	batch.Each(func(r trace.Ref, owner int32) {
-		perRef.Access(r.Addr, r.Size, r.Write, StructID(owner))
-	})
-	batched := mustSim(t, cfg)
-	batched.AccessBatch(&batch)
-
 	for _, e := range []struct {
 		name string
 		eng  *Simulator
-	}{{"Access", perRef}, {"AccessBatch", batched}} {
+	}{{"Access", perRef}, {"Replay", replayed}} {
 		e.eng.Flush()
 		for id, name := range names {
 			e.eng.Label(id, name)

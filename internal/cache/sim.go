@@ -331,10 +331,9 @@ func (s *Simulator) Consumer() RefConsumer {
 	return RefConsumer{s}
 }
 
-// RefConsumer adapts a Simulator to trace.Consumer,
-// trace.PeriodConsumer and trace.StridedConsumer; Simulator.Consumer
-// returns one. It is a value type holding only the simulator pointer, so
-// storing it in a trace.Consumer does not allocate.
+// RefConsumer adapts a Simulator to trace.GroupConsumer;
+// Simulator.Consumer returns one. It is a value type holding only the
+// simulator pointer, so storing it in a trace.Consumer does not allocate.
 type RefConsumer struct{ s *Simulator }
 
 // steadyState is what RefConsumer.EndPeriod keeps between boundaries:
@@ -347,7 +346,7 @@ type steadyState struct {
 	delta   [denseStructIDs]counters
 }
 
-// EndPeriod implements trace.PeriodConsumer. At each boundary it
+// EndPeriod implements trace.GroupConsumer. At each boundary it
 // snapshots the cache state and the counters, and it stops the stream
 // once the period just ended proves that every later one repeats:
 //
@@ -411,19 +410,6 @@ func (c RefConsumer) EndPeriod(refs int64) bool {
 //dvf:hotpath
 func (c RefConsumer) Access(r trace.Ref, owner int32) {
 	c.s.Access(r.Addr, r.Size, r.Write, StructID(owner))
-}
-
-// AccessBatch replays a whole batch through Access, reference by
-// reference. The batch is not retained. It implements
-// trace.BatchConsumer.
-//
-//dvf:hotpath
-func (s *Simulator) AccessBatch(b *trace.RefBatch) {
-	metas := b.Metas[:len(b.Addrs)]
-	for i, addr := range b.Addrs {
-		size, write, owner := trace.UnpackMeta(metas[i])
-		s.Access(addr, size, write, StructID(owner))
-	}
 }
 
 // accessSpan presents blocks first..last of one multi-line reference. A
@@ -790,13 +776,4 @@ func renderReport(cfg Config, perStruct map[StructID]Stats, total Stats, names m
 	out += fmt.Sprintf("%-12s %10d %10d %10d %10.4f\n",
 		"TOTAL", total.Accesses, total.Misses, total.Writebacks, total.MissRatio())
 	return out
-}
-
-// AggregateStats sums a slice of Stats, for combining per-structure results.
-func AggregateStats(all ...Stats) Stats {
-	var agg Stats
-	for _, st := range all {
-		agg = agg.add(st)
-	}
-	return agg
 }

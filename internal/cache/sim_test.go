@@ -260,7 +260,7 @@ func TestTotalEqualsSumOfStructs(t *testing.T) {
 	s.Flush()
 	var agg Stats
 	for id := StructID(1); id <= 4; id++ {
-		agg = AggregateStats(agg, s.StructStats(id))
+		agg = agg.add(s.StructStats(id))
 	}
 	if agg != s.TotalStats() {
 		t.Errorf("aggregate %+v != total %+v", agg, s.TotalStats())

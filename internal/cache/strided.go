@@ -31,7 +31,7 @@ func (s *Simulator) AccessStrided(refs []Ref, strides []int64, steps int) {
 	s.walkStrided(g, strides, steps)
 }
 
-// AccessStrided implements trace.StridedConsumer: it presents the group
+// AccessStrided implements trace.GroupConsumer: it presents the group
 // as Simulator.AccessStrided does, each reference attributed to its
 // owner.
 //

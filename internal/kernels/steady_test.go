@@ -232,7 +232,7 @@ func TestStridedReplayMatchesElements(t *testing.T) {
 				}
 				reg := metrics.New()
 				sink := trace.Instrumented(sim.Consumer(), reg, "t")
-				if _, ok := sink.(trace.StridedConsumer); !ok {
+				if _, ok := sink.(trace.GroupConsumer); !ok {
 					t.Fatalf("Instrumented over the simulator takes no groups")
 				}
 				ii, err := c.mk().Run(sink)

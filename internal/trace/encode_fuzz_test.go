@@ -43,20 +43,11 @@ func FuzzEncodeDecode(f *testing.F) {
 		if tf.NumRefs() != int64(len(refs)) {
 			t.Fatalf("records: got %d, want %d", tf.NumRefs(), len(refs))
 		}
-		i := 0
-		if err := tf.Replay(0, func(b *RefBatch) {
-			b.Each(func(r Ref, o int32) {
-				if r != refs[i] || o != owners[i] {
-					t.Fatalf("record %d: got %+v/%d, want %+v/%d", i, r, o, refs[i], owners[i])
-				}
-				i++
-			})
-		}); err != nil {
+		rec := &Recorder{}
+		if err := tf.Replay(rec); err != nil {
 			t.Fatalf("Replay: %v", err)
 		}
-		if i != len(refs) {
-			t.Fatalf("replayed %d records, want %d", i, len(refs))
-		}
+		requireRecords(t, "Replay", rec, refs, owners)
 		if err := tf.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}

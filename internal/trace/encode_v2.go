@@ -13,9 +13,8 @@ import (
 // The on-disk trace format is a small binary container so that reference
 // streams can be captured once and replayed against many cache
 // configurations, mirroring how the paper reuses Pin traces. It stores the
-// reference stream as two contiguous little-endian uint64 columns — the
-// exact in-memory layout of a RefBatch — so a reader can hand out batch
-// views that alias a memory-mapped file without decoding or copying:
+// reference stream as two contiguous little-endian uint64 columns, so a
+// reader can replay a memory-mapped file without decoding or copying it:
 //
 //	header:  magic "DVF2" | uint16 version=2 | uint16 reserved |
 //	         uint32 region count | uint32 reserved | uint64 record count
@@ -26,7 +25,7 @@ import (
 //	metas:   record count * uint64   (packed size/owner/write, see PackMeta)
 //
 // All integers are little-endian. The meta word reserves 31 bits for the
-// reference size (MaxBatchRefSize); WriterV2 surfaces larger sizes as a
+// reference size (MaxRefSize); WriterV2 surfaces larger sizes as a
 // sticky error instead of truncating.
 
 const (
@@ -34,6 +33,45 @@ const (
 	traceVersionV2 = 2
 	v2HeaderSize   = 24
 )
+
+// Meta-word layout: bit 0 is the write flag, bits 1..31 hold the reference
+// size (31 bits), bits 32..63 hold the owner as a uint32 bit pattern. The
+// size domain is capped at 2^31-1 bytes per reference — every producer in
+// this repository emits element-sized references of at most a few dozen
+// bytes, and a single reference touching 2 GiB would be a bug upstream —
+// so PackMeta panics rather than silently truncating.
+const (
+	metaWriteBit  = 1
+	metaSizeShift = 1
+	metaSizeBits  = 31
+	// MaxRefSize is the largest reference size a meta word (and hence
+	// the v2 trace encoding) can represent.
+	MaxRefSize     = 1<<metaSizeBits - 1
+	metaOwnerShift = 32
+)
+
+// PackMeta packs one reference's size, write flag and owner into a meta
+// word. Sizes above MaxRefSize panic: the v2 trace format reserves 31
+// bits for the size.
+//
+//dvf:hotpath
+func PackMeta(size uint32, write bool, owner int32) uint64 {
+	if size > MaxRefSize {
+		panic("trace: reference size exceeds the meta-word size domain")
+	}
+	m := uint64(uint32(owner))<<metaOwnerShift | uint64(size)<<metaSizeShift
+	if write {
+		m |= metaWriteBit
+	}
+	return m
+}
+
+// UnpackMeta is the inverse of PackMeta.
+//
+//dvf:hotpath
+func UnpackMeta(m uint64) (size uint32, write bool, owner int32) {
+	return uint32(m>>metaSizeShift) & MaxRefSize, m&metaWriteBit != 0, int32(uint32(m >> metaOwnerShift))
+}
 
 // ErrBadTrace reports a malformed trace container.
 var ErrBadTrace = errors.New("trace: malformed trace file")
@@ -43,10 +81,10 @@ var ErrBadTrace = errors.New("trace: malformed trace file")
 // so records are buffered in memory (two uint64 columns — 16 bytes per
 // reference, less than the Recorder most producers already hold).
 type WriterV2 struct {
-	w     io.Writer
-	reg   *Registry
-	batch RefBatch
-	err   error
+	w            io.Writer
+	reg          *Registry
+	addrs, metas []uint64
+	err          error
 }
 
 // NewWriterV2 returns a writer that snapshots reg's region table into the
@@ -62,21 +100,12 @@ func (tw *WriterV2) Access(r Ref, owner int32) {
 	if tw.err != nil {
 		return
 	}
-	if r.Size > MaxBatchRefSize {
-		tw.err = fmt.Errorf("trace: v2 encoding: reference size %d exceeds %d", r.Size, uint32(MaxBatchRefSize))
+	if r.Size > MaxRefSize {
+		tw.err = fmt.Errorf("trace: v2 encoding: reference size %d exceeds %d", r.Size, uint32(MaxRefSize))
 		return
 	}
-	tw.batch.Append(r, owner)
-}
-
-// AccessBatch bulk-appends a whole batch (its metas are already in the
-// on-disk word format).
-func (tw *WriterV2) AccessBatch(b *RefBatch) {
-	if tw.err != nil {
-		return
-	}
-	tw.batch.Addrs = append(tw.batch.Addrs, b.Addrs...)
-	tw.batch.Metas = append(tw.batch.Metas, b.Metas...)
+	tw.addrs = append(tw.addrs, r.Addr)
+	tw.metas = append(tw.metas, PackMeta(r.Size, r.Write, owner))
 }
 
 // Flush writes the container and returns the first sticky error.
@@ -90,7 +119,7 @@ func (tw *WriterV2) Flush() error {
 	copy(hdr[0:4], traceMagicV2)
 	binary.LittleEndian.PutUint16(hdr[4:6], traceVersionV2)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(regions)))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(tw.batch.Len()))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(tw.addrs)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -119,10 +148,10 @@ func (tw *WriterV2) Flush() error {
 			return err
 		}
 	}
-	if err := writeColumn(bw, tw.batch.Addrs); err != nil {
+	if err := writeColumn(bw, tw.addrs); err != nil {
 		return err
 	}
-	if err := writeColumn(bw, tw.batch.Metas); err != nil {
+	if err := writeColumn(bw, tw.metas); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -166,33 +195,12 @@ func (t *TraceV2) NumRefs() int64 { return int64(len(t.addrs)) }
 // (true on aligned little-endian inputs) instead of holding a copy.
 func (t *TraceV2) ZeroCopy() bool { return t.aliased }
 
-// Batch returns the whole trace as one RefBatch view. The view shares the
-// columns; callers must not mutate it.
-//
-//dvf:hotpath
-func (t *TraceV2) Batch() RefBatch {
-	n := len(t.addrs)
-	return RefBatch{Addrs: t.addrs[:n:n], Metas: t.metas[:n:n]}
-}
-
-// Batches invokes fn with consecutive views of at most batchSize
-// references each (batchSize <= 0 selects DefaultBatch). The views alias
-// the trace columns — no references are copied.
-//
-//dvf:hotpath
-func (t *TraceV2) Batches(batchSize int, fn func(*RefBatch)) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatch
-	}
-	whole := t.Batch()
-	for lo := 0; lo < whole.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > whole.Len() {
-			hi = whole.Len()
-		}
-		view := whole.Slice(lo, hi)
-		//dvf:allow hotalloc fn is the caller-supplied batch consumer; every in-repo consumer fed through Batches is itself hotpath-verified
-		fn(&view)
+// Replay presents every record to c in order, one Access call each.
+func (t *TraceV2) Replay(c Consumer) {
+	metas := t.metas[:len(t.addrs)]
+	for i, addr := range t.addrs {
+		size, write, owner := UnpackMeta(metas[i])
+		c.Access(Ref{Addr: addr, Size: size, Write: write}, owner)
 	}
 }
 
@@ -273,9 +281,8 @@ func DecodeV2(data []byte) (*TraceV2, error) {
 	return t, nil
 }
 
-// TraceFile is an opened on-disk trace, presenting a batched replay
-// surface. The file is memory-mapped and replayed zero-copy on
-// little-endian hosts. Close releases the mapping.
+// TraceFile is an opened on-disk trace. The file is memory-mapped and
+// replayed zero-copy on little-endian hosts. Close releases the mapping.
 type TraceFile struct {
 	Regions []Region
 	tr      *TraceV2 // nil once Closed
@@ -319,25 +326,21 @@ func (tf *TraceFile) NumRefs() int64 {
 	return tf.tr.NumRefs()
 }
 
-// ZeroCopy reports whether replay batches alias the file mapping.
+// ZeroCopy reports whether replay reads the file mapping in place.
 func (tf *TraceFile) ZeroCopy() bool { return tf.tr != nil && tf.tr.ZeroCopy() }
 
-// Replay invokes fn with consecutive batches of at most batchSize
-// references (batchSize <= 0 selects DefaultBatch). The batches alias the
-// mapping. On a Closed TraceFile Replay returns an error without calling
-// fn.
-//
-//dvf:hotpath
-func (tf *TraceFile) Replay(batchSize int, fn func(*RefBatch)) error {
+// Replay presents every record to c in order, as TraceV2.Replay does.
+// On a Closed TraceFile it returns an error without calling c.
+func (tf *TraceFile) Replay(c Consumer) error {
 	if tf.tr == nil {
 		return errReplayClosed
 	}
-	tf.tr.Batches(batchSize, fn)
+	tf.tr.Replay(c)
 	return nil
 }
 
-// Close releases the file mapping. The TraceFile (and every batch view it
-// handed out) is invalid afterwards. Close is idempotent.
+// Close releases the file mapping. The TraceFile is invalid afterwards.
+// Close is idempotent.
 func (tf *TraceFile) Close() error {
 	if tf.closer == nil {
 		return nil

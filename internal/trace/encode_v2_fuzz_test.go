@@ -20,7 +20,7 @@ func fuzzStream(seed int64, nRegions uint8, nRefs uint16) (*Registry, []Ref, []i
 	var refs []Ref
 	var owners []int32
 	for i := 0; i < int(nRefs); i++ {
-		size := uint32(rng.Uint64()) & MaxBatchRefSize
+		size := uint32(rng.Uint64()) & MaxRefSize
 		if rng.Intn(4) != 0 {
 			size = uint32(rng.Intn(256)) // mostly realistic element sizes
 		}
@@ -68,13 +68,9 @@ func FuzzEncodeDecodeV2(f *testing.F) {
 			if tr.NumRefs() != int64(len(refs)) {
 				t.Fatalf("%s: records got %d, want %d", path, tr.NumRefs(), len(refs))
 			}
-			b := tr.Batch()
-			for i := range refs {
-				r, o := b.At(i)
-				if r != refs[i] || o != owners[i] {
-					t.Fatalf("%s: record %d got %+v/%d, want %+v/%d", path, i, r, o, refs[i], owners[i])
-				}
-			}
+			rec := &Recorder{}
+			tr.Replay(rec)
+			requireRecords(t, path, rec, refs, owners)
 		}
 
 		tr, err := DecodeV2(encoded)
@@ -104,10 +100,9 @@ func FuzzEncodeDecodeV2(f *testing.F) {
 
 // FuzzV1V2RoundTrip pins the format boundary left by retiring the v1
 // record container: the same reference stream written as a v2 container
-// must replay bit-identically through the one-shot DecodeV2 batch and
-// through TraceV2.Batches at a fuzzed batch size, and the container
-// re-tagged with the v1 magic and version must be refused with
-// ErrBadTrace rather than replayed, so a v1 file can never feed a
+// must replay bit-identically through DecodeV2 and TraceV2.Replay, and
+// the container re-tagged with the v1 magic and version must be refused
+// with ErrBadTrace rather than replayed, so a v1 file can never feed a
 // simulation. Seed corpus lives under testdata/fuzz.
 func FuzzV1V2RoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(100))
@@ -121,28 +116,9 @@ func FuzzV1V2RoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("DecodeV2: %v", err)
 		}
-		whole := tr.Batch()
-		if whole.Len() != len(refs) {
-			t.Fatalf("records: got %d, want %d", whole.Len(), len(refs))
-		}
-		batchSize := 1 + int(uint64(seed)%97)
-		i := 0
-		tr.Batches(batchSize, func(b *RefBatch) {
-			if b.Len() > batchSize {
-				t.Fatalf("batch of %d refs exceeds batch size %d", b.Len(), batchSize)
-			}
-			b.Each(func(r Ref, o int32) {
-				wr, wo := whole.At(i)
-				if r != refs[i] || o != owners[i] || r != wr || o != wo {
-					t.Fatalf("record %d: batched %+v/%d, whole %+v/%d, want %+v/%d",
-						i, r, o, wr, wo, refs[i], owners[i])
-				}
-				i++
-			})
-		})
-		if i != len(refs) {
-			t.Fatalf("batches replayed %d records, want %d", i, len(refs))
-		}
+		rec := &Recorder{}
+		tr.Replay(rec)
+		requireRecords(t, "Replay", rec, refs, owners)
 
 		v1 := bytes.Clone(encoded)
 		copy(v1[0:6], "DVFT\x01\x00")

@@ -10,6 +10,37 @@ import (
 	"testing"
 )
 
+func TestPackUnpackMeta(t *testing.T) {
+	cases := []struct {
+		size  uint32
+		write bool
+		owner int32
+	}{
+		{0, false, 0},
+		{1, true, 1},
+		{8, false, 42},
+		{MaxRefSize, true, -1},
+		{255, true, 1<<31 - 1},
+		{7, false, -1 << 31},
+	}
+	for _, c := range cases {
+		size, write, owner := UnpackMeta(PackMeta(c.size, c.write, c.owner))
+		if size != c.size || write != c.write || owner != c.owner {
+			t.Errorf("round-trip (%d,%v,%d) -> (%d,%v,%d)",
+				c.size, c.write, c.owner, size, write, owner)
+		}
+	}
+}
+
+func TestPackMetaOversizePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PackMeta accepted a size above MaxRefSize")
+		}
+	}()
+	PackMeta(MaxRefSize+1, false, 0)
+}
+
 // genStream builds a deterministic registry and reference stream for the
 // v2 round-trip tests.
 func genStream(seed int64, nRegions, nRefs int) (*Registry, []Ref, []int32) {
@@ -44,6 +75,20 @@ func encodeV2(t *testing.T, reg *Registry, refs []Ref, owners []int32) []byte {
 	return buf.Bytes()
 }
 
+// requireRecords fails unless rec holds exactly refs and owners, in
+// order.
+func requireRecords(t *testing.T, label string, rec *Recorder, refs []Ref, owners []int32) {
+	t.Helper()
+	if rec.Len() != len(refs) {
+		t.Fatalf("%s: replayed %d records, want %d", label, rec.Len(), len(refs))
+	}
+	for i := range refs {
+		if rec.Refs[i] != refs[i] || rec.Owners[i] != owners[i] {
+			t.Fatalf("%s: record %d got %+v/%d, want %+v/%d", label, i, rec.Refs[i], rec.Owners[i], refs[i], owners[i])
+		}
+	}
+}
+
 func TestWriterV2RoundTrip(t *testing.T) {
 	reg, refs, owners := genStream(11, 5, 4000)
 	encoded := encodeV2(t, reg, refs, owners)
@@ -64,13 +109,9 @@ func TestWriterV2RoundTrip(t *testing.T) {
 	if tr.NumRefs() != int64(len(refs)) {
 		t.Fatalf("NumRefs = %d, want %d", tr.NumRefs(), len(refs))
 	}
-	b := tr.Batch()
-	for i := range refs {
-		r, o := b.At(i)
-		if r != refs[i] || o != owners[i] {
-			t.Fatalf("record %d: got %+v/%d, want %+v/%d", i, r, o, refs[i], owners[i])
-		}
-	}
+	rec := &Recorder{}
+	tr.Replay(rec)
+	requireRecords(t, "Replay", rec, refs, owners)
 	if nativeIsLittle() && !tr.ZeroCopy() {
 		t.Error("aligned little-endian decode did not alias the input")
 	}
@@ -93,48 +134,19 @@ func TestDecodeV2MisalignedFallsBackToCopy(t *testing.T) {
 	if tr.ZeroCopy() {
 		t.Fatal("misaligned decode claims to be zero-copy")
 	}
-	b := tr.Batch()
-	for i := range refs {
-		r, o := b.At(i)
-		if r != refs[i] || o != owners[i] {
-			t.Fatalf("record %d: got %+v/%d, want %+v/%d", i, r, o, refs[i], owners[i])
-		}
-	}
+	rec := &Recorder{}
+	tr.Replay(rec)
+	requireRecords(t, "Replay", rec, refs, owners)
 }
 
 func TestWriterV2OversizeIsStickyError(t *testing.T) {
 	reg := NewRegistry()
 	var buf bytes.Buffer
 	w := NewWriterV2(&buf, reg)
-	w.Access(Ref{Addr: 1, Size: MaxBatchRefSize + 1}, 0)
+	w.Access(Ref{Addr: 1, Size: MaxRefSize + 1}, 0)
 	w.Access(Ref{Addr: 2, Size: 1}, 0) // ignored after the sticky error
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush accepted a reference outside the 31-bit size domain")
-	}
-}
-
-func TestTraceV2Batches(t *testing.T) {
-	reg, refs, owners := genStream(17, 1, 1000)
-	tr, err := DecodeV2(encodeV2(t, reg, refs, owners))
-	if err != nil {
-		t.Fatalf("DecodeV2: %v", err)
-	}
-	for _, bs := range []int{1, 7, 256, 1000, 5000} {
-		i := 0
-		tr.Batches(bs, func(b *RefBatch) {
-			if b.Len() == 0 || b.Len() > bs {
-				t.Fatalf("batchSize %d: got batch of %d", bs, b.Len())
-			}
-			b.Each(func(r Ref, o int32) {
-				if r != refs[i] || o != owners[i] {
-					t.Fatalf("batchSize %d record %d: got %+v/%d, want %+v/%d", bs, i, r, o, refs[i], owners[i])
-				}
-				i++
-			})
-		})
-		if i != len(refs) {
-			t.Fatalf("batchSize %d visited %d refs, want %d", bs, i, len(refs))
-		}
 	}
 }
 
@@ -177,20 +189,11 @@ func TestOpenTraceFileReplays(t *testing.T) {
 	if len(tf.Regions) != len(want) {
 		t.Fatalf("regions %d, want %d", len(tf.Regions), len(want))
 	}
-	i := 0
-	if err := tf.Replay(512, func(b *RefBatch) {
-		b.Each(func(r Ref, o int32) {
-			if r != refs[i] || o != owners[i] {
-				t.Fatalf("record %d: got %+v/%d, want %+v/%d", i, r, o, refs[i], owners[i])
-			}
-			i++
-		})
-	}); err != nil {
+	rec := &Recorder{}
+	if err := tf.Replay(rec); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if i != len(refs) {
-		t.Fatalf("replayed %d refs, want %d", i, len(refs))
-	}
+	requireRecords(t, "Replay", rec, refs, owners)
 	if nativeIsLittle() && !tf.ZeroCopy() {
 		t.Error("replay is not zero-copy on a little-endian host")
 	}
@@ -218,11 +221,11 @@ func TestTraceFileLifetime(t *testing.T) {
 		}
 	}
 	called := false
-	if err := tf.Replay(0, func(*RefBatch) { called = true }); err == nil {
+	if err := tf.Replay(ConsumerFunc(func(Ref, int32) { called = true })); err == nil {
 		t.Error("Replay after Close returned nil")
 	}
 	if called {
-		t.Error("Replay after Close called fn")
+		t.Error("Replay after Close called the consumer")
 	}
 	if n := tf.NumRefs(); n != 0 {
 		t.Errorf("NumRefs after Close = %d, want 0", n)
@@ -258,22 +261,5 @@ func TestTraceFileLifetime(t *testing.T) {
 		if tf != nil {
 			t.Errorf("%s: OpenTraceFile returned a file with its error", name)
 		}
-	}
-}
-
-func TestWriterV2AccessBatch(t *testing.T) {
-	reg, refs, owners := genStream(29, 2, 500)
-	br := &BatchRecorder{}
-	for i := range refs {
-		br.Access(refs[i], owners[i])
-	}
-	var buf bytes.Buffer
-	w := NewWriterV2(&buf, reg)
-	w.AccessBatch(&br.Batch)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), encodeV2(t, reg, refs, owners)) {
-		t.Fatal("AccessBatch encoding differs from per-reference encoding")
 	}
 }

@@ -47,12 +47,10 @@ func Example_roundTrip() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	count := 0
-	tr.Batches(0, func(b *trace.RefBatch) {
-		count += b.Len()
-	})
+	counter := trace.NewCounter()
+	tr.Replay(counter)
 	fmt.Printf("replayed %d references over %d region(s): %s\n",
-		count, len(tr.Regions), tr.Regions[0].Name)
+		counter.Total(), len(tr.Regions), tr.Regions[0].Name)
 	// Output:
 	// replayed 2 references over 1 region(s): A
 }

@@ -3,15 +3,16 @@ package trace
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/metrics"
 )
 
-// groupRecorder is a StridedConsumer that records the stream its groups
-// stand for, expanded as the StridedConsumer contract spells out, and
-// how many groups it took.
+// groupRecorder is a GroupConsumer that never stops. It records the
+// stream its groups stand for, expanded as the GroupConsumer contract
+// spells out, and how many groups it took.
 type groupRecorder struct {
 	Recorder
 	groups int
@@ -28,11 +29,7 @@ func (g *groupRecorder) AccessStrided(refs []Ref, owners []int32, strides []int6
 	}
 }
 
-// groupPeriods is a groupRecorder that is also a PeriodConsumer, as the
-// cache simulator's consumer is.
-type groupPeriods struct{ groupRecorder }
-
-func (*groupPeriods) EndPeriod(int64) bool { return false }
+func (*groupRecorder) EndPeriod(int64) bool { return false }
 
 // mustPanic runs f and fails unless it panics with a message holding
 // want.
@@ -90,7 +87,7 @@ func stridedCases(a, b Region) []struct {
 }
 
 // TestStridedMatchesElementLoop: a group reaches a plain consumer, a
-// StridedConsumer and Refs as the element loop's LoadN/StoreN calls do.
+// GroupConsumer and Refs as the element loop's LoadN/StoreN calls do.
 func TestStridedMatchesElementLoop(t *testing.T) {
 	g := NewRegistry()
 	a, b := g.Alloc("A", 128), g.Alloc("B", 160)
@@ -119,7 +116,7 @@ func TestStridedMatchesElementLoop(t *testing.T) {
 			t.Errorf("case %d, plain consumer: %v %v, want %v %v", i, plain.Refs, plain.Owners, loop.Refs, loop.Owners)
 		}
 		if !reflect.DeepEqual(grouped.Refs, loop.Refs) || !reflect.DeepEqual(grouped.Owners, loop.Owners) {
-			t.Errorf("case %d, StridedConsumer: %v %v, want %v %v", i, grouped.Refs, grouped.Owners, loop.Refs, loop.Owners)
+			t.Errorf("case %d, GroupConsumer: %v %v, want %v %v", i, grouped.Refs, grouped.Owners, loop.Refs, loop.Owners)
 		}
 		if wantGroups := min(c.steps, 1); grouped.groups != wantGroups {
 			t.Errorf("case %d: %d groups delivered, want %d", i, grouped.groups, wantGroups)
@@ -158,44 +155,42 @@ func TestStridedBoundsCheckedFirst(t *testing.T) {
 	}
 }
 
-// TestTakesGroups: only a nil sink, a stopped PeriodConsumer and a
-// StridedConsumer let a kernel compute after emitting a group, and
-// Instrumented keeps whichever of the two seams its consumer has.
+// TestTakesGroups: only a nil sink and a GroupConsumer let a kernel
+// compute after emitting a group, and Instrumented is a GroupConsumer
+// exactly when its consumer is one.
 func TestTakesGroups(t *testing.T) {
 	g := NewRegistry()
 	reg := metrics.New()
 	for _, c := range []struct {
-		sink            Consumer
-		groups, periods bool
+		sink   Consumer
+		groups bool
 	}{
-		{nil, true, false},
-		{&Recorder{}, false, false},
-		{Tee(&groupRecorder{}), false, false},
-		{&groupRecorder{}, true, false},
-		{&stopAfter{stop: 1}, false, true},
-		{&groupPeriods{}, true, true},
-		{Instrumented(&Recorder{}, reg, "i"), false, false},
-		{Instrumented(&groupRecorder{}, reg, "i"), true, false},
-		{Instrumented(&stopAfter{stop: 1}, reg, "i"), false, true},
-		{Instrumented(&groupPeriods{}, reg, "i"), true, true},
+		{nil, true},
+		{&Recorder{}, false},
+		{ConsumerFunc((&groupRecorder{}).Access), false},
+		{&groupRecorder{}, true},
+		{&stopAfter{stop: 1}, true},
+		{Instrumented(&Recorder{}, reg, "i"), false},
+		{Instrumented(&groupRecorder{}, reg, "i"), true},
+		{Instrumented(&stopAfter{stop: 1}, reg, "i"), true},
 	} {
 		if got := NewMemory(g, c.sink).TakesGroups(); got != c.groups {
 			t.Errorf("%T: TakesGroups %v, want %v", c.sink, got, c.groups)
 		}
-		if _, ok := c.sink.(PeriodConsumer); ok != c.periods {
-			t.Errorf("%T: PeriodConsumer %v, want %v", c.sink, ok, c.periods)
+		if _, ok := c.sink.(GroupConsumer); c.sink != nil && ok != c.groups {
+			t.Errorf("%T: GroupConsumer %v, want %v", c.sink, ok, c.groups)
 		}
 	}
 }
 
-// TestInstrumentedTalliesGroups: an instrumented StridedConsumer counts
+// TestInstrumentedTalliesGroups: an instrumented GroupConsumer counts
 // a group's references, bytes and writes as the element loop's Access
-// calls would, and forwards the group whole.
+// calls would, and forwards the group whole and the period boundary.
 func TestInstrumentedTalliesGroups(t *testing.T) {
 	g := NewRegistry()
 	a, b := g.Alloc("A", 128), g.Alloc("B", 160)
 	perRef, perGroup := metrics.New(), metrics.New()
-	inner := &groupRecorder{}
+	inner := &stopAfter{stop: 1}
 	plain := NewMemory(g, Instrumented(&Recorder{}, perRef, "t"))
 	grouped := NewMemory(g, Instrumented(inner, perGroup, "t"))
 	for _, c := range stridedCases(a, b) {
@@ -208,5 +203,9 @@ func TestInstrumentedTalliesGroups(t *testing.T) {
 	}
 	if inner.groups != 4 || int64(inner.Len()) != grouped.Refs() {
 		t.Errorf("%d groups and %d references forwarded, want 4 and %d", inner.groups, inner.Len(), grouped.Refs())
+	}
+	grouped.Period()
+	if want := []int64{grouped.Refs()}; !slices.Equal(inner.periods, want) {
+		t.Errorf("periods forwarded %v, want %v", inner.periods, want)
 	}
 }

@@ -122,51 +122,37 @@ func (g *Registry) Lookup(addr uint64) (Region, bool) {
 // (Strided); see TakesGroups for when a kernel may do so.
 //
 // A kernel whose stream repeats marks its period boundaries with Period.
-// When the consumer is a PeriodConsumer and reports a steady state at a
+// When the consumer is a GroupConsumer and reports a steady state at a
 // boundary, the Memory stops delivering references and lets the consumer
 // count each later period itself; Refs still counts every reference.
 type Memory struct {
 	reg  *Registry
-	sink Consumer // nil when discarding, or once a PeriodConsumer stopped
+	sink Consumer // nil when discarding, or once a GroupConsumer stopped
 	refs int64
 
-	// period is the consumer told of period boundaries: the sink when it
-	// implements PeriodConsumer, nil otherwise. strided is the sink when
-	// it implements StridedConsumer, nil otherwise.
-	period  PeriodConsumer
-	strided StridedConsumer
-	// mark is Refs at the last boundary. Once period stopped, steady is
+	// group is the sink when it implements GroupConsumer, nil otherwise.
+	// It is told of strided groups and period boundaries.
+	group GroupConsumer
+	// mark is Refs at the last boundary. Once group stopped, steady is
 	// the length of the period at whose end it did.
 	mark, steady int64
 	stopped      bool
 	err          error
 
-	// The step-0 references, owners and strides of the group Strided
-	// hands to strided, reused from group to group.
+	// The step-0 references, owners and strides Strided hands to
+	// group, reused from call to call.
 	groupRefs    []Ref
 	groupOwners  []int32
 	groupStrides []int64
 }
 
-// PeriodConsumer is a Consumer that can stand in for the repeats of a
-// periodic reference stream. Memory calls EndPeriod at each boundary a
-// kernel marks with Period, passing the number of references the period
-// held. Once EndPeriod returns true the consumer has reached a steady
-// state: it receives no further references, and at every later boundary
-// EndPeriod must count one more period, of the same references as the one
-// that ended where it stopped, and return true again. A consumer that
-// only observes the stream (Recorder, Tee, Instrumented over a plain
-// consumer) does not implement it and receives every reference.
-type PeriodConsumer interface {
-	Consumer
-	EndPeriod(refs int64) (stop bool)
-}
-
-// StridedConsumer is a Consumer that takes a strided group at once:
-// steps iterations of an inner loop in which element e makes refs[e],
-// owned by owners[e], moved by strides[e] bytes per step. It must act
-// exactly as the element loop's Access calls would, step after step and
-// within a step element after element:
+// GroupConsumer is a Consumer that takes a reference stream in the two
+// shapes a kernel may give it whole: strided groups and periods.
+//
+// AccessStrided takes steps iterations of an inner loop in which element
+// e makes refs[e], owned by owners[e], moved by strides[e] bytes per
+// step. It must act exactly as the element loop's Access calls would,
+// step after step and within a step element after element:
 //
 //	for k := 0; k < steps; k++ {
 //		for e := range refs {
@@ -176,16 +162,27 @@ type PeriodConsumer interface {
 //		}
 //	}
 //
-// It must not retain the slices. A consumer that must see the data
-// between two references (the kernels' fault injector, which flips a
-// bit at an exact reference) does not implement it; neither do Recorder,
-// Tee and ConsumerFunc.
-type StridedConsumer interface {
+// It must not retain the slices.
+//
+// Memory calls EndPeriod at each boundary a kernel marks with Period,
+// passing the number of references the period held. Once EndPeriod
+// returns true the consumer has reached a steady state: it receives no
+// further references, and at every later boundary EndPeriod must count
+// one more period, of the same references as the one that ended where
+// it stopped, and return true again. A consumer that never stops
+// returns false.
+//
+// A consumer that must see the data between two references (the
+// kernels' fault injector, which flips a bit at an exact reference)
+// does not implement it; neither do Recorder, WriterV2, Counter and
+// ConsumerFunc, which receive every reference one at a time.
+type GroupConsumer interface {
 	Consumer
 	AccessStrided(refs []Ref, owners []int32, strides []int64, steps int)
+	EndPeriod(refs int64) (stop bool)
 }
 
-// ErrPartialPeriod reports that references made while a PeriodConsumer
+// ErrPartialPeriod reports that references made while a GroupConsumer
 // was stopped do not form whole periods, so the consumer cannot have
 // counted them: the stream ended, or reached a boundary, part-way through
 // a period.
@@ -195,8 +192,7 @@ var ErrPartialPeriod = errors.New("trace: references outside a whole period were
 // discards references (useful when only the algorithm's result is needed).
 func NewMemory(reg *Registry, sink Consumer) *Memory {
 	m := &Memory{reg: reg, sink: sink}
-	m.period, _ = sink.(PeriodConsumer)
-	m.strided, _ = sink.(StridedConsumer)
+	m.group, _ = sink.(GroupConsumer)
 	return m
 }
 
@@ -207,18 +203,17 @@ func (m *Memory) Registry() *Registry { return m.reg }
 func (m *Memory) Refs() int64 { return m.refs }
 
 // TakesGroups reports whether no consumer needs the references of a
-// strided group one at a time: the sink is nil, a PeriodConsumer
-// stopped, or the sink is a StridedConsumer. A kernel may then emit an
-// inner loop's references with Strided and compute the loop on its raw
-// data afterwards.
-func (m *Memory) TakesGroups() bool { return m.sink == nil || m.strided != nil }
+// strided group one at a time: the sink is nil or a GroupConsumer. A
+// kernel may then emit an inner loop's references with Strided and
+// compute the loop on its raw data afterwards.
+func (m *Memory) TakesGroups() bool { return m.sink == nil || m.group != nil }
 
 // Period marks the end of one period of the stream. Every period after
 // the first boundary must make the same references in the same order;
 // what precedes the first boundary is free. A stopped consumer is told
 // of the period only when it is as long as the period it stopped at.
 func (m *Memory) Period() {
-	if m.period == nil || m.err != nil {
+	if m.group == nil || m.err != nil {
 		return
 	}
 	n := m.refs - m.mark
@@ -227,7 +222,7 @@ func (m *Memory) Period() {
 		m.err = fmt.Errorf("%w: a period of %d references after a steady period of %d", ErrPartialPeriod, n, m.steady)
 		return
 	}
-	if m.period.EndPeriod(n) && !m.stopped {
+	if m.group.EndPeriod(n) && !m.stopped {
 		m.sink, m.steady, m.stopped = nil, n, true
 	}
 }
@@ -304,7 +299,7 @@ type Strided struct {
 // bytes: the same references, in the same order, as the LoadN/StoreN
 // calls of the element loop. Before anything is delivered it checks
 // each element's first and last step against its region; the steps
-// between lie between them. A StridedConsumer receives the group at
+// between lie between them. A GroupConsumer receives the group at
 // once, any other consumer reference by reference, and a nil or stopped
 // sink none.
 func (m *Memory) Strided(group []Strided, steps int) {
@@ -327,7 +322,7 @@ func (m *Memory) Strided(group []Strided, steps int) {
 	m.refs += int64(steps) * int64(len(group))
 	switch {
 	case m.sink == nil:
-	case m.strided != nil:
+	case m.group != nil:
 		m.groupRefs, m.groupOwners, m.groupStrides = m.groupRefs[:0], m.groupOwners[:0], m.groupStrides[:0]
 		for i := range group {
 			g := &group[i]
@@ -335,7 +330,7 @@ func (m *Memory) Strided(group []Strided, steps int) {
 			m.groupOwners = append(m.groupOwners, g.Region.ID)
 			m.groupStrides = append(m.groupStrides, g.Stride)
 		}
-		m.strided.AccessStrided(m.groupRefs, m.groupOwners, m.groupStrides, steps)
+		m.group.AccessStrided(m.groupRefs, m.groupOwners, m.groupStrides, steps)
 	default:
 		for k := range steps {
 			for i := range group {
@@ -408,13 +403,4 @@ func (c *Counter) Total() int64 {
 		n += v
 	}
 	return n
-}
-
-// Tee fans a reference stream out to several consumers.
-func Tee(consumers ...Consumer) Consumer {
-	return ConsumerFunc(func(r Ref, owner int32) {
-		for _, c := range consumers {
-			c.Access(r, owner)
-		}
-	})
 }

@@ -127,10 +127,10 @@ func TestMemoryNilSinkCountsOnly(t *testing.T) {
 	}
 }
 
-// stopAfter is a PeriodConsumer that stops at its stop-th boundary and
+// stopAfter is a GroupConsumer that stops at its stop-th boundary and
 // records every reference and every period length it is told of.
 type stopAfter struct {
-	Recorder
+	groupRecorder
 	stop    int
 	periods []int64
 }
@@ -198,15 +198,6 @@ func TestCounter(t *testing.T) {
 	mem.StoreN(b, 0, 8)
 	if c.Reads[int32(a.ID)] != 2 || c.Writes[int32(b.ID)] != 1 || c.Total() != 3 {
 		t.Errorf("counter state: %+v", c)
-	}
-}
-
-func TestTeeFansOut(t *testing.T) {
-	r1, r2 := &Recorder{}, &Recorder{}
-	sink := Tee(r1, r2)
-	sink.Access(Ref{Addr: 1, Size: 4}, 7)
-	if r1.Len() != 1 || r2.Len() != 1 {
-		t.Error("Tee did not reach all consumers")
 	}
 }
 
