@@ -27,8 +27,10 @@
 #                     sanity check
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the simulator against its naive LRU
-#                     oracle, line-run repeats (AccessRun, VisitRun)
-#                     and strided groups (AccessStrided) against plain
+#                     oracle, line-run repeats (AccessRun, VisitRun),
+#                     strided groups (AccessStrided) and the set-restricted
+#                     simulator against plain walks, CG's quiet rows and
+#                     MG's plane translation against their element
 #                     walks, the trace container round-trip
 #                     (incl. misalignment and truncation), the template
 #                     counter against its brute-force oracles, the Aspen
@@ -122,11 +124,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessRunVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzStridedVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzSetSimulatorVsSimulator$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyReplayVsFull$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzVisitRunVsVisit$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyStateVsFull$$' -fuzztime $(FUZZTIME) ./internal/patterns
+	$(GO) test -run '^$$' -fuzz '^FuzzCGQuietRowsVsElementWalk$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz '^FuzzMGPlaneShiftVsElementWalk$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz '^FuzzAspenEvaluate$$' -fuzztime $(FUZZTIME) ./internal/aspen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
 

@@ -158,7 +158,9 @@ func doRecord(code, out string, sink metrics.Sink, tz tracez.Recorder) error {
 	// table from the observed ranges and write the file.
 	rec := &trace.Recorder{}
 	sw := sink.Timer("trace.record_ns").Start()
-	info, err := kernels.RunTraced(k, trace.Instrumented(rec, sink, "trace.record"), tz)
+	ic := trace.Instrumented(rec, sink, "trace.record")
+	info, err := kernels.RunTraced(k, ic, tz)
+	trace.Flush(ic)
 	sw.Stop()
 	if err == nil {
 		sp := tz.Track("trace.encode").Begin("encode " + out)
@@ -242,7 +244,9 @@ func doReplay(path string, cfg cache.Config, sink metrics.Sink, tz tracez.Record
 	sim.Trace(tz)
 	sw := sink.Timer("trace.replay_ns").Start()
 	sp := tz.Track("trace.replay").Begin("replay " + cfg.Name)
-	err = tf.Replay(trace.Instrumented(sim.Consumer(), sink, "trace.replay"))
+	ic := trace.Instrumented(sim.Consumer(), sink, "trace.replay")
+	err = tf.Replay(ic)
+	trace.Flush(ic)
 	sp.End()
 	sw.Stop()
 	if err != nil {

@@ -55,7 +55,10 @@ func Run(o Options) (*Manifest, error) {
 		}
 		rec := &trace.Recorder{}
 		sw := o.Sink.Timer("bench.record_ns").Start()
-		if _, err := k.Run(trace.Instrumented(rec, o.Sink, "bench.record")); err != nil {
+		ic := trace.Instrumented(rec, o.Sink, "bench.record")
+		_, err = k.Run(ic)
+		trace.Flush(ic)
+		if err != nil {
 			return nil, fmt.Errorf("bench: recording %s: %w", code, err)
 		}
 		sw.Stop()

@@ -161,7 +161,14 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{
+	s := &Simulator{}
+	s.init(cfg)
+	return s, nil
+}
+
+// init makes s an empty simulator of cfg, a valid geometry.
+func (s *Simulator) init(cfg Config) {
+	*s = Simulator{
 		cfg:        cfg,
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:    uint64(cfg.Sets - 1),
@@ -173,7 +180,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		structName: make(map[StructID]string),
 	}
 	s.empty()
-	return s, nil
 }
 
 // Config returns the geometry the simulator was built with.

@@ -103,7 +103,9 @@ func VerifyKernel(k kernels.Kernel, cfg cache.Config, env Env) ([]Fig4Row, error
 	sw := env.Metrics.Timer("experiments.kernel_run_ns").Start()
 	sp := tk.Begin("run")
 	info, err := replay(sim, func(c trace.Consumer) (*kernels.RunInfo, error) {
-		return k.Run(trace.Instrumented(c, env.Metrics, "experiments.trace"))
+		ic := trace.Instrumented(c, env.Metrics, "experiments.trace")
+		defer trace.Flush(ic)
+		return k.Run(ic)
 	})
 	sw.Stop()
 	defer sim.PublishStats(env.Metrics, "cache."+k.Name()+"."+cfg.Name)

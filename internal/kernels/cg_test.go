@@ -215,41 +215,69 @@ func TestCGTemplateModelUnknownStructure(t *testing.T) {
 	}
 }
 
-// TestCGTemplateWalkMemory bounds the snapshots RunPeriods takes: on
-// every Table IV cache, one CG template walk at the verification size
-// (n=500, 10 iterations) allocates, beyond building its simulator, at
-// most about twice the simulator's line slab. That is one period-end
-// snapshot and one state's worth of checkpoint snapshots, each at most
-// as large as the slab, plus a little bookkeeping.
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCGTemplateWalkMemory bounds what a CG template walk allocates at
+// the verification size (n=500, 10 iterations), on every Table IV
+// cache: at most as much as building a simulator of the whole cache,
+// which a walk of every set needs, plus twice the line slab of the sets
+// it keeps, p's: one period-end snapshot and one state's worth of
+// checkpoint snapshots, each at most as large as that slab, plus a
+// little bookkeeping.
 func TestCGTemplateWalkMemory(t *testing.T) {
 	const n, iters = 500, 10
 	regs := cgTemplateRegions(n)
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
 	for _, cfg := range append(cache.VerificationConfigs(), cache.ProfilingConfigs()...) {
-		var sim *cache.Simulator
+		var err error
 		built := allocated(func() {
-			var err error
-			if sim, err = cache.NewSimulator(cfg); err != nil {
+			if _, err = cache.NewSimulator(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
+		kept, err := cache.NewSetSimulator(cfg, regs[cgP].Base, regs[cgP].Size)
+		if err != nil {
+			t.Fatal(err)
+		}
 		walk := allocated(func() {
-			if _, err := cgTemplateCounts(n, regs, cfg, iters); err != nil {
+			if _, err := cgTemplateCounts(n, regs, cgP, cfg, iters); err != nil {
 				t.Fatal(err)
 			}
 		})
-		slab := uint64(sim.StateCap()) * 8
+		slab := uint64(kept.StateCap()) * 8
 		const bookkeeping = 16 << 10
-		t.Logf("%s: walk %d, simulator %d, slab %d", cfg.Name, walk, built, slab)
+		t.Logf("%s: walk %d, simulator %d, kept slab %d", cfg.Name, walk, built, slab)
 		if walk > built+2*slab+bookkeeping {
-			t.Errorf("%s: a walk allocates %d bytes beyond its %d-byte simulator, want at most twice the %d-byte line slab + %d",
-				cfg.Name, walk-built, built, slab, bookkeeping)
+			t.Errorf("%s: a walk allocates %d bytes, want at most its %d-byte simulator + twice the %d-byte kept line slab + %d",
+				cfg.Name, walk, built, slab, bookkeeping)
+		}
+	}
+}
+
+// TestMGTemplateWalkMemory: on every Table IV cache, MG's template walk
+// at the verification and profiling sizes allocates no more than the
+// element walk, whose counter holds a node and an index entry for each
+// distinct block. The two must count alike too, which at n=64 no other
+// test checks.
+func TestMGTemplateWalkMemory(t *testing.T) {
+	for _, mg := range []*MG{NewMG(32, 1), NewMG(64, 1)} {
+		for _, cfg := range append(cache.VerificationConfigs(), cache.ProfilingConfigs()...) {
+			var got, want cache.Stats
+			walk := allocated(func() { got = mg.templateCounts(cfg) })
+			plain := allocated(func() { want = mgElementWalk(mg, cfg).Stats() })
+			t.Logf("n=%d %s: walk %d, element walk %d", mg.N, cfg.Name, walk, plain)
+			if walk > plain {
+				t.Errorf("n=%d %s: the walk allocates %d bytes, the element walk %d", mg.N, cfg.Name, walk, plain)
+			}
+			if got != want {
+				t.Errorf("n=%d %s: walk %+v, element walk %+v", mg.N, cfg.Name, got, want)
+			}
 		}
 	}
 }

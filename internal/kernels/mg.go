@@ -5,6 +5,7 @@ import (
 
 	"github.com/resilience-models/dvf/internal/analytic"
 	"github.com/resilience-models/dvf/internal/cache"
+	"github.com/resilience-models/dvf/internal/mathx"
 	"github.com/resilience-models/dvf/internal/patterns"
 	"github.com/resilience-models/dvf/internal/trace"
 )
@@ -388,15 +389,28 @@ func (mg *MG) Models(info *RunInfo) ([]ModelSpec, error) {
 		Name:  "template",
 		Bytes: int64(total) * elem8,
 		F: func(c cache.Config) (float64, error) {
-			return float64(k.templateWalk(c).Misses()), nil
+			return float64(k.templateCounts(c).Misses), nil
 		},
 	}
 	return []ModelSpec{{Structure: "R", Estimator: est}}, nil
 }
 
-// templateWalk feeds the V-cycle's element template for cache c through
-// a TemplateCounter and returns the counter.
-func (mg *MG) templateWalk(c cache.Config) *patterns.TemplateCounter {
+// templateCounts feeds the V-cycle's element template for cache c
+// through a template counter and returns its counters: visits as
+// accesses, misses and evictions. Two exact shortcuts keep the walk
+// short:
+//
+//   - When every block the template touches fits in the cache, nothing
+//     is ever evicted, so the misses are the distinct blocks touched.
+//     Those and the visits are counted, not walked (mgFitCounts).
+//   - Each phase's plane loop (over i) visits, at plane i+1, plane i's
+//     blocks moved by whole planes: n^2 elements for a smooth; 2*nf^2
+//     on the fine level and nc^2 on the coarse one for a restrict or a
+//     prolong; other levels stay. Once the resident list after a plane
+//     is the previous one moved the same way, every later plane repeats
+//     it (patterns.BlockCounter.RunShifted). That needs the moves and
+//     the levels' bounds to be whole lines; otherwise the planes run.
+func (mg *MG) templateCounts(c cache.Config) cache.Stats {
 	cycles := mg.Cycles
 	if cycles == 0 {
 		cycles = 1
@@ -406,21 +420,44 @@ func (mg *MG) templateWalk(c cache.Config) *patterns.TemplateCounter {
 		sweeps = 1
 	}
 	dims := mgLevels(mg.N)
-	offsets, _ := mgOffsets(dims)
-	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	offsets, total := mgOffsets(dims)
+	if st, ok := mgFitCounts(dims, offsets, cycles, sweeps, c); ok {
+		return st
+	}
+	line := int64(c.LineSize)
+	ctr := patterns.NewBlockCounter(c.Lines(), int(mathx.CeilDiv(int64(total)*elem8, line)))
 	// Each phase walks its innermost index k by line runs: the steps
 	// for which every element of a k step stays in its line visit one
 	// block group again and again (see LineRun).
-	run := patterns.NewLineRun(ctr, c.LineSize)
+	run := patterns.NewLineRun(&ctr.TemplateCounter, c.LineSize)
 	// add visits elem, which moves stride elements per k step, as part
 	// of the step.
 	add := func(elem, stride int) {
 		run.Add(int64(elem)*elem8, elem8, int64(stride)*elem8)
 	}
+	// planes runs a phase's n planes, by RunShifted when each move, a
+	// level and the elements its blocks move by per plane, and the
+	// level's bounds are whole lines.
+	var shifts [2]patterns.BlockShift
+	planes := func(n int, plane func(i int), moves ...[2]int) {
+		for m, mv := range moves {
+			l, d := mv[0], int64(mv[1])*elem8
+			lo, hi := int64(offsets[l])*elem8, int64(offsets[l]+dims[l]*dims[l]*dims[l])*elem8
+			if lo%line != 0 || hi%line != 0 || d%line != 0 {
+				for i := range n {
+					plane(i)
+				}
+				return
+			}
+			shifts[m] = patterns.BlockShift{Lo: lo / line, Hi: hi / line, Delta: d / line}
+		}
+		ctr.RunShifted(n, shifts[:len(moves)], plane)
+	}
 	smoothT := func(l int) {
 		n := dims[l]
 		at := func(i, j, k int) int { return offsets[l] + (i*n+j)*n + k }
-		for i := 1; i < n-1; i++ {
+		planes(n-2, func(p int) {
+			i := p + 1
 			for j := 1; j < n-1; j++ {
 				for k := 0; k < n; {
 					run.Start(n - k)
@@ -432,14 +469,14 @@ func (mg *MG) templateWalk(c cache.Config) *patterns.TemplateCounter {
 					k += run.End()
 				}
 			}
-		}
+		}, [2]int{l, n * n})
 	}
 	restrictT := func(l int) {
 		nc := dims[l+1]
 		nf := dims[l]
 		atF := func(i, j, k int) int { return offsets[l] + (i*nf+j)*nf + k }
 		atC := func(i, j, k int) int { return offsets[l+1] + (i*nc+j)*nc + k }
-		for i := 0; i < nc; i++ {
+		planes(nc, func(i int) {
 			for j := 0; j < nc; j++ {
 				for k := 0; k < nc; {
 					run.Start(nc - k)
@@ -454,14 +491,14 @@ func (mg *MG) templateWalk(c cache.Config) *patterns.TemplateCounter {
 					k += run.End()
 				}
 			}
-		}
+		}, [2]int{l, 2 * nf * nf}, [2]int{l + 1, nc * nc})
 	}
 	prolongT := func(l int) {
 		nc := dims[l+1]
 		nf := dims[l]
 		atF := func(i, j, k int) int { return offsets[l] + (i*nf+j)*nf + k }
 		atC := func(i, j, k int) int { return offsets[l+1] + (i*nc+j)*nc + k }
-		for i := 0; i < nc; i++ {
+		planes(nc, func(i int) {
 			for j := 0; j < nc; j++ {
 				for k := 0; k < nc; {
 					run.Start(nc - k)
@@ -478,7 +515,7 @@ func (mg *MG) templateWalk(c cache.Config) *patterns.TemplateCounter {
 					k += run.End()
 				}
 			}
-		}
+		}, [2]int{l, 2 * nf * nf}, [2]int{l + 1, nc * nc})
 	}
 	for cyc := 0; cyc < cycles; cyc++ {
 		for l := 0; l < len(dims)-1; l++ {
@@ -497,7 +534,51 @@ func (mg *MG) templateWalk(c cache.Config) *patterns.TemplateCounter {
 			}
 		}
 	}
-	return ctr
+	return ctr.Stats()
+}
+
+// mgFitCounts returns the template's counters on cache c when every
+// block it touches fits in the cache: no block is then ever evicted, so
+// each distinct block misses once and every other visit hits. Every
+// element of R is touched, except with a single level, whose smooth
+// never reaches the four corner rows (i, j in {0, n-1}) of the grid.
+// An 8-byte element spans 8/LineSize lines when lines are shorter, and
+// one otherwise (R is line-aligned). It reports false when the blocks
+// do not fit.
+func mgFitCounts(dims, offsets []int, cycles, sweeps int, c cache.Config) (cache.Stats, bool) {
+	line := int64(c.LineSize)
+	var distinct int64
+	if len(dims) > 1 {
+		last := len(dims) - 1
+		distinct = mathx.CeilDiv(int64(offsets[last]+dims[last]*dims[last]*dims[last])*elem8, line)
+	} else {
+		n := dims[0]
+		lastLine := int64(-1)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if (i == 0 || i == n-1) && (j == 0 || j == n-1) {
+					continue
+				}
+				first, end := int64((i*n+j)*n)*elem8/line, (int64((i*n+j+1)*n)*elem8-1)/line
+				distinct += end - max(first, lastLine+1) + 1
+				lastLine = end
+			}
+		}
+	}
+	if distinct > int64(c.Lines()) {
+		return cache.Stats{}, false
+	}
+	smooth := func(n int) int64 { return 5 * int64(n-2) * int64(n-2) * int64(n) }
+	cube := func(n int) int64 { return int64(n) * int64(n) * int64(n) }
+	var visits int64
+	for l := 0; l < len(dims)-1; l++ {
+		// The downward smooths and restrict, then the prolong and the
+		// upward smooths.
+		visits += 2*int64(sweeps)*smooth(dims[l]) + 9*cube(dims[l+1]) + 17*cube(dims[l+1])
+	}
+	visits += 2 * int64(sweeps) * smooth(dims[len(dims)-1])
+	visits *= int64(cycles) * max(1, elem8/line)
+	return cache.Stats{Accesses: visits, Hits: visits - distinct, Misses: distinct}, true
 }
 
 // AccessPattern implements PatternSource: the V-cycle phase sequence over

@@ -116,10 +116,12 @@ func TestCGSteadyReplayStopsEarly(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := metrics.New()
-		info, err := k.Run(trace.Instrumented(sim.Consumer(), reg, "t"))
+		ic := trace.Instrumented(sim.Consumer(), reg, "t")
+		info, err := k.Run(ic)
 		if err != nil {
 			t.Fatal(err)
 		}
+		trace.Flush(ic)
 		if want := prefix + 10*iteration; info.Refs != want {
 			t.Fatalf("%s: RunInfo.Refs %d, want %d", cfg.Name, info.Refs, want)
 		}
@@ -239,6 +241,7 @@ func TestStridedReplayMatchesElements(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				trace.Flush(sink)
 				requireSameReplay(t, sim, full, ii, fi)
 				_, extrapolated := sim.Extrapolated()
 				if delivered := reg.Snapshot().Counters["t.refs"]; delivered+extrapolated != ii.Refs {
@@ -264,5 +267,51 @@ func requireSameChecksum(t *testing.T, path string, got, want *RunInfo) {
 	t.Helper()
 	if math.Float64bits(got.Checksum) != math.Float64bits(want.Checksum) {
 		t.Errorf("%s: Checksum %x, element loops %x", path, math.Float64bits(got.Checksum), math.Float64bits(want.Checksum))
+	}
+}
+
+// TestInstrumentedCountsMatchRun: once flushed, an Instrumented
+// consumer's counters hold every reference a run delivered, its bytes
+// and its writes, element by element (into a Recorder) and by strided
+// groups (into a simulator, with MG, whose runs have no periods).
+func TestInstrumentedCountsMatchRun(t *testing.T) {
+	kinds := []Kernel{NewVM(300), NewCG(37, 3), NewNB(40), NewMG(16, 1), NewFT(256), NewMC(200)}
+	for _, k := range kinds {
+		rec := &trace.Recorder{}
+		reg := metrics.New()
+		ic := trace.Instrumented(rec, reg, "t")
+		info, err := k.Run(ic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace.Flush(ic)
+		var bytes, writes int64
+		for _, r := range rec.Refs {
+			bytes += int64(r.Size)
+			if r.Write {
+				writes++
+			}
+		}
+		got := reg.Snapshot().Counters
+		if got["t.refs"] != info.Refs || int64(rec.Len()) != info.Refs || got["t.bytes"] != bytes || got["t.writes"] != writes {
+			t.Errorf("%s: counters %v, want %d refs (%d recorded), %d bytes, %d writes",
+				k.Name(), got, info.Refs, rec.Len(), bytes, writes)
+		}
+		if k.Name() != "MG" {
+			continue
+		}
+		sim, err := cache.NewSimulator(cache.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		greg := metrics.New()
+		gc := trace.Instrumented(sim.Consumer(), greg, "t")
+		if _, err := k.Run(gc); err != nil {
+			t.Fatal(err)
+		}
+		trace.Flush(gc)
+		if g := greg.Snapshot().Counters; g["t.refs"] != info.Refs || g["t.bytes"] != bytes || g["t.writes"] != writes {
+			t.Errorf("MG by groups: counters %v, want %d refs, %d bytes, %d writes", g, info.Refs, bytes, writes)
+		}
 	}
 }

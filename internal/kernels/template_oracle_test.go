@@ -25,11 +25,22 @@ func visitElem(ctr *patterns.TemplateCounter, elem int, size, lineSize int64) {
 
 // mgElementWalk is MG's template, element by element.
 func mgElementWalk(mg *MG, c cache.Config) *patterns.TemplateCounter {
+	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	mgElementVisits(mg, int64(c.LineSize), func(b int64) { ctr.Visit(b) })
+	return ctr
+}
+
+// mgElementVisits presents MG's template for lines of lineSize bytes
+// to visitBlock, block by block.
+func mgElementVisits(mg *MG, lineSize int64, visitBlock func(int64)) {
 	cycles, sweeps := max(mg.Cycles, 1), max(mg.Smooth, 1)
 	dims := mgLevels(mg.N)
 	offsets, _ := mgOffsets(dims)
-	ctr := patterns.NewTemplateCounter(c.Lines(), false)
-	visit := func(elem int) { visitElem(ctr, elem, elem8, int64(c.LineSize)) }
+	visit := func(elem int) {
+		for b := int64(elem) * elem8 / lineSize; b <= (int64(elem)*elem8+elem8-1)/lineSize; b++ {
+			visitBlock(b)
+		}
+	}
 	smoothT := func(l int) {
 		n := dims[l]
 		at := func(i, j, k int) int { return offsets[l] + (i*n+j)*n + k }
@@ -94,7 +105,6 @@ func mgElementWalk(mg *MG, c cache.Config) *patterns.TemplateCounter {
 			}
 		}
 	}
-	return ctr
 }
 
 // ftElementWalk is FT's template, element by element.
@@ -130,7 +140,7 @@ func ftElementWalk(f *FT, c cache.Config) *patterns.TemplateCounter {
 
 // cgElementWalk is CG's template, element by element and every
 // iteration simulated, returning each region's counters.
-func cgElementWalk(t *testing.T, n, iters int, cfg cache.Config) []cache.Stats {
+func cgElementWalk(t testing.TB, n, iters int, cfg cache.Config) []cache.Stats {
 	t.Helper()
 	regs := cgTemplateRegions(n)
 	sim, err := cache.NewSimulator(cfg)
@@ -193,6 +203,36 @@ func lineRunGeometries() []cache.Config {
 	)
 }
 
+// cgP is p's index in cgTemplateRegions.
+const cgP = 2
+
+// requireSameCG fails unless CG's template walk for structure target of
+// cgTemplateRegions, n x n for iters iterations on cfg, gives the
+// accesses, misses and evictions of the element walk's counters want.
+// The walk presents writes as reads, which changes none of them, and
+// reports no writebacks.
+func requireSameCG(t testing.TB, n, iters, target int, cfg cache.Config, want []cache.Stats) {
+	t.Helper()
+	regs := cgTemplateRegions(n)
+	got, err := cgTemplateCounts(n, regs, target, cfg, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := want[target]
+	if got.Accesses != w.Accesses || got.Misses != w.Misses || got.Evictions != w.Evictions || got.Writebacks != 0 {
+		t.Errorf("CG n=%d iters=%d %s on %v: walk %+v, element walk %+v", n, iters, regs[target].Name, cfg, got, w)
+	}
+}
+
+// requireSameMG fails unless MG's template walk gives the element
+// walk's counters.
+func requireSameMG(t testing.TB, mg *MG, cfg cache.Config) {
+	t.Helper()
+	if got, want := mg.templateCounts(cfg), mgElementWalk(mg, cfg).Stats(); got != want {
+		t.Errorf("MG %+v on %v: walk %+v, element walk %+v", *mg, cfg, got, want)
+	}
+}
+
 // requireSameCounter fails unless the line-run walk's counter equals the
 // element walk's in every counter.
 func requireSameCounter(t *testing.T, got, want *patterns.TemplateCounter) {
@@ -206,19 +246,23 @@ func requireSameCounter(t *testing.T, got, want *patterns.TemplateCounter) {
 // TestLineRunWalksMatchElementWalks is the line-run differential: MG,
 // FT and CG's template models give the same counters as their element
 // walks on every geometry, at sizes whose rows do not line up with the
-// cache lines. CG's walk presents its writes as reads, which changes no
-// access, miss or eviction, so those are compared; it reports no
-// writebacks. CG at its verification size, n=500 for 10 iterations,
-// stops at a checkpoint repeat on the Small, 16KB and 128KB caches,
-// after an iteration that evicts nothing on Large and 8MB, and at the
-// end of iteration 2 on 1MB.
+// cache lines. MG's walk counts the caches it fits in and moves planes
+// that repeat by translation; all of its Stats are compared. CG's walk
+// models p, simulating only p's sets, and presents its writes as reads,
+// which changes no access, miss or eviction, so p's are compared; it
+// reports no writebacks. CG at its verification size, n=500 for 10
+// iterations, stops at row 4 of iteration 2 on the Small and 16KB
+// caches and at row 64 on 128KB (checkpoint repeats), after iteration 1
+// on Large and 8MB (no eviction), and at the end of iteration 2 on 1MB
+// (state repeat); on all but Small and 16KB most rows are quiet and
+// counted, not simulated.
 func TestLineRunWalksMatchElementWalks(t *testing.T) {
 	geoms := lineRunGeometries()
 	for _, n := range []int{8, 16, 32} {
 		for _, mg := range []*MG{{N: n}, {N: n, Cycles: 2, Smooth: 2}} {
 			for _, cfg := range geoms {
 				t.Run(fmt.Sprintf("MG/n%d/c%d/%s", n, mg.Cycles, cfg.Name), func(t *testing.T) {
-					requireSameCounter(t, mg.templateWalk(cfg), mgElementWalk(mg, cfg))
+					requireSameMG(t, mg, cfg)
 				})
 			}
 		}
@@ -237,21 +281,43 @@ func TestLineRunWalksMatchElementWalks(t *testing.T) {
 		cgCases = append(cgCases, struct{ n, iters int }{500, 10})
 	}
 	for _, c := range cgCases {
-		regs := cgTemplateRegions(c.n)
 		for _, cfg := range geoms {
 			t.Run(fmt.Sprintf("CG/n%d/%s", c.n, cfg.Name), func(t *testing.T) {
-				got, err := cgTemplateCounts(c.n, regs, cfg, c.iters)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := cgElementWalk(t, c.n, c.iters, cfg)
-				for i := range want {
-					g, w := got[i], want[i]
-					if g.Accesses != w.Accesses || g.Misses != w.Misses || g.Evictions != w.Evictions || g.Writebacks != 0 {
-						t.Errorf("%s: line runs %+v, element walk %+v", regs[i].Name, g, w)
-					}
-				}
+				requireSameCG(t, c.n, c.iters, cgP, cfg, cgElementWalk(t, c.n, c.iters, cfg))
 			})
+		}
+	}
+}
+
+// TestMGElementWalkIsOneSetLRU pins the template model's meaning: MG's
+// element walk, a TemplateCounter of c.Lines() blocks, counts exactly
+// what a one-set simulator of c.Lines() ways counts on the same block
+// stream, in accesses, misses and evictions. That is the one-set cache
+// the analytic solver would have to match. The one-set simulator scans
+// its ways on every miss, so only the smaller caches run, and n=32
+// only outside -short.
+func TestMGElementWalkIsOneSetLRU(t *testing.T) {
+	sizes := []int{8, 16}
+	if !testing.Short() {
+		sizes = append(sizes, 32)
+	}
+	for _, n := range sizes {
+		for _, c := range []cache.Config{cache.Small, cache.Profile16KB, cache.Profile128KB} {
+			if n == 32 && c.Lines() > cache.Profile16KB.Lines() {
+				continue
+			}
+			mg := &MG{N: n}
+			sim, err := cache.NewSimulator(cache.Config{Name: "one-set", Associativity: c.Lines(), Sets: 1, LineSize: c.LineSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgElementVisits(mg, int64(c.LineSize), func(b int64) {
+				sim.Access(uint64(b)*uint64(c.LineSize), 1, false, 1)
+			})
+			got, want := sim.TotalStats(), mgElementWalk(mg, c).Stats()
+			if got.Accesses != want.Accesses || got.Misses != want.Misses || got.Evictions != want.Evictions {
+				t.Errorf("n=%d %s: one-set simulator %+v, element walk %+v", n, c.Name, got, want)
+			}
 		}
 	}
 }

@@ -118,8 +118,8 @@ type TemplateCounter struct {
 	// Block -> node index. dense[b] holds 1 + the node of block b, or 0
 	// while b is unseen; blocks it does not cover live in sparse. dense
 	// grows only while it stays within denseSlack of twice the distinct
-	// count, so hostile block ids fall back to the map and memory stays
-	// O(distinct blocks).
+	// count, so hostile block ids fall back to the map, allocated on
+	// first use, and memory stays O(distinct blocks).
 	dense    []int32
 	sparse   map[int64]int32
 	nodes    []tcNode // one per distinct block; int32 indexes reach 2^31 of them
@@ -132,6 +132,10 @@ type TemplateCounter struct {
 // index may reach: room for a template that opens with scattered blocks
 // (an FFT bit reversal, a stencil's far neighbours) before filling in.
 const denseSlack = 4096
+
+// minDense is the dense index's first size: the doublings below it
+// would cost more allocations than its 256 bytes.
+const minDense = 64
 
 // tcNode is one distinct block's links in the resident list (stack
 // mode).
@@ -150,7 +154,6 @@ func NewTemplateCounter(capacityBlocks int, raw bool) *TemplateCounter {
 	return &TemplateCounter{
 		capacity: capacityBlocks,
 		raw:      raw,
-		sparse:   make(map[int64]int32),
 		mru:      noNode,
 		lru:      noNode,
 	}
@@ -236,6 +239,9 @@ func (tc *TemplateCounter) find(block int64) (i int32, seen bool) {
 		return i, true
 	}
 	i = tc.newNode()
+	if tc.sparse == nil {
+		tc.sparse = make(map[int64]int32)
+	}
 	tc.sparse[block] = i
 	return i, false
 }
@@ -262,7 +268,7 @@ func (tc *TemplateCounter) growDense(block int64) bool {
 	if block < 0 || block >= limit {
 		return false
 	}
-	n := min(max(2*int64(len(tc.dense)), block+1), limit)
+	n := min(max(2*int64(len(tc.dense)), block+1, minDense), limit)
 	grown := make([]int32, n)
 	copy(grown, tc.dense)
 	for b, i := range tc.sparse {
@@ -324,51 +330,67 @@ func (tc *TemplateCounter) unlink(i int32) {
 	}
 }
 
-// StateLen implements Periodic: the resident list's length in
-// stack-distance mode. Raw-distance mode has no state to compare: each
-// block's last visit time only grows, so its state never repeats.
+// StateLen implements Periodic: the length of AppendState's encoding,
+// half the resident list's length rounded up, in stack-distance mode.
+// Raw-distance mode has no state to compare: each block's last visit
+// time only grows, so its state never repeats.
 func (tc *TemplateCounter) StateLen() int {
 	if tc.raw {
 		return 0
 	}
-	return tc.resident
+	return (tc.resident + 1) / 2
 }
 
-// StateCap implements Periodic: the capacity in stack-distance mode.
+// StateCap implements Periodic: the encoding's length for a full
+// resident list in stack-distance mode.
 func (tc *TemplateCounter) StateCap() int {
 	if tc.raw {
 		return 0
 	}
-	return max(tc.capacity, 0)
+	return (max(tc.capacity, 0) + 1) / 2
 }
 
 // AppendState implements Periodic: it appends the resident list in
 // recency order, MRU first, which is all that decides which later
 // visits miss. A node stands for one block, so equal node orders are
-// equal block orders. Raw-distance mode appends nothing.
+// equal block orders. Each word packs two int32 nodes, the earlier one
+// in the low half; a list of odd length ends in noNode, which no node
+// equals. Raw-distance mode appends nothing.
 func (tc *TemplateCounter) AppendState(dst []uint64) []uint64 {
 	if tc.raw {
 		return dst
 	}
-	dst = slices.Grow(dst, tc.resident)
-	for i := tc.mru; i != noNode; i = tc.nodes[i].next {
-		dst = append(dst, uint64(i))
+	dst = slices.Grow(dst, tc.StateLen())
+	for i := tc.mru; i != noNode; {
+		var w uint64
+		w, i = tc.pair(i)
+		dst = append(dst, w)
 	}
 	return dst
+}
+
+// pair packs node i and the one after it in the resident list into one
+// word, and returns the node after those two.
+func (tc *TemplateCounter) pair(i int32) (uint64, int32) {
+	j := tc.nodes[i].next
+	if j == noNode {
+		return uint64(uint32(i)) | 0xffffffff<<32, noNode // noNode's bits
+	}
+	return uint64(uint32(i)) | uint64(uint32(j))<<32, tc.nodes[j].next
 }
 
 // SameAs implements Periodic: it reports whether the resident list
 // equals the one snap encodes. It is always false in raw-distance mode.
 func (tc *TemplateCounter) SameAs(snap []uint64) bool {
-	if tc.raw || len(snap) != tc.resident {
+	if tc.raw || len(snap) != tc.StateLen() {
 		return false
 	}
 	i := tc.mru
 	for _, want := range snap {
-		if uint64(i) != want {
+		var w uint64
+		if w, i = tc.pair(i); w != want {
 			return false
 		}
-		i = tc.nodes[i].next
 	}
 	return true
 }
@@ -400,7 +422,8 @@ func (tc *TemplateCounter) Misses() int64 { return tc.misses }
 // Visits returns the number of template entries consumed.
 func (tc *TemplateCounter) Visits() int64 { return tc.visits }
 
-// DistinctBlocks returns how many unique blocks have been visited.
+// DistinctBlocks returns how many unique blocks have been visited; a
+// BlockCounter counts every block it numbered as visited.
 func (tc *TemplateCounter) DistinctBlocks() int { return len(tc.nodes) }
 
 // RepeatedTraversalMisses is a closed-form shortcut for the common

@@ -5,14 +5,17 @@ import "github.com/resilience-models/dvf/internal/metrics"
 // Instrumented wraps a consumer so every reference delivered to it is
 // tallied into sink under prefix: <prefix>.refs, <prefix>.bytes and
 // <prefix>.writes counters. This is how kernel trace generation and trace
-// replay are observed without touching the kernels themselves. When next
-// is a GroupConsumer the wrapper is one too: it tallies each strided
-// group once and forwards it, and forwards each period boundary, so an
-// instrumented run takes the kernels' grouped path and stops where the
-// bare one would; the counters then hold the references delivered, not
-// those the kernel made (RunInfo.Refs). A nil sink returns next
-// unchanged, so the uninstrumented path keeps its exact call graph; a
-// nil next with a live sink yields a pure counting consumer.
+// replay are observed without touching the kernels themselves. The
+// tallies are kept in plain fields and published to the counters every
+// publishEvery references, at each period boundary and at Flush, which
+// the caller makes once the stream ends. When next is a GroupConsumer
+// the wrapper is one too: it tallies each strided group once and
+// forwards it, and forwards each period boundary, so an instrumented
+// run takes the kernels' grouped path and stops where the bare one
+// would; the counters then hold the references delivered, not those the
+// kernel made (RunInfo.Refs). A nil sink returns next unchanged, so the
+// uninstrumented path keeps its exact call graph; a nil next with a live
+// sink yields a pure counting consumer.
 func Instrumented(next Consumer, sink metrics.Sink, prefix string) Consumer {
 	if sink == nil {
 		return next
@@ -29,22 +32,51 @@ func Instrumented(next Consumer, sink metrics.Sink, prefix string) Consumer {
 	return c
 }
 
+// Flush publishes what an Instrumented consumer has tallied since it
+// last published. It does nothing to any other consumer.
+func Flush(c Consumer) {
+	if f, ok := c.(interface{ publish() }); ok {
+		f.publish()
+	}
+}
+
+// publishEvery is how many references an Instrumented consumer tallies
+// between publishes: three atomic adds per batch rather than up to three
+// per reference.
+const publishEvery = 4096
+
 // instrumented is the consumer Instrumented returns.
 type instrumented struct {
 	next                Consumer
 	refs, bytes, writes *metrics.Counter
+	// The tallies since the last publish.
+	nrefs, nbytes, nwrites int64
 }
 
 // Access tallies r and passes it on.
 func (c *instrumented) Access(r Ref, owner int32) {
-	c.refs.Inc()
-	c.bytes.Add(int64(r.Size))
+	c.nrefs++
+	c.nbytes += int64(r.Size)
 	if r.Write {
-		c.writes.Inc()
+		c.nwrites++
+	}
+	if c.nrefs >= publishEvery {
+		c.publish()
 	}
 	if c.next != nil {
 		c.next.Access(r, owner)
 	}
+}
+
+// publish adds the tallies to the counters and clears them.
+func (c *instrumented) publish() {
+	if c.nrefs == 0 {
+		return
+	}
+	c.refs.Add(c.nrefs)
+	c.bytes.Add(c.nbytes)
+	c.writes.Add(c.nwrites)
+	c.nrefs, c.nbytes, c.nwrites = 0, 0, 0
 }
 
 // instrumentedGroups is instrumented over a GroupConsumer.
@@ -64,11 +96,17 @@ func (c instrumentedGroups) AccessStrided(refs []Ref, owners []int32, strides []
 		}
 	}
 	n := int64(steps)
-	c.refs.Add(n * int64(len(refs)))
-	c.bytes.Add(n * nbytes)
-	c.writes.Add(n * nwrites)
+	c.nrefs += n * int64(len(refs))
+	c.nbytes += n * nbytes
+	c.nwrites += n * nwrites
+	if c.nrefs >= publishEvery {
+		c.publish()
+	}
 	c.group.AccessStrided(refs, owners, strides, steps)
 }
 
-// EndPeriod forwards the boundary.
-func (c instrumentedGroups) EndPeriod(refs int64) bool { return c.group.EndPeriod(refs) }
+// EndPeriod publishes the tallies and forwards the boundary.
+func (c instrumentedGroups) EndPeriod(refs int64) bool {
+	c.publish()
+	return c.group.EndPeriod(refs)
+}

@@ -191,12 +191,14 @@ func TestInstrumentedTalliesGroups(t *testing.T) {
 	a, b := g.Alloc("A", 128), g.Alloc("B", 160)
 	perRef, perGroup := metrics.New(), metrics.New()
 	inner := &stopAfter{stop: 1}
-	plain := NewMemory(g, Instrumented(&Recorder{}, perRef, "t"))
-	grouped := NewMemory(g, Instrumented(inner, perGroup, "t"))
+	plainSink, groupedSink := Instrumented(&Recorder{}, perRef, "t"), Instrumented(inner, perGroup, "t")
+	plain, grouped := NewMemory(g, plainSink), NewMemory(g, groupedSink)
 	for _, c := range stridedCases(a, b) {
 		plain.Strided(c.group, c.steps)
 		grouped.Strided(c.group, c.steps)
 	}
+	Flush(plainSink)
+	Flush(groupedSink)
 	got, want := perGroup.Snapshot().Counters, perRef.Snapshot().Counters
 	if !reflect.DeepEqual(got, want) || want["t.refs"] != plain.Refs() {
 		t.Errorf("group tallies %v, per-reference tallies %v (%d refs)", got, want, plain.Refs())
