@@ -151,7 +151,8 @@ analytic-smoke:
 
 # The extraction wall: static extraction of every kernel must agree with
 # the hand-written descriptors in both geometries, or the build is red —
-# same signal the patterndrift checker raises, but runnable standalone.
+# the comparison TestExtractMatchesHandWritten makes, from the CLI with
+# a per-kernel report.
 extract-smoke:
 	$(GO) run ./cmd/dvf-extract -diff -suite verification
 	$(GO) run ./cmd/dvf-extract -diff -suite profiling

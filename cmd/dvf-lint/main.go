@@ -1,12 +1,11 @@
 // Command dvf-lint runs the repository's own static-analysis suite
 // (internal/analysis) over the named packages and fails the build on any
-// finding. The checkers mechanically enforce the invariants the test
-// suite can only probe dynamically: the nil-sink observability contract,
+// finding. The checkers enforce the invariants that no test, golden,
+// race run or go vet pass catches: the nil-sink observability contract,
 // determinism of the golden-output packages (including clock taint
 // laundered through helpers in other packages), allocation-free
-// //dvf:hotpath call paths, mutex discipline, enum-switch exhaustiveness,
-// atomic-access discipline, error-result hygiene and goroutine join
-// paths.
+// //dvf:hotpath call paths, enum-switch exhaustiveness, error-result
+// hygiene, unsafe memory use and affine hot loops.
 //
 // Usage:
 //
@@ -14,7 +13,6 @@
 //	dvf-lint -only nilsink,errdrop ./internal/... ./cmd/...
 //	dvf-lint -fix ./...                 # apply suggested fixes in place
 //	dvf-lint -sarif lint.sarif ./...    # also write SARIF 2.1.0
-//	dvf-lint -write-baseline ./...      # accept current findings
 //	dvf-lint -list                      # show the registered checkers
 //
 // Findings print one per line as "file:line: [checker] message".
@@ -27,11 +25,10 @@
 // a partial run never masquerades as a clean one.
 //
 // Suppressions are in-source and audited: //dvf:allow <checker> <reason>
-// on (or directly above) the flagged line. For adopting a new checker on
-// a codebase with pre-existing findings, -baseline FILE suppresses the
-// findings recorded in FILE (default .dvf-lint-baseline.json when
-// present) and -write-baseline snapshots the current findings into it;
-// the match is line-insensitive so the file only ratchets down.
+// on (or directly above) the flagged line. A directive is judged only
+// when its checker runs, so -only never reports (or -fix deletes) the
+// directives of the checkers it skips; a directive naming no registered
+// checker is reported on every run.
 package main
 
 import (
@@ -45,9 +42,6 @@ import (
 	"github.com/resilience-models/dvf/internal/analysis/checkers"
 	"github.com/resilience-models/dvf/internal/obs"
 )
-
-// defaultBaseline is consulted when -baseline is not set explicitly.
-const defaultBaseline = ".dvf-lint-baseline.json"
 
 func main() {
 	cwd, err := os.Getwd()
@@ -72,8 +66,6 @@ func run(args []string, cwd string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list registered checkers and exit")
 	fix := fs.Bool("fix", false, "apply the first suggested fix of each finding and rewrite the files")
 	sarifOut := fs.String("sarif", "", "write a SARIF 2.1.0 report to this file ('-' for stdout)")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this baseline file (default: "+defaultBaseline+" when present)")
-	writeBaseline := fs.Bool("write-baseline", false, "snapshot current findings into the baseline file and exit clean")
 	jobs := fs.Int("jobs", 0, "number of packages analyzed concurrently (0 = GOMAXPROCS)")
 	timings := fs.Bool("timings", false, "print a per-checker wall-time and findings table on stderr (and record it in the SARIF run properties)")
 	o := obs.AddFlags(fs)
@@ -94,6 +86,7 @@ func run(args []string, cwd string, stdout, stderr io.Writer) int {
 		errorf("%v", err)
 		return 2
 	}
+	analyzers = append(analyzers, checkers.Directive)
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -136,7 +129,7 @@ func run(args []string, cwd string, stdout, stderr io.Writer) int {
 	}
 	var diags []analysis.Diagnostic
 	if len(pkgs) > 0 {
-		diags, err = analysis.RunParallelTimed(loader.Program(), pkgs, analyzers, false, *jobs, tm)
+		diags, err = analysis.Run(loader.Program(), pkgs, analyzers, false, *jobs, tm)
 		if err != nil {
 			errorf("%v", err)
 			return 2
@@ -144,65 +137,6 @@ func run(args []string, cwd string, stdout, stderr io.Writer) int {
 	}
 	if tm != nil {
 		fmt.Fprint(stderr, tm.Table())
-	}
-
-	// Resolve the baseline: an explicit -baseline must exist; the default
-	// file is optional. Relative paths are cwd-relative.
-	blPath := *baselinePath
-	if blPath == "" {
-		if _, err := os.Stat(filepath.Join(cwd, defaultBaseline)); err == nil {
-			blPath = defaultBaseline
-		}
-	}
-	if blPath != "" && !filepath.IsAbs(blPath) {
-		blPath = filepath.Join(cwd, blPath)
-	}
-
-	if *writeBaseline {
-		if blPath == "" {
-			blPath = filepath.Join(cwd, defaultBaseline)
-		}
-		bl := analysis.NewBaseline(diags, cwd)
-		// The baseline is a shrink-only ratchet: re-recording may drop or
-		// reduce entries but never add them. New findings are fixed, not
-		// accepted; adopting from scratch means deleting the file first.
-		if old, err := analysis.ReadBaseline(blPath); err == nil {
-			if grown := bl.Growth(old); len(grown) > 0 {
-				for _, e := range grown {
-					errorf("baseline would grow: %s: [%s] %s (x%d)", e.File, e.Checker, e.Message, e.Count)
-				}
-				errorf("refusing to grow %s; fix the new findings or delete the baseline to re-adopt", blPath)
-				return 1
-			}
-		} else if !os.IsNotExist(err) {
-			errorf("%v", err)
-			return 2
-		}
-		if err := bl.Write(blPath); err != nil {
-			errorf("%v", err)
-			return 2
-		}
-		errorf("recorded %d finding(s) in %s", len(diags), blPath)
-		if loadFailed {
-			return 2
-		}
-		return 0
-	}
-
-	suppressedCount := 0
-	if blPath != "" {
-		bl, err := analysis.ReadBaseline(blPath)
-		if err != nil {
-			errorf("%v", err)
-			return 2
-		}
-		if err := validateBaselineCheckers(bl, blPath); err != nil {
-			errorf("%v", err)
-			return 2
-		}
-		var suppressed []analysis.Diagnostic
-		diags, suppressed = bl.Filter(diags, cwd)
-		suppressedCount = len(suppressed)
 	}
 
 	if *sarifOut != "" {
@@ -219,9 +153,6 @@ func run(args []string, cwd string, stdout, stderr io.Writer) int {
 	for _, d := range diags {
 		fmt.Fprintln(stdout, relDiag(cwd, d))
 	}
-	if suppressedCount > 0 {
-		errorf("%d finding(s) suppressed by %s", suppressedCount, blPath)
-	}
 	switch {
 	case loadFailed:
 		return 2
@@ -230,22 +161,6 @@ func run(args []string, cwd string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// validateBaselineCheckers rejects baseline entries naming checkers the
-// registry does not know: a typo there would silently suppress nothing
-// forever, and a removed checker's entries are stale weight.
-func validateBaselineCheckers(bl *analysis.Baseline, path string) error {
-	known := map[string]bool{"directive": true}
-	for _, a := range checkers.All() {
-		known[a.Name] = true
-	}
-	for _, e := range bl.Findings {
-		if !known[e.Checker] {
-			return fmt.Errorf("%s names unknown checker %q (entry %s: %s)", path, e.Checker, e.File, e.Message)
-		}
-	}
-	return nil
 }
 
 // applyFixes rewrites the files of every finding that carries a

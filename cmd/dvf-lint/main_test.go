@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/resilience-models/dvf/internal/analysis"
+	"github.com/resilience-models/dvf/internal/analysis/checkers"
 )
 
 // runLint drives the CLI in-process against a fixture directory.
@@ -19,8 +22,8 @@ func runLint(t *testing.T, dir string, args ...string) (code int, stdout, stderr
 	return code, out.String(), errBuf.String()
 }
 
-// copyFixture clones a testdata module into a temp dir so -fix and
-// -write-baseline runs never mutate the checked-in fixture.
+// copyFixture clones a testdata module into a temp dir so -fix runs
+// never mutate the checked-in fixture.
 func copyFixture(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -122,7 +125,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "exhaustive", "hotalloc", "locksafe", "nilsink"} {
+	for _, name := range []string{"determinism", "exhaustive", "hotalloc", "nilsink"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list misses %s:\n%s", name, stdout)
 		}
@@ -159,8 +162,8 @@ func TestTimings(t *testing.T) {
 }
 
 // TestLiveRepoClean is the self-hosting assertion: the repository's own
-// tree lints clean under every registered checker, with no baseline
-// file absorbing findings. A new checker that fires on the live tree —
+// tree lints clean under every registered checker; //dvf:allow is the
+// only suppression there is. A new checker that fires on the live tree —
 // or a code change that trips an existing one — fails here, not in CI
 // review.
 func TestLiveRepoClean(t *testing.T) {
@@ -173,9 +176,6 @@ func TestLiveRepoClean(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Skipf("repo root not found at %s", root)
-	}
-	if _, err := os.Stat(filepath.Join(root, ".dvf-lint-baseline.json")); err == nil {
-		t.Errorf("a baseline file exists at the repo root; the tree must lint clean without one")
 	}
 	code, stdout, stderr := runLint(t, root, "./...")
 	if code != 0 {
@@ -223,32 +223,6 @@ func TestFixRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBaselineWorkflow: -write-baseline snapshots the findings, after
-// which a plain run auto-detects the file and exits clean.
-func TestBaselineWorkflow(t *testing.T) {
-	dir := copyFixture(t, fixtureDir(t))
-	code, _, stderr := runLint(t, dir, "-write-baseline", "./...")
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	if _, err := os.Stat(filepath.Join(dir, defaultBaseline)); err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-
-	code, stdout, stderr := runLint(t, dir, "./...")
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stderr, "suppressed by") {
-		t.Errorf("stderr must report the suppression count:\n%s", stderr)
-	}
-
-	// An explicit, missing baseline is an error, not a silent no-op.
-	if code, _, _ := runLint(t, dir, "-baseline", "no-such-file.json", "./..."); code != 2 {
-		t.Errorf("missing explicit baseline: exit %d, want 2", code)
-	}
-}
-
 // TestSarifOutput: -sarif writes a structurally valid report even when
 // the run has findings (exit 1), which is what lets CI upload it from a
 // failing job.
@@ -291,69 +265,86 @@ func TestOnlyEmptySelection(t *testing.T) {
 	}
 }
 
-// TestBaselineUnknownChecker: a baseline entry naming a checker the
-// registry does not know is a configuration error (it would suppress
-// nothing forever), reported with exit 2.
-func TestBaselineUnknownChecker(t *testing.T) {
-	dir := copyFixture(t, fixtureDir(t))
-	bl := `{"version":1,"findings":[{"checker":"exhuastive","file":"internal/enums/enums.go","message":"x","count":1}]}`
-	if err := os.WriteFile(filepath.Join(dir, ".dvf-lint-baseline.json"), []byte(bl), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runLint(t, dir, "./...")
-	if code != 2 || !strings.Contains(stderr, `unknown checker "exhuastive"`) {
-		t.Errorf("exit %d, stderr %q; want exit 2 naming the bogus checker", code, stderr)
+// TestUnknownDirective: a //dvf:allow naming no registered checker (here
+// a retired one) is reported on every run, -only included, since no
+// checker that runs would ever judge it stale.
+func TestUnknownDirective(t *testing.T) {
+	for _, args := range [][]string{{"./..."}, {"-only", "errdrop", "./..."}} {
+		code, stdout, _ := runLint(t, fixtureDir(t), args...)
+		if code != 1 || !strings.Contains(stdout, "[directive] dvf:allow patterndrift names no registered checker") {
+			t.Errorf("%v: exit %d, want 1 naming the unknown checker\nstdout:\n%s", args, code, stdout)
+		}
 	}
 }
 
-// TestBaselineShrinkOnly: re-recording an equal baseline is fine;
-// recording one that grows a hand-shrunk baseline is refused with exit 1
-// and the file is left untouched.
-func TestBaselineShrinkOnly(t *testing.T) {
-	dir := copyFixture(t, fixtureDir(t))
-	blPath := filepath.Join(dir, ".dvf-lint-baseline.json")
-
-	if code, _, stderr := runLint(t, dir, "-write-baseline", "./..."); code != 0 {
-		t.Fatalf("initial -write-baseline: exit %d, stderr %s", code, stderr)
-	}
-	if code, _, stderr := runLint(t, dir, "-write-baseline", "./..."); code != 0 {
-		t.Fatalf("idempotent -write-baseline: exit %d, stderr %s", code, stderr)
-	}
-
-	// Shrink the baseline by hand (as fixing a finding would), then try
-	// to re-record the full set: that is growth and must be refused.
-	data, err := os.ReadFile(blPath)
+// TestOnlyKeepsOtherDirectives: -only judges just the directives of the
+// checkers it runs. On a module whose one directive is a used exhaustive
+// suppression, every single-checker run exits 0 and -fix rewrites
+// nothing.
+func TestOnlyKeepsOtherDirectives(t *testing.T) {
+	src, err := filepath.Abs(filepath.Join("testdata", "cleanfix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bl struct {
-		Version  int               `json:"version"`
-		Findings []json.RawMessage `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &bl); err != nil {
-		t.Fatal(err)
-	}
-	if len(bl.Findings) < 1 {
-		t.Fatal("fixture baseline is empty; cannot exercise the ratchet")
-	}
-	bl.Findings = bl.Findings[:len(bl.Findings)-1]
-	shrunk, err := json.Marshal(bl)
+	file := filepath.Join("internal", "quiet", "quiet.go")
+	want, err := os.ReadFile(filepath.Join(src, file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(blPath, shrunk, 0o644); err != nil {
-		t.Fatal(err)
+	for _, a := range checkers.All() {
+		dir := copyFixture(t, src)
+		code, stdout, stderr := runLint(t, dir, "-only", a.Name, "-fix", "./...")
+		if code != 0 {
+			t.Errorf("-only %s -fix: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", a.Name, code, stdout, stderr)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-only %s -fix rewrote %s:\n%s", a.Name, file, got)
+		}
 	}
+}
 
-	code, _, stderr := runLint(t, dir, "-write-baseline", "./...")
-	if code != 1 || !strings.Contains(stderr, "refusing to grow") {
-		t.Fatalf("growing -write-baseline: exit %d, stderr %q; want exit 1 refusing growth", code, stderr)
+// TestLiveRepoCleanPerChecker: the live tree also lints clean under each
+// checker alone, as -only runs it (that checker plus the directive
+// rule), so no selection trips over the //dvf:allow directives of the
+// checkers it skips. The tree is loaded once for all the runs.
+func TestLiveRepoCleanPerChecker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-repo lint runs")
 	}
-	after, err := os.ReadFile(blPath)
+	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, shrunk) {
-		t.Error("refused -write-baseline still rewrote the baseline file")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Skipf("repo root not found at %s", root)
+	}
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := loader.Expand(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*analysis.Package
+	for _, p := range paths {
+		pkg, err := loader.Load(p)
+		if err != nil {
+			t.Fatalf("loading %s: %v", p, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	for _, a := range checkers.All() {
+		diags, err := analysis.Run(loader.Program(), pkgs, []*analysis.Analyzer{a, checkers.Directive}, false, 0, nil)
+		if err != nil {
+			t.Fatalf("-only %s: %v", a.Name, err)
+		}
+		for _, d := range diags {
+			t.Errorf("-only %s: %s", a.Name, d)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package colors is the dvf-lint CLI test fixture. Every finding in it
 // carries a suggested fix — a default-less enum switch with missing
-// cases and a stale //dvf:allow directive — so `dvf-lint -fix` drives
+// cases, a stale //dvf:allow directive and one naming a retired
+// checker — so `dvf-lint -fix` drives
 // the module from exit 1 to a clean, gofmt-idempotent exit 0.
 package colors
 
@@ -27,4 +28,11 @@ func Name(c Color) string {
 func Last() int {
 	//dvf:allow exhaustive the switch above already covers every color
 	return int(Blue)
+}
+
+// First returns the lowest color; the directive above the return names
+// a checker that no longer exists and should be deleted by -fix.
+func First() int {
+	//dvf:allow patterndrift the descriptor was re-derived by hand
+	return int(Red)
 }

@@ -1,11 +1,11 @@
 // Package analysis is a small, stdlib-only static-analysis framework —
 // go/parser + go/ast + go/types and nothing from x/tools — purpose-built
-// to enforce this repository's own invariants: bit-identical
-// sequential-vs-sharded replay, byte-identical golden CSVs with metrics
-// on or off, the zero-overhead nil-sink pattern, and disciplined
-// concurrency. The dynamic proofs (differential tests, golden guards,
-// fuzz targets) can only catch a violation on an exercised path; the
-// checkers built on this framework reject the violating code itself.
+// to enforce the invariants of this repository that no test, golden,
+// race run or go vet pass catches: determinism of the golden-output
+// packages beyond what one golden run exercises, the zero-overhead
+// nil-sink pattern, allocation-free hot paths on every path rather than
+// the inputs a guard replays, and the like. A rule whose bug shape one of
+// those checks already fails on does not belong here.
 //
 // The model mirrors golang.org/x/tools/go/analysis in miniature: an
 // Analyzer bundles a name, a doc string and a Run function; Run receives
@@ -15,9 +15,9 @@
 // Program: the call graph, //dvf:hotpath annotations and the
 // interprocedural clock-taint summaries, so checkers can follow flows
 // across function and package boundaries. The driver (cmd/dvf-lint)
-// loads packages with Loader, analyzes them concurrently in dependency
-// order and renders findings as "file:line: [checker] message" (or as a
-// SARIF 2.1.0 log).
+// loads packages with Loader, analyzes them with Run — concurrently, in
+// dependency order — and renders findings as
+// "file:line: [checker] message" (or as a SARIF 2.1.0 log).
 //
 // Suppression is explicit and audited: a comment
 //
@@ -26,6 +26,8 @@
 // on the flagged line (or the line above it) silences that checker for
 // that line. The reason is mandatory — a bare directive is itself
 // reported — so every exception in the tree documents why it is safe.
+// A directive is judged only in runs of its checker: then an unused one
+// is reported as stale.
 // The second annotation, //dvf:hotpath, is a claim rather than a
 // suppression: it marks a function as a replay hot path, and the
 // hotalloc checker then proves every call path from it allocation-free.
@@ -191,20 +193,18 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) ([]*allowDirective,
 	return dirs, bad
 }
 
-// RunPackage executes the analyzers over one package of the program and
-// returns its surviving diagnostics (unsorted).
-func RunPackage(prog *Program, pkg *Package, analyzers []*Analyzer, force bool) ([]Diagnostic, error) {
-	return RunPackageTimed(prog, pkg, analyzers, force, nil)
-}
-
-// RunPackageTimed is RunPackage with an optional cost collector: each
-// analyzer's wall time on this package and its surviving findings are
-// charged to tm (nil skips the accounting entirely).
-func RunPackageTimed(prog *Program, pkg *Package, analyzers []*Analyzer, force bool, tm *Timings) ([]Diagnostic, error) {
+// runPackage executes the analyzers over one package of the program and
+// returns its surviving diagnostics (unsorted). A non-nil tm is charged
+// each analyzer's wall time on this package and the surviving findings.
+// Only the directives of checkers that ran are judged: a //dvf:allow for
+// a checker outside this run is neither stale nor used.
+func runPackage(prog *Program, pkg *Package, analyzers []*Analyzer, force bool, tm *Timings) ([]Diagnostic, error) {
 	dirs, bad := parseDirectives(pkg.Fset, pkg.Files)
 	all := bad
 	var diags []Diagnostic
+	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -231,7 +231,7 @@ func RunPackageTimed(prog *Program, pkg *Package, analyzers []*Analyzer, force b
 		}
 	}
 	for _, dir := range dirs {
-		if !dir.used {
+		if !dir.used && ran[dir.checker] {
 			all = append(all, Diagnostic{
 				Pos:     token.Position{Filename: dir.file, Line: dir.line},
 				Checker: "directive",
@@ -246,23 +246,6 @@ func RunPackageTimed(prog *Program, pkg *Package, analyzers []*Analyzer, force b
 	if tm != nil {
 		tm.addFindings(all)
 	}
-	return all, nil
-}
-
-// Run executes the analyzers over the loaded packages sequentially and
-// returns the surviving diagnostics sorted by position. force is
-// threaded into each pass (used only by the test harness). The parallel
-// equivalent is RunParallel.
-func Run(prog *Program, pkgs []*Package, analyzers []*Analyzer, force bool) ([]Diagnostic, error) {
-	var all []Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := RunPackage(prog, pkg, analyzers, force)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, diags...)
-	}
-	SortDiagnostics(all)
 	return all, nil
 }
 

@@ -36,7 +36,7 @@ func loadDirectivesFixture(t *testing.T) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{flagFunc}, true)
+	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{flagFunc}, true, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

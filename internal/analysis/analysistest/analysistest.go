@@ -79,7 +79,7 @@ func RunWithConfig(t *testing.T, cfg Config, a *analysis.Analyzer, pkgs ...strin
 	}
 	prog := loader.Program()
 	for i, pkg := range loaded {
-		diags, err := analysis.Run(prog, []*analysis.Package{pkg}, []*analysis.Analyzer{a}, true)
+		diags, err := analysis.Run(prog, []*analysis.Package{pkg}, []*analysis.Analyzer{a}, true, 1, nil)
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkgs[i], err)
 		}

@@ -199,30 +199,3 @@ func isHotpathDecl(fd *ast.FuncDecl) bool {
 	}
 	return false
 }
-
-// Reachable computes the set of program-declared functions reachable
-// from the given roots by following resolved edges. stop, when non-nil,
-// prunes traversal: an edge into a function for which stop returns true
-// is not followed (the function itself is not added). Roots are always
-// included.
-func (g *CallGraph) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) map[*types.Func]*FuncNode {
-	out := make(map[*types.Func]*FuncNode)
-	var visit func(n *FuncNode)
-	visit = func(n *FuncNode) {
-		if _, seen := out[n.Fn]; seen {
-			return
-		}
-		out[n.Fn] = n
-		for _, site := range n.Out {
-			callee := g.nodes[site.Callee]
-			if callee == nil || (stop != nil && stop(callee)) {
-				continue
-			}
-			visit(callee)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	return out
-}

@@ -11,21 +11,17 @@ import (
 	"github.com/resilience-models/dvf/internal/analysis/analysistest"
 )
 
-func TestNilSink(t *testing.T)       { analysistest.Run(t, NilSink, "metrics", "tracez") }
-func TestDeterminism(t *testing.T)   { analysistest.Run(t, Determinism, "determinism") }
-func TestAtomicMix(t *testing.T)     { analysistest.Run(t, AtomicMix, "atomicmix") }
-func TestErrDrop(t *testing.T)       { analysistest.Run(t, ErrDrop, "errdrop") }
-func TestGoroutineLeak(t *testing.T) { analysistest.Run(t, GoroutineLeak, "goroutineleak") }
-func TestHotAlloc(t *testing.T)      { analysistest.Run(t, HotAlloc, "hotalloc") }
-func TestLockSafe(t *testing.T)      { analysistest.Run(t, LockSafe, "locksafe") }
-func TestExhaustive(t *testing.T)    { analysistest.Run(t, Exhaustive, "exhaustive") }
-func TestUnsafemem(t *testing.T)     { analysistest.Run(t, Unsafemem, "unsafemem") }
-func TestChanowner(t *testing.T)     { analysistest.Run(t, Chanowner, "chanowner") }
+func TestNilSink(t *testing.T)     { analysistest.Run(t, NilSink, "metrics", "tracez") }
+func TestDeterminism(t *testing.T) { analysistest.Run(t, Determinism, "determinism") }
+func TestErrDrop(t *testing.T)     { analysistest.Run(t, ErrDrop, "errdrop") }
+func TestHotAlloc(t *testing.T)    { analysistest.Run(t, HotAlloc, "hotalloc") }
+func TestExhaustive(t *testing.T)  { analysistest.Run(t, Exhaustive, "exhaustive") }
+func TestUnsafemem(t *testing.T)   { analysistest.Run(t, Unsafemem, "unsafemem") }
 
 func TestRegistryAllSorted(t *testing.T) {
 	all := All()
-	if len(all) != 12 {
-		t.Fatalf("expected 12 registered checkers, got %d", len(all))
+	if len(all) != 7 {
+		t.Fatalf("expected 7 registered checkers, got %d", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {
@@ -51,7 +47,7 @@ func TestRegistrySelect(t *testing.T) {
 		}
 		t.Errorf("Select kept neither order nor content: %v", got)
 	}
-	if sel, err := Select("  "); err != nil || len(sel) != 12 {
+	if sel, err := Select("  "); err != nil || len(sel) != 7 {
 		t.Errorf("blank selection should return all checkers, got %d, %v", len(sel), err)
 	}
 	if _, err := Select("nope"); err == nil || !strings.Contains(err.Error(), "unknown checker") {
@@ -74,7 +70,7 @@ func TestExhaustiveFixRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{Exhaustive}, true)
+	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{Exhaustive}, true, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

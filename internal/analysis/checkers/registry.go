@@ -12,16 +12,11 @@ import (
 func All() []*analysis.Analyzer {
 	list := []*analysis.Analyzer{
 		Affine,
-		AtomicMix,
-		Chanowner,
 		Determinism,
 		ErrDrop,
 		Exhaustive,
-		GoroutineLeak,
 		HotAlloc,
-		LockSafe,
 		NilSink,
-		PatternDrift,
 		Unsafemem,
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })

@@ -3,7 +3,6 @@ package checkers
 import (
 	"bytes"
 	"flag"
-	"go/token"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,12 +12,11 @@ import (
 
 var updateSarif = flag.Bool("update", false, "rewrite the golden SARIF report under testdata/")
 
-// TestNewCheckersSarifGolden pins the SARIF rendering of the two
-// extraction checkers byte-for-byte: rule-table entries for affine and
-// patterndrift, the affine fixture's real findings with stable
-// repo-relative URIs, and a representative patterndrift drift result.
-// Everything in the report is deterministic (sorted rules, sha256
-// fingerprints over checker+uri+message), so a golden file is exact.
+// TestNewCheckersSarifGolden pins the SARIF rendering of the affine
+// checker byte-for-byte: its rule-table entry and the affine fixture's
+// real findings with stable repo-relative URIs. Everything in the
+// report is deterministic (sorted rules, sha256 fingerprints over
+// checker+uri+message), so a golden file is exact.
 func TestNewCheckersSarifGolden(t *testing.T) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
@@ -31,7 +29,7 @@ func TestNewCheckersSarifGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{Affine}, true)
+	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{Affine}, true, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +40,9 @@ func TestNewCheckersSarifGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A representative drift finding, as runPatternDrift would report it.
-	diags = append(diags, analysis.Diagnostic{
-		Pos:     token.Position{Filename: filepath.Join(base, "kernels", "vm.go"), Line: 152},
-		Checker: "patterndrift",
-		Message: "VM (verification geometry): hand-written descriptor drifted from the code: flattened phase 0 differs",
-	})
 
 	var buf bytes.Buffer
-	log := analysis.SarifReport(diags, []*analysis.Analyzer{Affine, PatternDrift}, base)
+	log := analysis.SarifReport(diags, []*analysis.Analyzer{Affine}, base)
 	if err := log.Write(&buf); err != nil {
 		t.Fatal(err)
 	}

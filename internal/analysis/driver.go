@@ -5,22 +5,18 @@ import (
 	"sync"
 )
 
-// RunParallel executes the analyzers over the packages concurrently in
-// dependency order: a package is scheduled as soon as every program-
-// local package it imports (restricted to the target set) has finished,
-// so independent subtrees of the import graph analyze in parallel while
-// interprocedural facts — computed bottom-up from summaries — are always
-// available by the time a dependent package needs them. jobs bounds the
-// worker count (<=0 means GOMAXPROCS). Output is identical to Run:
-// diagnostics sorted by position, independent of scheduling.
-func RunParallel(prog *Program, pkgs []*Package, analyzers []*Analyzer, force bool, jobs int) ([]Diagnostic, error) {
-	return RunParallelTimed(prog, pkgs, analyzers, force, jobs, nil)
-}
-
-// RunParallelTimed is RunParallel with an optional cost collector: every
-// worker charges per-checker wall time and surviving findings to tm
-// (nil skips the accounting).
-func RunParallelTimed(prog *Program, pkgs []*Package, analyzers []*Analyzer, force bool, jobs int, tm *Timings) ([]Diagnostic, error) {
+// Run executes the analyzers over the packages and returns the surviving
+// diagnostics sorted by position. Packages run in dependency order: a
+// package is scheduled as soon as every program-local package it imports
+// (restricted to the target set) has finished, so independent subtrees
+// of the import graph analyze in parallel while interprocedural facts —
+// computed bottom-up from summaries — are always available by the time a
+// dependent package needs them. jobs bounds the worker count (1 runs the
+// packages one after another, <=0 means GOMAXPROCS); the output does not
+// depend on it. force is threaded into each pass (used only by the test
+// harness). A non-nil tm collects per-checker wall time and surviving
+// findings.
+func Run(prog *Program, pkgs []*Package, analyzers []*Analyzer, force bool, jobs int, tm *Timings) ([]Diagnostic, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -28,7 +24,7 @@ func RunParallelTimed(prog *Program, pkgs []*Package, analyzers []*Analyzer, for
 	if jobs == 1 || len(ordered) <= 1 {
 		var all []Diagnostic
 		for _, pkg := range ordered {
-			diags, err := RunPackageTimed(prog, pkg, analyzers, force, tm)
+			diags, err := runPackage(prog, pkg, analyzers, force, tm)
 			if err != nil {
 				return nil, err
 			}
@@ -76,7 +72,7 @@ func RunParallelTimed(prog *Program, pkgs []*Package, analyzers []*Analyzer, for
 	for i := 0; i < jobs; i++ {
 		go func() {
 			for pkg := range ready {
-				diags, err := RunPackageTimed(prog, pkg, analyzers, force, tm)
+				diags, err := runPackage(prog, pkg, analyzers, force, tm)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err

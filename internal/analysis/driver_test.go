@@ -30,21 +30,21 @@ func loadMultiFixture(t *testing.T) (*analysis.Program, []*analysis.Package) {
 	return loader.Program(), pkgs
 }
 
-// TestRunParallelMatchesSequential: the parallel driver must produce
-// byte-identical diagnostics to the sequential one, at any worker count,
-// on every run.
+// TestRunParallelMatchesSequential: Run must produce byte-identical
+// diagnostics at any worker count, on every run, to its jobs=1
+// sequential order.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	prog, pkgs := loadMultiFixture(t)
-	seq, err := analysis.Run(prog, pkgs, []*analysis.Analyzer{flagFunc}, true)
+	seq, err := analysis.Run(prog, pkgs, []*analysis.Analyzer{flagFunc}, true, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq) != 3 {
 		t.Fatalf("sequential run found %d diagnostics, want 3 (BadA, BadB, BadC): %v", len(seq), seq)
 	}
-	for _, jobs := range []int{1, 2, 8} {
+	for _, jobs := range []int{2, 8} {
 		for round := 0; round < 5; round++ {
-			par, err := analysis.RunParallel(prog, pkgs, []*analysis.Analyzer{flagFunc}, true, jobs)
+			par, err := analysis.Run(prog, pkgs, []*analysis.Analyzer{flagFunc}, true, jobs, nil)
 			if err != nil {
 				t.Fatalf("jobs=%d round=%d: %v", jobs, round, err)
 			}
@@ -59,7 +59,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 // independent of which worker finished first.
 func TestRunParallelOrdering(t *testing.T) {
 	prog, pkgs := loadMultiFixture(t)
-	diags, err := analysis.RunParallel(prog, pkgs, []*analysis.Analyzer{flagFunc}, true, 4)
+	diags, err := analysis.Run(prog, pkgs, []*analysis.Analyzer{flagFunc}, true, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,9 +132,6 @@ func (l *Loader) Program() *Program {
 	return NewProgram(l.Fset, pkgs)
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // dirFor maps an import path to a directory, reporting whether this
 // loader owns the path (false means: delegate to the stdlib importer).
 func (l *Loader) dirFor(path string) (string, bool) {

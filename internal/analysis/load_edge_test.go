@@ -192,7 +192,7 @@ func PlanNine() int { return 9 }
 
 // TestCallGraphMethodValues pins how method values flow through the call
 // graph: using m.Method as a value (not calling it) records a reference
-// edge — CallSite with a nil Call — and Reachable follows it, so a
+// edge — CallSite with a nil Call — and reachability follows it, so a
 // hotpath function that hands a method value to a worker still drags the
 // method into the proof obligation.
 func TestCallGraphMethodValues(t *testing.T) {
@@ -235,7 +235,7 @@ func HandOff(c *Counter) func() {
 		t.Error("method-value edge should be a reference edge (nil Call)")
 	}
 
-	reach := cg.Reachable([]*analysis.FuncNode{hand}, nil)
+	reach := reachable(cg, hand, nil)
 	foundInc := false
 	for fn := range reach {
 		if fn.Name() == "Inc" {

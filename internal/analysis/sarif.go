@@ -158,9 +158,9 @@ func (l *SarifLog) Write(w io.Writer) error {
 }
 
 // Fingerprint is the line-insensitive identity of a finding — checker,
-// repo-relative file and message, hashed — shared by the SARIF
-// partialFingerprints and the baseline file, so findings survive
-// unrelated edits shifting line numbers.
+// repo-relative file and message, hashed — carried in the SARIF
+// partialFingerprints, so code scanning tracks a finding across
+// unrelated edits that shift its line.
 func Fingerprint(checker, relFile, message string) string {
 	h := sha256.Sum256([]byte(checker + "\x00" + filepath.ToSlash(relFile) + "\x00" + message))
 	return hex.EncodeToString(h[:16])

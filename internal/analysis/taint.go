@@ -29,9 +29,6 @@ const (
 	taintMaxParams = 62
 )
 
-// Tainted reports whether the vector is anything above bottom.
-func (v TaintVec) Tainted() bool { return v != 0 }
-
 // ConstTainted reports unconditional taint.
 func (v TaintVec) ConstTainted() bool { return v&TaintConst != 0 }
 

@@ -104,7 +104,7 @@ func TestClockSummaries(t *testing.T) {
 
 // TestClockSummaryPredicates covers the lattice accessors.
 func TestClockSummaryPredicates(t *testing.T) {
-	if analysis.TaintVec(0).Tainted() {
+	if analysis.TaintVec(0) != 0 {
 		t.Error("bottom must not be tainted")
 	}
 	if !analysis.TaintConst.ConstTainted() {
@@ -113,8 +113,8 @@ func TestClockSummaryPredicates(t *testing.T) {
 	if analysis.TaintRecv.ConstTainted() {
 		t.Error("recv bit alone must not report ConstTainted")
 	}
-	if !(analysis.TaintRecv | analysis.TaintVec(1)).Tainted() {
-		t.Error("any set bit must report Tainted")
+	if analysis.TaintRecv|analysis.TaintVec(1) == 0 {
+		t.Error("any set bit must leave the vector above bottom")
 	}
 }
 

@@ -663,7 +663,6 @@ func (s *Simulator) TotalStats() Stats {
 		t.add(&s.dense[i])
 	}
 	for _, c := range s.sparse {
-		//dvf:allow determinism integer sums commute, so the total is the same in any iteration order
 		t.add(c)
 	}
 	return t.stats()

@@ -129,12 +129,8 @@ func (res *AnalyticResult) Render() string {
 	return b.String()
 }
 
-// AffineVerificationSuite returns the verification-suite kernels the
-// analytic engine applies to (the four affine Table II kernels).
-func AffineVerificationSuite() []kernels.Kernel {
-	return affineSubset(kernels.VerificationSuite())
-}
-
+// affineSubset returns the kernels of suite the analytic engine applies
+// to (the four affine Table II kernels).
 func affineSubset(suite []kernels.Kernel) []kernels.Kernel {
 	var out []kernels.Kernel
 	for _, k := range suite {
