@@ -31,7 +31,9 @@
 #                     strided groups (AccessStrided) and the set-restricted
 #                     simulator against plain walks, CG's quiet rows and
 #                     MG's plane translation against their element
-#                     walks, the trace container round-trip
+#                     walks, the kernels' descriptors against their
+#                     traces at sizes the suites do not use, the trace
+#                     container round-trip
 #                     (incl. misalignment and truncation), the template
 #                     counter against its brute-force oracles, the Aspen
 #                     compiler end to end (never a panic; templates
@@ -48,9 +50,6 @@
 #                     every bundled cache, a bounded fuzz of the solver
 #                     against the sequential simulator and one of the
 #                     solver against its per-row reference (bitwise)
-#   make extract-smoke  dvf-extract -diff over all four kernels in both
-#                     geometries: the static extractor must reproduce
-#                     every hand-written descriptor exactly
 #   make serve-smoke  end-to-end service gate: ephemeral dvf-serve
 #                     instance, loadtest client fleet over real HTTP,
 #                     non-empty /metrics + /statusz, the throughput bar
@@ -61,9 +60,9 @@ GO ?= go
 FUZZTIME ?= 10s
 LINTFLAGS ?=
 
-.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench fuzz-smoke trace-smoke analytic-smoke extract-smoke serve-smoke
+.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench fuzz-smoke trace-smoke analytic-smoke serve-smoke
 
-check: fmt-check vet lint lint-fix-check build test race bench-smoke fuzz-smoke trace-smoke analytic-smoke extract-smoke serve-smoke
+check: fmt-check vet lint lint-fix-check build test race bench-smoke fuzz-smoke trace-smoke analytic-smoke serve-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -132,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyStateVsFull$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzCGQuietRowsVsElementWalk$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz '^FuzzMGPlaneShiftVsElementWalk$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz '^FuzzDescriptorMatchesTrace$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzAspenEvaluate$$' -fuzztime $(FUZZTIME) ./internal/aspen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
 
@@ -148,14 +148,6 @@ analytic-smoke:
 	$(GO) run ./cmd/dvf-trace -engine analytic -kernel CG -all > /dev/null
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyticVsSimulator$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveVsPerRow$$' -fuzztime $(FUZZTIME) ./internal/analytic
-
-# The extraction wall: static extraction of every kernel must agree with
-# the hand-written descriptors in both geometries, or the build is red —
-# the comparison TestExtractMatchesHandWritten makes, from the CLI with
-# a per-kernel report.
-extract-smoke:
-	$(GO) run ./cmd/dvf-extract -diff -suite verification
-	$(GO) run ./cmd/dvf-extract -diff -suite profiling
 
 # The service wall: dvf-serve -smoke is fully self-contained (in-process
 # server on an ephemeral port, real HTTP load, /metrics and /statusz

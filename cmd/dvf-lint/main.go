@@ -5,7 +5,7 @@
 // determinism of the golden-output packages (including clock taint
 // laundered through helpers in other packages), allocation-free
 // //dvf:hotpath call paths, enum-switch exhaustiveness, error-result
-// hygiene, unsafe memory use and affine hot loops.
+// hygiene and unsafe memory use.
 //
 // Usage:
 //

@@ -20,8 +20,8 @@ func TestUnsafemem(t *testing.T)   { analysistest.Run(t, Unsafemem, "unsafemem")
 
 func TestRegistryAllSorted(t *testing.T) {
 	all := All()
-	if len(all) != 7 {
-		t.Fatalf("expected 7 registered checkers, got %d", len(all))
+	if len(all) != 6 {
+		t.Fatalf("expected 6 registered checkers, got %d", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {
@@ -47,7 +47,7 @@ func TestRegistrySelect(t *testing.T) {
 		}
 		t.Errorf("Select kept neither order nor content: %v", got)
 	}
-	if sel, err := Select("  "); err != nil || len(sel) != 7 {
+	if sel, err := Select("  "); err != nil || len(sel) != 6 {
 		t.Errorf("blank selection should return all checkers, got %d, %v", len(sel), err)
 	}
 	if _, err := Select("nope"); err == nil || !strings.Contains(err.Error(), "unknown checker") {
@@ -108,5 +108,3 @@ func TestExhaustiveFixRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestAffine(t *testing.T) { analysistest.Run(t, Affine, "affine") }

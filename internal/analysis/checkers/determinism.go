@@ -28,17 +28,21 @@ var determinismScope = []string{
 //     a helper in another package, unless the value demonstrably flows
 //     only into metrics instruments, which the golden guard tests
 //     already prove to be observation-only: a clock that steers control
-//     flow (a deadline) changes results only on a slower host.
+//     flow (a deadline) changes results only on a slower host;
+//   - a branch whose condition is wall-clock-derived. It is reported at
+//     the condition, so an allow on the read (a cost measurement) does
+//     not cover a later use of the duration that picks a result.
 //
 // Order-dependent map iteration is not among them: the only map these
 // packages range over is the simulator's per-structure counters, and
 // emitting those in map order fails the replay differentials at once.
 //
 // Legitimate exceptions (a wall-clock cost measurement that is reported,
-// not golden) carry a //dvf:allow determinism <reason> directive.
+// not golden) carry a //dvf:allow determinism <reason> directive on the
+// read.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "no wall clock (direct or laundered) or math/rand in golden-output packages",
+	Doc:  "no wall clock (direct or laundered), clock-decided branch or math/rand in golden-output packages",
 	Run:  runDeterminism,
 }
 
@@ -48,6 +52,7 @@ func runDeterminism(pass *analysis.Pass) error {
 	}
 	for _, f := range pass.Files {
 		checkRandImports(pass, f)
+		checkClockBranches(pass, f)
 		parents := analysis.Parents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -66,6 +71,25 @@ func checkRandImports(pass *analysis.Pass, f *ast.File) {
 		switch imp.Path.Value {
 		case `"math/rand"`, `"math/rand/v2"`:
 			pass.Reportf(imp.Pos(), "math/rand in a golden-output package: seedable or not, iteration results must not depend on a PRNG stream")
+		}
+	}
+}
+
+// checkClockBranches flags every condition of f's functions that the
+// clock decides, wherever the read is and whatever allows it.
+func checkClockBranches(pass *analysis.Pass, f *ast.File) {
+	if pass.Prog == nil {
+		return
+	}
+	pkg := pass.Prog.Package(pass.Path)
+	if pkg == nil {
+		return
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			for _, c := range pass.Prog.ClockBranches(pkg, fd) {
+				pass.Reportf(c.Pos(), "wall-clock-derived value decides a branch: the path taken, and what it computes, depends on host speed")
+			}
 		}
 	}
 }

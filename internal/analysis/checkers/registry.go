@@ -11,7 +11,6 @@ import (
 // All returns every registered checker, in stable name order.
 func All() []*analysis.Analyzer {
 	list := []*analysis.Analyzer{
-		Affine,
 		Determinism,
 		ErrDrop,
 		Exhaustive,

@@ -12,8 +12,8 @@ import (
 
 var updateSarif = flag.Bool("update", false, "rewrite the golden SARIF report under testdata/")
 
-// TestNewCheckersSarifGolden pins the SARIF rendering of the affine
-// checker byte-for-byte: its rule-table entry and the affine fixture's
+// TestNewCheckersSarifGolden pins the SARIF rendering of the errdrop
+// checker byte-for-byte: its rule-table entry and the errdrop fixture's
 // real findings with stable repo-relative URIs. Everything in the
 // report is deterministic (sorted rules, sha256 fingerprints over
 // checker+uri+message), so a golden file is exact.
@@ -25,16 +25,16 @@ func TestNewCheckersSarifGolden(t *testing.T) {
 	if err := loader.SetTestdataRoot("testdata/src"); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.Load("affine")
+	pkg, err := loader.Load("errdrop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{Affine}, true, 1, nil)
+	diags, err := analysis.Run(loader.Program(), []*analysis.Package{pkg}, []*analysis.Analyzer{ErrDrop}, true, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) == 0 {
-		t.Fatal("affine fixture produced no findings; golden would be empty")
+		t.Fatal("errdrop fixture produced no findings; golden would be empty")
 	}
 	base, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
@@ -42,12 +42,12 @@ func TestNewCheckersSarifGolden(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	log := analysis.SarifReport(diags, []*analysis.Analyzer{Affine}, base)
+	log := analysis.SarifReport(diags, []*analysis.Analyzer{ErrDrop}, base)
 	if err := log.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "extract_checkers.sarif.golden")
+	golden := filepath.Join("testdata", "errdrop.sarif.golden")
 	if *updateSarif {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)

@@ -43,3 +43,16 @@ func allowedStamp() int64 {
 	//dvf:allow determinism run manifests carry a human-facing timestamp that is never golden-compared
 	return time.Now().UnixNano()
 }
+
+// allowedReadSteers allows its read as cost telemetry, then lets the
+// duration pick the result: the allow covers the read, not the branch.
+func allowedReadSteers(exact, quick int64) int64 {
+	//dvf:allow determinism the duration is reported as cost, never golden
+	t0 := time.Now()
+	work()
+	elapsed := time.Since(t0).Nanoseconds()
+	if elapsed > 2*int64(time.Second) { // want `wall-clock-derived value decides a branch`
+		return quick
+	}
+	return exact
+}

@@ -135,6 +135,45 @@ func (p *Program) clockTransfer(pkg *Package, fd *ast.FuncDecl, fn *types.Func) 
 	return out
 }
 
+// ClockBranches returns the conditions in fd's body, function literals
+// included, whose value is wall-clock-derived: an if, for, switch, case
+// or range that takes its path from how long something took. Safe for
+// concurrent use.
+func (p *Program) ClockBranches(pkg *Package, fd *ast.FuncDecl) []ast.Expr {
+	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+	if !ok || fd.Body == nil {
+		return nil
+	}
+	p.factsMu.Lock()
+	defer p.factsMu.Unlock()
+	p.summarizeClockLocked(pkg)
+	env := newTaintEnv(pkg, p, fn.Type().(*types.Signature), fd)
+	env.solveLocals(fd.Body)
+	var out []ast.Expr
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		var conds []ast.Expr
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			conds = []ast.Expr{n.Cond}
+		case *ast.ForStmt:
+			conds = []ast.Expr{n.Cond}
+		case *ast.SwitchStmt:
+			conds = []ast.Expr{n.Tag}
+		case *ast.CaseClause:
+			conds = n.List
+		case *ast.RangeStmt:
+			conds = []ast.Expr{n.X}
+		}
+		for _, c := range conds {
+			if c != nil && env.exprTaint(c).ConstTainted() {
+				out = append(out, c)
+			}
+		}
+		return true
+	})
+	return out
+}
+
 // taintEnv evaluates expression taint inside one function body.
 type taintEnv struct {
 	pkg          *Package

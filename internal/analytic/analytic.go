@@ -6,7 +6,8 @@
 // A kernel whose access stream is affine exports a Descriptor — an ordered
 // program of loop-nest phases over its data regions (the same information
 // the pseudocode templates in internal/kernels encode, lifted to a small
-// IR). Solve walks that program once per cache geometry and computes, per
+// IR). Descriptors are written by hand; a test expands each back into
+// references and checks it against its kernel's trace. Solve walks that program once per cache geometry and computes, per
 // phase, the reuse distance of every line the phase touches:
 //
 //   - closed form where the loop nest makes distances uniform (streamed

@@ -182,7 +182,6 @@ func (c *CG) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 		flops += matVec(q, p, a)
 		pq, fl := dot(p, q)
 		flops += fl
-		//dvf:extract assume-false p.q vanishes only for a zero direction vector, which the nonzero test RHS never produces before the iteration cap
 		if pq == 0 {
 			break
 		}
@@ -209,7 +208,6 @@ func (c *CG) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 			return nil, err
 		}
 	}
-	//dvf:extract assume-false Err reports only references withheld from a stopped consumer, never a change to the references the run makes
 	if err := m.mem.Err(); err != nil {
 		return nil, fmt.Errorf("cg: %w", err)
 	}

@@ -76,7 +76,6 @@ func (a *tmat) set(i, j int, x float64) {
 func matVec(dst, src *tvec, a *tmat) int64 {
 	n := a.n
 	var flops int64
-	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a row's inner loop at a time, and is taken only when no consumer needs them one by one
 	if a.mem.TakesGroups() {
 		row := [2]trace.Strided{
 			{Region: a.reg, Size: elem8, Stride: elem8},

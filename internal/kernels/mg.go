@@ -120,7 +120,6 @@ func (g *mgGrid) at(i, j, k int) uint64 { return uint64(g.offset+g.idx(i, j, k))
 func (g *mgGrid) smooth() int64 {
 	n := g.n
 	var flops int64
-	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a k row at a time, and is taken only when no consumer needs them one by one
 	if g.mem.TakesGroups() {
 		var row [5]trace.Strided // the four neighbours, then the store
 		g.initGroup(row[:], 1)
@@ -162,7 +161,6 @@ func (g *mgGrid) smooth() int64 {
 func restrictGrid(fine, coarse *mgGrid) int64 {
 	nc := coarse.n
 	var flops int64
-	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a coarse k row at a time, and is taken only when no consumer needs them one by one
 	if fine.mem.TakesGroups() {
 		var row [9]trace.Strided // the eight children, then the store
 		fine.initGroup(row[:8], 2)
@@ -218,7 +216,6 @@ func restrictGrid(fine, coarse *mgGrid) int64 {
 func prolong(coarse, fine *mgGrid) int64 {
 	nc := coarse.n
 	var flops int64
-	//dvf:extract assume-false the grouped path makes the same references as the element loop below, a coarse k row at a time, and is taken only when no consumer needs them one by one
 	if fine.mem.TakesGroups() {
 		// The coarse load, then each child's load and store.
 		var row [17]trace.Strided

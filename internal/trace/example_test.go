@@ -14,16 +14,21 @@ import (
 func Example_instrumentation() {
 	reg := trace.NewRegistry()
 	a := reg.Alloc("A", 8*100)
-	counter := trace.NewCounter()
-	mem := trace.NewMemory(reg, counter)
+	var reads, writes int
+	mem := trace.NewMemory(reg, trace.ConsumerFunc(func(r trace.Ref, _ int32) {
+		if r.Write {
+			writes++
+		} else {
+			reads++
+		}
+	}))
 
 	for i := 0; i < 100; i++ {
 		mem.LoadN(a, i, 8)
 	}
 	mem.StoreN(a, 0, 8)
 
-	fmt.Printf("reads: %d, writes: %d\n",
-		counter.Reads[int32(a.ID)], counter.Writes[int32(a.ID)])
+	fmt.Printf("reads: %d, writes: %d\n", reads, writes)
 	// Output:
 	// reads: 100, writes: 1
 }
@@ -47,10 +52,10 @@ func Example_roundTrip() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	counter := trace.NewCounter()
-	tr.Replay(counter)
+	refs := 0
+	tr.Replay(trace.ConsumerFunc(func(trace.Ref, int32) { refs++ }))
 	fmt.Printf("replayed %d references over %d region(s): %s\n",
-		counter.Total(), len(tr.Regions), tr.Regions[0].Name)
+		refs, len(tr.Regions), tr.Regions[0].Name)
 	// Output:
 	// replayed 2 references over 1 region(s): A
 }

@@ -174,7 +174,7 @@ type Memory struct {
 //
 // A consumer that must see the data between two references (the
 // kernels' fault injector, which flips a bit at an exact reference)
-// does not implement it; neither do Recorder, WriterV2, Counter and
+// does not implement it; neither do Recorder, WriterV2 and
 // ConsumerFunc, which receive every reference one at a time.
 type GroupConsumer interface {
 	Consumer
@@ -372,35 +372,3 @@ func (rec *Recorder) Access(r Ref, owner int32) {
 
 // Len returns the number of recorded references.
 func (rec *Recorder) Len() int { return len(rec.Refs) }
-
-// Counter is a Consumer that only counts reads and writes per owner.
-type Counter struct {
-	Reads  map[int32]int64
-	Writes map[int32]int64
-}
-
-// NewCounter returns an empty Counter.
-func NewCounter() *Counter {
-	return &Counter{Reads: map[int32]int64{}, Writes: map[int32]int64{}}
-}
-
-// Access tallies the reference.
-func (c *Counter) Access(r Ref, owner int32) {
-	if r.Write {
-		c.Writes[owner]++
-	} else {
-		c.Reads[owner]++
-	}
-}
-
-// Total returns reads+writes across all owners.
-func (c *Counter) Total() int64 {
-	var n int64
-	for _, v := range c.Reads {
-		n += v
-	}
-	for _, v := range c.Writes {
-		n += v
-	}
-	return n
-}

@@ -187,20 +187,6 @@ func TestMemoryPeriodsStop(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	g := NewRegistry()
-	a := g.Alloc("A", 64)
-	b := g.Alloc("B", 64)
-	c := NewCounter()
-	mem := NewMemory(g, c)
-	mem.LoadN(a, 0, 8)
-	mem.LoadN(a, 1, 8)
-	mem.StoreN(b, 0, 8)
-	if c.Reads[int32(a.ID)] != 2 || c.Writes[int32(b.ID)] != 1 || c.Total() != 3 {
-		t.Errorf("counter state: %+v", c)
-	}
-}
-
 func TestRegionString(t *testing.T) {
 	r := Region{Name: "A", Base: 0x1000, Size: 0x100}
 	if got := r.String(); got != "A[0x1000,0x1100)" {
