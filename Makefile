@@ -17,14 +17,20 @@
 #   make test         the tier-1 test run
 #   make race         full suite under the race detector (slow: the
 #                     experiments package replays every figure)
-#   make bench-smoke  one iteration of the cache simulator's
-#                     per-reference Access benchmark, the CG, MG and FT
-#                     CGPMAC models on each of the six Table IV caches,
-#                     one Figure 4 CG and MG cell per verification cache,
-#                     the fft Aspen evaluation, a dvf-serve analyze miss
-#                     (CG, cgpmac and analytic) and the MG and FT analytic
-#                     solves on every bundled cache, as a compile-and-run
-#                     sanity check
+#   make bench-smoke  one iteration of every benchmark in the suite
+#                     (BENCH_SUITE: the cache simulator's per-reference
+#                     Access, the CG, MG and FT CGPMAC models on each
+#                     Table IV cache, a Figure 4 cell per verification
+#                     kernel and cache, the fft and multigrid Aspen
+#                     evaluations, a dvf-serve analyze miss, the MG and
+#                     FT analytic solves on every bundled cache), as a
+#                     compile-and-run sanity check
+#   make bench-gate   the same suite, ten passes of it, piped
+#                     into dvf-bench: writes bench-out/BENCH_<ts>.json
+#                     and fails on a median past its cell's bound in
+#                     testdata/bench_baseline.json (timings gated only on
+#                     the capture host) or on a benchmark missing from
+#                     either side; about 2 minutes on 2 cores
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the simulator against its naive LRU
 #                     oracle, line-run repeats (AccessRun, VisitRun),
@@ -39,8 +45,9 @@
 #                     compiler end to end (never a panic; templates
 #                     equal to their flattened walk), steady-state
 #                     extrapolation against full simulation (templates,
-#                     and traced streams with period boundaries) and bench
-#                     manifest decoding for -compare; FUZZTIME bounds
+#                     and traced streams with period boundaries), bench
+#                     manifest decoding for -compare and dvf-bench's
+#                     reader of `go test -bench` output; FUZZTIME bounds
 #                     each target (default 10s)
 #   make trace-smoke  record the fig4 and fig7 timelines with -trace-out
 #                     and schema-validate each with dvf-flame -check
@@ -60,7 +67,7 @@ GO ?= go
 FUZZTIME ?= 10s
 LINTFLAGS ?=
 
-.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench fuzz-smoke trace-smoke analytic-smoke serve-smoke
+.PHONY: check fmt-check vet lint lint-sarif lint-fix-check build test race bench-smoke bench-gate bench fuzz-smoke trace-smoke analytic-smoke serve-smoke
 
 check: fmt-check vet lint lint-fix-check build test race bench-smoke fuzz-smoke trace-smoke analytic-smoke serve-smoke
 
@@ -108,13 +115,24 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The benchmark suite, named once. Every benchmark it matches measures a
+# path a command runs; dvf-bench keys each by package and name, so the
+# suite and testdata/bench_baseline.json must change together.
+BENCH_SUITE = ^Benchmark(SimulatorAccess|(CG|MG|FT)TemplateModel|VerifyKernel|AspenEvaluate|ServeAnalyzeMiss|AnalyticSolve)$$
+
 bench-smoke:
-	$(GO) test -run '^$$' -bench='^BenchmarkSimulatorAccess$$' -benchtime=1x ./internal/cache
-	$(GO) test -run '^$$' -bench='^Benchmark(CG|MG|FT)TemplateModel$$' -benchtime=1x ./internal/kernels
-	$(GO) test -run '^$$' -bench='^BenchmarkVerifyKernel(CG|MG)$$' -benchtime=1x ./internal/experiments
-	$(GO) test -run '^$$' -bench='^BenchmarkAspenEvaluate$$' -benchtime=1x ./internal/aspen
-	$(GO) test -run '^$$' -bench='^BenchmarkServeAnalyzeMiss$$' -benchtime=1x ./internal/serve
-	$(GO) test -run '^$$' -bench='^BenchmarkAnalyticSolve$$' -benchtime=1x ./internal/analytic
+	$(GO) test -run '^$$' -bench '$(BENCH_SUITE)' -benchtime=1x ./internal/...
+
+# Ten passes of the suite give each benchmark ten samples spread over
+# the whole run, so a cell's spread, and the bound dvf-bench derives from
+# it, also sees the host's drift over those minutes; `-count 10` would
+# take the ten samples back to back. A failed benchmark or package build
+# prints FAIL, which dvf-bench rejects, so the gate fails although the
+# pipe's status is dvf-bench's.
+bench-gate:
+	for pass in 1 2 3 4 5 6 7 8 9 10; do \
+		$(GO) test -run '^$$' -bench '$(BENCH_SUITE)' -benchtime=100ms ./internal/...; \
+	done | $(GO) run ./cmd/dvf-bench -out bench-out -compare testdata/bench_baseline.json
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .
@@ -134,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDescriptorMatchesTrace$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzAspenEvaluate$$' -fuzztime $(FUZZTIME) ./internal/aspen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifestCompare$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/bench
 
 TRACEOUT ?= trace-out
 trace-smoke:

@@ -133,13 +133,14 @@ func TestList(t *testing.T) {
 }
 
 // TestTimings: -timings prints the per-checker cost table on stderr and
-// lands the same rows in the SARIF run's property bag.
+// lands the same rows in the SARIF run's property bag. hotalloc asks for
+// the call graph, whose one-time build gets its own row.
 func TestTimings(t *testing.T) {
 	code, stdout, stderr := runLint(t, fixtureDir(t), "-timings", "-sarif", "-", "./...")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, stderr)
 	}
-	for _, want := range []string{"checker", "wall", "findings", "exhaustive", "total"} {
+	for _, want := range []string{"checker", "wall", "findings", "exhaustive", "hotalloc", analysis.CallGraphRow, "total"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("timings table misses %q:\n%s", want, stderr)
 		}
@@ -158,6 +159,9 @@ func TestTimings(t *testing.T) {
 	}
 	if _, ok := log.Runs[0].Properties["dvfLintTimings/v1"]; !ok {
 		t.Errorf("SARIF run properties miss dvfLintTimings/v1: %v", log.Runs[0].Properties)
+	}
+	if props, _ := json.Marshal(log.Runs[0].Properties); !strings.Contains(string(props), analysis.CallGraphRow) {
+		t.Errorf("SARIF run properties miss the %s row: %s", analysis.CallGraphRow, props)
 	}
 }
 

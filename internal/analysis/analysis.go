@@ -73,6 +73,19 @@ type Pass struct {
 	Force bool
 
 	diags *[]Diagnostic
+	// graphWall is the time CallGraph spent building or waiting for the
+	// program's call graph during this pass.
+	graphWall time.Duration
+}
+
+// CallGraph returns the program's call graph. The graph is built once
+// per run, by whichever pass asks first; the time spent here is charged
+// to the CallGraphRow of the run's Timings, not to the analyzer.
+func (p *Pass) CallGraph() *CallGraph {
+	start := time.Now()
+	cg := p.Prog.CallGraph()
+	p.graphWall += time.Since(start)
+	return cg
 }
 
 // Diagnostic is one finding.
@@ -219,7 +232,10 @@ func runPackage(prog *Program, pkg *Package, analyzers []*Analyzer, force bool, 
 		start := time.Now()
 		err := a.Run(pass)
 		if tm != nil {
-			tm.addWall(a.Name, time.Since(start))
+			tm.addWall(a.Name, time.Since(start)-pass.graphWall)
+			if pass.graphWall > 0 {
+				tm.addWall(CallGraphRow, pass.graphWall)
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

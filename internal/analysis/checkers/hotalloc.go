@@ -47,7 +47,7 @@ var HotAlloc = &analysis.Analyzer{
 }
 
 func runHotAlloc(pass *analysis.Pass) error {
-	cg := pass.Prog.CallGraph()
+	cg := pass.CallGraph()
 	var roots []*analysis.FuncNode
 	for _, n := range cg.HotpathRoots() {
 		if n.Pkg.Path == pass.Path {

@@ -91,3 +91,36 @@ func TestDepOrder(t *testing.T) {
 		t.Errorf("dependency multi/a ordered after a dependent: %v", idx)
 	}
 }
+
+// TestTimingsChargeCallGraphToItsOwnRow: the call graph's one-time build
+// goes to analysis.CallGraphRow, not to the analyzer that asked first. A
+// probe that does nothing but ask for the graph must read less than the
+// build it triggered.
+func TestTimingsChargeCallGraphToItsOwnRow(t *testing.T) {
+	prog, pkgs := loadMultiFixture(t)
+	probe := &analysis.Analyzer{
+		Name: "probe",
+		Doc:  "asks for the call graph and does nothing else",
+		Run: func(pass *analysis.Pass) error {
+			if pass.CallGraph() == nil {
+				t.Error("no call graph")
+			}
+			return nil
+		},
+	}
+	tm := analysis.NewTimings()
+	if _, err := analysis.Run(prog, pkgs, []*analysis.Analyzer{probe}, true, 1, tm); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]analysis.TimingRow{}
+	for _, r := range tm.Rows() {
+		rows[r.Checker] = r
+	}
+	graph, ok := rows[analysis.CallGraphRow]
+	if !ok || graph.Wall <= 0 {
+		t.Fatalf("no %s row: %+v", analysis.CallGraphRow, tm.Rows())
+	}
+	if p := rows["probe"]; p.Wall >= graph.Wall {
+		t.Errorf("probe charged %v, the call graph %v: the build is still charged to the analyzer", p.Wall, graph.Wall)
+	}
+}

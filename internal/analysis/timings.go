@@ -11,14 +11,20 @@ import (
 // Timings accumulates per-checker cost across a lint run: wall time
 // spent inside each analyzer's Run (summed over packages, so on the
 // parallel driver the total can exceed elapsed wall clock) and how many
-// findings survived suppression. One collector is shared by every
-// worker; it is safe for concurrent use.
+// findings survived suppression. Time spent getting a shared program
+// fact is charged to that fact's own row (CallGraphRow), not to the
+// checker that asked first. One collector is shared by every worker; it
+// is safe for concurrent use.
 type Timings struct {
 	mu   sync.Mutex
 	wall map[string]time.Duration
 	hits map[string]int
 	pkgs int
 }
+
+// CallGraphRow is the row charged with Pass.CallGraph: the call graph's
+// one-time build, plus any time a pass on another worker waited for it.
+const CallGraphRow = "shared:callgraph"
 
 // NewTimings returns an empty collector.
 func NewTimings() *Timings {

@@ -2,90 +2,123 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-
-	"github.com/resilience-models/dvf/internal/cache"
-	"github.com/resilience-models/dvf/internal/metrics"
 )
 
-// smallOptions keeps the test runs fast: one small kernel, one cache.
-func smallOptions(sink metrics.Sink) Options {
-	return Options{
-		Kernels: []string{"VM"},
-		Configs: []cache.Config{cache.Small},
-		Iters:   1,
-		Sink:    sink,
-	}
-}
+// samplePath is real `go test -bench -count 10` output of two packages
+// of the suite, with a test-only package's PASS/ok lines around them.
+var samplePath = filepath.Join("testdata", "gotest-bench.txt")
 
-// TestRunProducesManifest runs the real pipeline end to end and checks the
-// manifest invariants the CI artifact relies on: schema tag, environment
-// stamps, one sequential replay cell per (kernel, cache) plus an analytic
-// cell for affine kernels, and a populated metrics snapshot.
-func TestRunProducesManifest(t *testing.T) {
-	sink := metrics.New()
-	m, err := Run(smallOptions(sink))
+func parseSample(t *testing.T) *Manifest {
+	t.Helper()
+	f, err := os.Open(samplePath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	m, err := Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestParseProducesManifest checks the manifest invariants the CI
+// artifact relies on: schema tag, host fields from the headers, one cell
+// per benchmark keyed by package and name without the -P suffix (Go's
+// escaping kept), -count samples per cell, quartiles around the median,
+// a bound no tighter than the floor, and cells in key order.
+func TestParseProducesManifest(t *testing.T) {
+	m := parseSample(t)
 	if m.Schema != Schema {
 		t.Errorf("schema = %q, want %q", m.Schema, Schema)
 	}
-	if m.GoVersion == "" || m.GOMAXPROCS <= 0 || m.NumCPU <= 0 {
-		t.Errorf("environment stamps missing: %+v", m)
+	if m.GOOS != "linux" || m.GOARCH != "amd64" || m.CPU != "Intel(R) Xeon(R) Processor" || m.GOMAXPROCS != 2 {
+		t.Errorf("host fields = %q %q %q GOMAXPROCS %d", m.GOOS, m.GOARCH, m.CPU, m.GOMAXPROCS)
 	}
-	if len(m.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2 (analytic + sequential; VM is affine)", len(m.Cells))
+	if len(m.Cells) != 14 {
+		t.Fatalf("cells = %d, want 14 (2 aspen + 12 experiments)", len(m.Cells))
 	}
-	for i := 1; i < len(m.Cells); i++ {
-		if m.Cells[i-1].Key() >= m.Cells[i].Key() {
-			t.Errorf("cells not key-sorted before encoding: %q >= %q",
-				m.Cells[i-1].Key(), m.Cells[i].Key())
+	byKey := map[string]Cell{}
+	for i, c := range m.Cells {
+		byKey[c.Key()] = c
+		if i > 0 && m.Cells[i-1].Key() >= c.Key() {
+			t.Errorf("cells not key-sorted: %q >= %q", m.Cells[i-1].Key(), c.Key())
+		}
+		if c.Samples != 10 || !(c.Q1 <= c.Median && c.Median <= c.Q3) || c.Bound < minBound || c.Bound > maxBound {
+			t.Errorf("%s: %+v", c.Key(), c)
 		}
 	}
-	byEngine := map[string]Cell{}
-	for _, c := range m.Cells {
-		byEngine[c.Engine] = c
+	fft, ok := byKey["github.com/resilience-models/dvf/internal/aspen:BenchmarkAspenEvaluate/fft"]
+	if !ok {
+		t.Fatalf("no aspen fft cell among %v", keys(m))
 	}
-	seq := byEngine["sequential"]
-	if seq.Kernel == "" || seq.Workers != 1 {
-		t.Fatalf("missing sequential cell, got %+v", m.Cells)
+	// The ten fft samples sorted: ... 230674, 231603 ... around the middle.
+	if fft.Median != (230674+231603)/2.0 {
+		t.Errorf("fft median = %v, want 231138.5", fft.Median)
 	}
-	an := byEngine["analytic"]
-	if an.Kernel == "" {
-		t.Fatalf("missing analytic cell for affine VM, got %+v", m.Cells)
+	if _, ok := byKey["github.com/resilience-models/dvf/internal/experiments:BenchmarkVerifyKernel/CG/Small_(Verification)"]; !ok {
+		t.Errorf("escaped sub-benchmark name lost: %v", keys(m))
 	}
-	if an.Refs != seq.Refs {
-		t.Errorf("analytic cell refs %d != recorded %d; NsPerRef would not be comparable", an.Refs, seq.Refs)
-	}
-	if an.Stats != (cache.Stats{}) {
-		t.Errorf("analytic cell carries replay counters %+v; predictions must not pose as simulated stats", an.Stats)
-	}
-	if an.WallNs <= 0 {
-		t.Errorf("analytic cell not timed: %+v", an)
-	}
-	if seq.Refs <= 0 || seq.WallNs <= 0 || seq.NsPerRef <= 0 {
-		t.Errorf("sequential cell not measured: %+v", seq)
-	}
-	if seq.Stats.Accesses == 0 || seq.Stats.Misses == 0 {
-		t.Errorf("replay simulated nothing: %+v", seq.Stats)
-	}
-	if m.Metrics.Counters["bench.record.refs"] != seq.Refs {
-		t.Errorf("metrics snapshot recorded %d refs, cells say %d",
-			m.Metrics.Counters["bench.record.refs"], seq.Refs)
+	m.Stamp()
+	if m.GoVersion == "" || m.NumCPU <= 0 || m.Timestamp == "" {
+		t.Errorf("Stamp left fields empty: %+v", m)
 	}
 	if !strings.HasPrefix(m.Filename(), "BENCH_") || !strings.HasSuffix(m.Filename(), ".json") {
 		t.Errorf("manifest filename %q is not BENCH_*.json", m.Filename())
 	}
 }
 
-// TestManifestJSONRoundTrip writes a real manifest and reads it back.
-func TestManifestJSONRoundTrip(t *testing.T) {
-	m, err := Run(smallOptions(nil))
+func keys(m *Manifest) []string {
+	var out []string
+	for _, c := range m.Cells {
+		out = append(out, c.Key())
+	}
+	return out
+}
+
+// TestParseFailsClosed: a failed run, mixed hosts or GOMAXPROCS values,
+// malformed result lines, oversized input and input with no result are
+// errors, never a partial manifest.
+func TestParseFailsClosed(t *testing.T) {
+	const head = "goos: linux\ngoarch: amd64\npkg: p\ncpu: X\n"
+	for name, in := range map[string]string{
+		"empty":             "",
+		"no results":        head + "PASS\nok  \tp\t0.1s\n",
+		"result before pkg": "BenchmarkA-2 \t 10\t 5 ns/op\n",
+		"failed benchmark":  head + "BenchmarkA-2 \t 10\t 5 ns/op\n--- FAIL: BenchmarkB\nFAIL\n",
+		"failed package":    head + "BenchmarkA-2 \t 10\t 5 ns/op\nFAIL\tp\t0.1s\n",
+		"panic":             head + "BenchmarkA-2 \t 10\t 5 ns/op\npanic: boom\n",
+		"two GOMAXPROCS":    head + "BenchmarkA-2 \t 10\t 5 ns/op\nBenchmarkA-4 \t 10\t 5 ns/op\n",
+		"two cpus":          head + "BenchmarkA-2 \t 10\t 5 ns/op\ncpu: Y\n",
+		"no ns/op":          head + "BenchmarkA-2 \t 10\t 5 B/op\n",
+		"negative ns/op":    head + "BenchmarkA-2 \t 10\t -5 ns/op\n",
+		"NaN ns/op":         head + "BenchmarkA-2 \t 10\t NaN ns/op\n",
+		"oversized":         head + "BenchmarkA-2 \t 10\t 5 ns/op\n" + strings.Repeat("x\n", maxRunBytes/2),
+		"overlong line":     head + "BenchmarkA-2 \t 10\t 5 ns/op " + strings.Repeat("x", 1<<17) + "\n",
+	} {
+		if m, err := Parse(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted, %d cells", name, len(m.Cells))
+		}
+	}
+	// A bare benchmark name or a benchmark's own log line is not a result.
+	m, err := Parse(strings.NewReader(head + "BenchmarkA\nBenchmarkA says hello\nBenchmarkA \t 10\t 5 ns/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(m.Cells) != 1 || m.Cells[0].Key() != "p:BenchmarkA" || m.Cells[0].Samples != 1 || m.GOMAXPROCS != 1 {
+		t.Errorf("cells = %+v GOMAXPROCS %d, want one p:BenchmarkA sample at GOMAXPROCS 1", m.Cells, m.GOMAXPROCS)
+	}
+}
+
+// TestManifestJSONRoundTrip writes a parsed manifest and reads it back.
+func TestManifestJSONRoundTrip(t *testing.T) {
+	m := parseSample(t)
+	m.Stamp()
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -94,154 +127,183 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Cells) != len(m.Cells) || back.Timestamp != m.Timestamp {
-		t.Errorf("round trip lost data: %+v vs %+v", back, m)
+	if !reflect.DeepEqual(back, m) {
+		t.Errorf("round trip changed the manifest:\n%+v\n%+v", back, m)
 	}
 }
 
-// TestReadManifestRejectsWrongSchema checks the version gate.
+// TestReadManifestRejectsWrongSchema checks the version gate, including
+// the v1 manifests of the old cell runner.
 func TestReadManifestRejectsWrongSchema(t *testing.T) {
-	if _, err := ReadManifest(strings.NewReader(`{"schema":"dvf-bench/v999"}`)); err == nil {
-		t.Fatal("wrong-schema manifest was accepted")
+	for _, schema := range []string{"dvf-bench/v1", "dvf-bench/v999"} {
+		if _, err := ReadManifest(strings.NewReader(`{"schema":"` + schema + `"}`)); err == nil {
+			t.Errorf("%s manifest was accepted", schema)
+		}
 	}
 }
 
-// syntheticManifest builds a baseline with known ns/ref values.
-func syntheticManifest(nsPerRef map[string]float64) *Manifest {
-	m := NewManifest()
-	for key, ns := range nsPerRef {
-		parts := strings.SplitN(key, "/", 3)
-		m.Cells = append(m.Cells, Cell{
-			Kernel: parts[0], Cache: parts[1], Engine: parts[2],
-			Refs: 1000, WallNs: int64(ns * 1000), NsPerRef: ns,
-		})
+// syntheticManifest builds a manifest on one host with known medians and
+// bounds, keyed pkg:name.
+func syntheticManifest(cells map[string][2]float64) *Manifest {
+	m := &Manifest{Schema: Schema, GOOS: "linux", GOARCH: "amd64", CPU: "X", NumCPU: 2, GOMAXPROCS: 2}
+	for key, mb := range cells {
+		pkg, name, _ := strings.Cut(key, ":")
+		m.Cells = append(m.Cells, Cell{Pkg: pkg, Name: name, Samples: 10,
+			Median: mb[0], Q1: mb[0], Q3: mb[0], Bound: mb[1]})
 	}
 	return m
 }
 
-// TestCompareFlagsInjectedRegression is the acceptance check: a >= 20%
-// ns/ref regression injected into one cell must fail the gate, and the
-// gate's exit decision (Failed) must say so.
+// TestCompareFlagsInjectedRegression is the acceptance check: a cell
+// twice as slow as its baseline, past its stored bound, fails the gate
+// and the report names it.
 func TestCompareFlagsInjectedRegression(t *testing.T) {
-	old := syntheticManifest(map[string]float64{
-		"VM/small/sequential": 10.0,
-		"VM/small/analytic":   4.0,
+	old := syntheticManifest(map[string][2]float64{
+		"p:BenchmarkA": {100, 0.3},
+		"p:BenchmarkB": {40, 0.3},
 	})
-	// 25% regression on the sequential cell, analytic unchanged.
-	new := syntheticManifest(map[string]float64{
-		"VM/small/sequential": 12.5,
-		"VM/small/analytic":   4.0,
+	new := syntheticManifest(map[string][2]float64{
+		"p:BenchmarkA": {200, 0.3},
+		"p:BenchmarkB": {40, 0.3},
 	})
-	res := Compare(old, new, CompareOptions{MaxRegressPct: 20})
+	res := Compare(old, new)
 	if !res.Failed() {
-		t.Fatal("25%% regression at a 20%% threshold did not fail the gate")
+		t.Fatal("a 2x regression did not fail the gate")
 	}
-	if len(res.Regressions) != 1 || res.Regressions[0].Key != "VM/small/sequential" {
-		t.Fatalf("regressions = %+v, want exactly VM/small/sequential", res.Regressions)
-	}
-	if got := res.Regressions[0].DeltaPct; got < 24.9 || got > 25.1 {
-		t.Errorf("delta = %.2f%%, want 25%%", got)
-	}
-	if res.Unchanged != 1 {
-		t.Errorf("unchanged = %d, want 1", res.Unchanged)
+	if regs := res.Regressions(); len(regs) != 1 || regs[0].Key != "p:BenchmarkA" {
+		t.Fatalf("regressions = %+v, want exactly p:BenchmarkA", regs)
 	}
 	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "REGRESSION VM/small/sequential") {
-		t.Errorf("report missing regression line:\n%s", buf.String())
-	}
-}
-
-// TestCompareWithinThresholdPasses checks the tolerant side of the gate,
-// including improvements and coverage-only differences.
-func TestCompareWithinThresholdPasses(t *testing.T) {
-	old := syntheticManifest(map[string]float64{
-		"VM/small/sequential": 10.0,
-		"CG/small/sequential": 8.0,
-		"MG/small/sequential": 5.0,
-	})
-	new := syntheticManifest(map[string]float64{
-		"VM/small/sequential": 11.5, // +15%: inside a 20% threshold
-		"CG/small/sequential": 2.0,  // -75%: improvement, never a failure
-		"FT/small/sequential": 3.0,  // new coverage, never a failure
-	})
-	res := Compare(old, new, CompareOptions{}) // default threshold
-	if res.Failed() {
-		t.Fatalf("gate failed without a regression: %+v", res.Regressions)
-	}
-	if res.Threshold != DefaultRegressPct {
-		t.Errorf("threshold = %v, want default %v", res.Threshold, DefaultRegressPct)
-	}
-	if len(res.Improved) != 1 || res.Improved[0].Key != "CG/small/sequential" {
-		t.Errorf("improved = %+v", res.Improved)
-	}
-	if len(res.OnlyNew) != 1 || res.OnlyNew[0] != "FT/small/sequential" {
-		t.Errorf("only-new = %+v", res.OnlyNew)
-	}
-	if len(res.OnlyOld) != 1 || res.OnlyOld[0] != "MG/small/sequential" {
-		t.Errorf("only-old = %+v", res.OnlyOld)
-	}
-}
-
-// TestCompareEnvNotes checks that environment drift between the baseline
-// and the current run is surfaced as informational notes without ever
-// failing the gate.
-func TestCompareEnvNotes(t *testing.T) {
-	old := syntheticManifest(map[string]float64{"VM/small/sequential": 10.0})
-	new := syntheticManifest(map[string]float64{"VM/small/sequential": 10.0})
-	old.GoVersion = "go1.21.0"
-	new.GoVersion = "go1.22.0"
-	old.GOMAXPROCS, new.GOMAXPROCS = 4, 16
-	old.GitRev, new.GitRev = "aaaa", "bbbb"
-	res := Compare(old, new, CompareOptions{})
-	if res.Failed() {
-		t.Fatal("environment drift alone failed the gate")
-	}
-	if len(res.EnvNotes) != 3 {
-		t.Fatalf("env notes = %v, want 3 (go version, GOMAXPROCS, git rev)", res.EnvNotes)
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "note: go version differs") {
-		t.Errorf("report missing env note:\n%s", buf.String())
-	}
-	same := Compare(old, old, CompareOptions{})
-	if len(same.EnvNotes) != 0 {
-		t.Errorf("identical environments produced notes: %v", same.EnvNotes)
-	}
-}
-
-// TestRenderSummaryDigests checks the summary includes the git rev stamp
-// and per-histogram latency quantile digests.
-func TestRenderSummaryDigests(t *testing.T) {
-	sink := metrics.New()
-	m, err := Run(smallOptions(sink))
-	if err != nil {
+	if err := res.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasSuffix(line, " p:BenchmarkA") && !strings.HasPrefix(line, "REGRESSION  +100.0% (bound  30%)") {
+			t.Errorf("regression line %q", line)
+		}
+	}
+	if !strings.Contains(buf.String(), "REGRESSION") {
+		t.Errorf("report names no regression:\n%s", buf.String())
+	}
+}
+
+// TestCompareWithinThresholdPasses checks the tolerant side of the gate:
+// each cell is judged by the baseline's own bound, and improvements never
+// fail.
+func TestCompareWithinThresholdPasses(t *testing.T) {
+	old := syntheticManifest(map[string][2]float64{
+		"p:BenchmarkA": {100, 0.3},
+		"p:BenchmarkB": {100, 0.6},
+		"p:BenchmarkC": {100, 0.3},
+	})
+	new := syntheticManifest(map[string][2]float64{
+		"p:BenchmarkA": {129, 0.1}, // +29%: inside A's bound; the new run's own bound is not the one applied
+		"p:BenchmarkB": {150, 0.3}, // +50%: inside B's wider bound
+		"p:BenchmarkC": {20, 0.3},  // -80%: an improvement
+	})
+	if res := Compare(old, new); res.Failed() {
+		t.Fatalf("gate failed without a regression: %+v", res)
+	}
+	for i := range new.Cells {
+		if new.Cells[i].Name == "BenchmarkA" {
+			new.Cells[i].Median = 131
+		}
+	}
+	if res := Compare(old, new); !res.Failed() || res.Regressions()[0].Key != "p:BenchmarkA" {
+		t.Errorf("+31%% past a 30%% bound passed: %+v", res)
+	}
+}
+
+// TestCompareFailsOnCoverage: a cell in only one of the two manifests
+// fails the gate, whichever side it is on.
+func TestCompareFailsOnCoverage(t *testing.T) {
+	old := syntheticManifest(map[string][2]float64{"p:BenchmarkA": {100, 0.3}, "p:BenchmarkB": {100, 0.3}})
+	new := syntheticManifest(map[string][2]float64{"p:BenchmarkA": {100, 0.3}, "p:BenchmarkC": {100, 0.3}})
+	res := Compare(old, new)
+	if !res.Failed() || len(res.Regressions()) != 0 {
+		t.Fatalf("coverage change did not fail the gate on its own: %+v", res)
+	}
+	if !reflect.DeepEqual(res.OnlyOld, []string{"p:BenchmarkB"}) || !reflect.DeepEqual(res.OnlyNew, []string{"p:BenchmarkC"}) {
+		t.Errorf("only-old %v, only-new %v", res.OnlyOld, res.OnlyNew)
+	}
+	var buf bytes.Buffer
+	if err := res.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"only in baseline: p:BenchmarkB", "only in this run: p:BenchmarkC"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestCompareEnvNotes: a baseline from another host (cpu model, CPU
+// count, GOMAXPROCS or platform) reports timings without gating them,
+// while coverage stays gated; a Go version or commit difference alone
+// leaves timings gated.
+func TestCompareEnvNotes(t *testing.T) {
+	old := syntheticManifest(map[string][2]float64{"p:BenchmarkA": {100, 0.3}})
+	new := syntheticManifest(map[string][2]float64{"p:BenchmarkA": {300, 0.3}})
+	old.GoVersion, new.GoVersion = "go1.21.0", "go1.22.0"
+	old.GitRev, new.GitRev = "aaaa", "bbbb"
+	if res := Compare(old, new); !res.Failed() || len(res.HostDiffs) != 0 {
+		t.Fatalf("same host: failed %v, host diffs %v", res.Failed(), res.HostDiffs)
+	}
+	for _, other := range []func(m *Manifest){
+		func(m *Manifest) { m.CPU = "Y" },
+		func(m *Manifest) { m.NumCPU = 64 },
+		func(m *Manifest) { m.GOMAXPROCS = 1 },
+		func(m *Manifest) { m.GOARCH = "arm64" },
+	} {
+		base := syntheticManifest(map[string][2]float64{"p:BenchmarkA": {100, 0.3}})
+		other(base)
+		res := Compare(base, new)
+		if res.Failed() || len(res.HostDiffs) != 1 || len(res.Deltas) != 1 {
+			t.Errorf("other host: failed %v, host diffs %v, deltas %v", res.Failed(), res.HostDiffs, res.Deltas)
+		}
+		var buf bytes.Buffer
+		if err := res.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.String(); !strings.Contains(out, "timings not gated") || !strings.Contains(out, "p:BenchmarkA") ||
+			strings.Contains(out, "REGRESSION") {
+			t.Errorf("other-host report:\n%s", out)
+		}
+		new.Cells = append(new.Cells, Cell{Pkg: "p", Name: "BenchmarkZ"})
+		if res := Compare(base, new); !res.Failed() {
+			t.Error("coverage not gated across hosts")
+		}
+		new.Cells = new.Cells[:1]
+	}
+}
+
+// TestRenderSummaryDigests checks the summary stamps the host and git
+// rev and digests every cell as samples, median, quartiles and bound.
+func TestRenderSummaryDigests(t *testing.T) {
+	m := parseSample(t)
 	m.GitRev = "abc123def456"
 	var buf bytes.Buffer
 	if err := RenderSummary(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "rev=abc123def456") {
-		t.Errorf("summary missing git rev:\n%s", out)
+	for _, want := range []string{"rev=abc123def456", `cpu="Intel(R) Xeon(R) Processor"`, "GOMAXPROCS=2",
+		"median", "q1", "q3", "bound", "internal/aspen:BenchmarkAspenEvaluate/fft", "231138.5"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary missing %q:\n%s", want, out)
+		}
 	}
-	if !strings.Contains(out, "latency bench.record_ns") || !strings.Contains(out, "p90<=") {
-		t.Errorf("summary missing latency quantile digest:\n%s", out)
+	if got := strings.Count(out, "\n"); got != 2+len(m.Cells) {
+		t.Errorf("summary has %d lines, want %d", got, 2+len(m.Cells))
 	}
 }
 
-// TestCompareRealRunAgainstItself replays a real manifest against itself:
-// zero delta everywhere, so the gate must pass at any threshold.
+// TestCompareRealRunAgainstItself compares a parsed real run with itself:
+// zero delta everywhere, so the gate must pass.
 func TestCompareRealRunAgainstItself(t *testing.T) {
-	m, err := Run(smallOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Compare(m, m, CompareOptions{MaxRegressPct: 0.5})
-	if res.Failed() || len(res.OnlyOld) > 0 || len(res.OnlyNew) > 0 {
+	m := parseSample(t)
+	res := Compare(m, m)
+	if res.Failed() || len(res.Deltas) != len(m.Cells) {
 		t.Errorf("self-compare not clean: %+v", res)
 	}
 }

@@ -4,56 +4,58 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
-// DefaultRegressPct is the ns/ref regression threshold -compare gates on
-// when the caller does not override it.
-const DefaultRegressPct = 20.0
-
-// CompareOptions tunes the regression gate.
-type CompareOptions struct {
-	// MaxRegressPct flags a cell whose ns/ref grew by more than this
-	// percentage over the baseline. <= 0 selects DefaultRegressPct.
-	MaxRegressPct float64
-}
-
-// Delta is one cell's ns/ref movement between two manifests.
+// Delta is one cell's median movement between two manifests.
 type Delta struct {
-	Key      string  // kernel/cache/engine
-	OldNs    float64 // baseline ns/ref
-	NewNs    float64 // current ns/ref
-	DeltaPct float64 // (new-old)/old * 100
+	Key      string  // pkg:benchmark
+	Old, New float64 // baseline and current median, ns/op
+	Bound    float64 // the baseline cell's bound, a fraction
 }
+
+// Regressed reports whether the current median exceeds the baseline's
+// by more than the baseline cell's bound.
+func (d Delta) Regressed() bool { return d.New > d.Old*(1+d.Bound) }
 
 // CompareResult is the outcome of matching a fresh manifest against a
 // baseline.
 type CompareResult struct {
-	Threshold   float64 // the applied regression threshold, percent
-	Regressions []Delta // cells slower than the threshold allows
-	Improved    []Delta // cells at least threshold faster (informational)
-	Unchanged   int     // matched cells within the threshold either way
-	OnlyOld     []string
-	OnlyNew     []string
-	// EnvNotes flags environment differences between the two manifests
-	// (go version, platform, GOMAXPROCS, commit). Informational only: a
-	// cross-environment comparison is often intentional, but the reader
-	// should know the numbers were not produced on equal footing.
-	EnvNotes []string
+	// HostDiffs lists the host fields (cpu model, CPU count, GOMAXPROCS,
+	// platform) that differ between the two manifests. When any does, a
+	// timing says nothing about the code, so timings are reported and not
+	// gated; coverage is gated either way.
+	HostDiffs []string
+	Deltas    []Delta // every cell in both manifests, in key order
+	OnlyOld   []string
+	OnlyNew   []string
 }
 
-// Failed reports whether the gate should fail the run.
-func (r *CompareResult) Failed() bool { return len(r.Regressions) > 0 }
-
-// Compare matches new cells to old by kernel/cache/engine and flags every
-// ns/ref regression beyond the threshold. Cells present on only one side
-// are reported but never fail the gate — coverage changes are a reviewed
-// code change, not a perf regression.
-func Compare(old, new *Manifest, opt CompareOptions) *CompareResult {
-	threshold := opt.MaxRegressPct
-	if threshold <= 0 {
-		threshold = DefaultRegressPct
+// Regressions returns the gated cells past their bound: none when the
+// manifests come from different hosts.
+func (r *CompareResult) Regressions() []Delta {
+	var out []Delta
+	for _, d := range r.Deltas {
+		if len(r.HostDiffs) == 0 && d.Regressed() {
+			out = append(out, d)
+		}
 	}
-	res := &CompareResult{Threshold: threshold, EnvNotes: envNotes(old, new)}
+	return out
+}
+
+// Failed reports whether the gate should fail the run: a gated timing
+// regression, or a cell in only one of the two manifests.
+func (r *CompareResult) Failed() bool {
+	return len(r.Regressions()) > 0 || len(r.OnlyOld) > 0 || len(r.OnlyNew) > 0
+}
+
+// Compare matches new cells to old by key. A cell whose median exceeds
+// the baseline median by more than the baseline cell's bound is a
+// regression, unless the two manifests come from different hosts. A cell
+// on only one side always fails: a benchmark that stopped running, or one
+// the baseline does not cover yet, would otherwise pass unseen.
+func Compare(old, new *Manifest) *CompareResult {
+	res := &CompareResult{HostDiffs: hostDiffs(old, new)}
 	oldCells := make(map[string]Cell, len(old.Cells))
 	for _, c := range old.Cells {
 		oldCells[c.Key()] = c
@@ -62,28 +64,10 @@ func Compare(old, new *Manifest, opt CompareOptions) *CompareResult {
 	for _, c := range new.Cells {
 		key := c.Key()
 		seen[key] = true
-		base, ok := oldCells[key]
-		if !ok {
+		if base, ok := oldCells[key]; ok {
+			res.Deltas = append(res.Deltas, Delta{Key: key, Old: base.Median, New: c.Median, Bound: base.Bound})
+		} else {
 			res.OnlyNew = append(res.OnlyNew, key)
-			continue
-		}
-		if base.NsPerRef <= 0 {
-			res.Unchanged++
-			continue
-		}
-		d := Delta{
-			Key:      key,
-			OldNs:    base.NsPerRef,
-			NewNs:    c.NsPerRef,
-			DeltaPct: (c.NsPerRef - base.NsPerRef) / base.NsPerRef * 100,
-		}
-		switch {
-		case d.DeltaPct > threshold:
-			res.Regressions = append(res.Regressions, d)
-		case d.DeltaPct < -threshold:
-			res.Improved = append(res.Improved, d)
-		default:
-			res.Unchanged++
 		}
 	}
 	for key := range oldCells {
@@ -91,59 +75,57 @@ func Compare(old, new *Manifest, opt CompareOptions) *CompareResult {
 			res.OnlyOld = append(res.OnlyOld, key)
 		}
 	}
-	sort.Slice(res.Regressions, func(i, j int) bool {
-		return res.Regressions[i].DeltaPct > res.Regressions[j].DeltaPct
-	})
-	sort.Slice(res.Improved, func(i, j int) bool {
-		return res.Improved[i].DeltaPct < res.Improved[j].DeltaPct
-	})
+	sort.Slice(res.Deltas, func(i, j int) bool { return res.Deltas[i].Key < res.Deltas[j].Key })
 	sort.Strings(res.OnlyOld)
 	sort.Strings(res.OnlyNew)
 	return res
 }
 
-// envNotes describes every environment field that differs between the
-// baseline and the current manifest.
-func envNotes(old, new *Manifest) []string {
-	var notes []string
-	diff := func(field, o, n string) {
-		if o != n && (o != "" || n != "") {
-			notes = append(notes, fmt.Sprintf("%s differs: baseline %q, this run %q", field, o, n))
+// hostDiffs describes every host field that differs between the baseline
+// and the current manifest.
+func hostDiffs(old, new *Manifest) []string {
+	var diffs []string
+	for _, f := range [][3]string{
+		{"cpu", old.CPU, new.CPU},
+		{"num_cpu", fmt.Sprint(old.NumCPU), fmt.Sprint(new.NumCPU)},
+		{"GOMAXPROCS", fmt.Sprint(old.GOMAXPROCS), fmt.Sprint(new.GOMAXPROCS)},
+		{"platform", old.GOOS + "/" + old.GOARCH, new.GOOS + "/" + new.GOARCH},
+	} {
+		if f[1] != f[2] {
+			diffs = append(diffs, fmt.Sprintf("%s %q vs %q", f[0], f[1], f[2]))
 		}
 	}
-	diff("go version", old.GoVersion, new.GoVersion)
-	diff("platform", old.GOOS+"/"+old.GOARCH, new.GOOS+"/"+new.GOARCH)
-	if old.GOMAXPROCS != new.GOMAXPROCS {
-		notes = append(notes, fmt.Sprintf("GOMAXPROCS differs: baseline %d, this run %d",
-			old.GOMAXPROCS, new.GOMAXPROCS))
-	}
-	diff("git rev", old.GitRev, new.GitRev)
-	return notes
+	return diffs
 }
 
-// Render writes the human-readable comparison report. The first write
-// error is returned; later lines are skipped.
+// Render writes the human-readable comparison report: why timings are
+// not gated, if they are not, then one line per cell.
 func (r *CompareResult) Render(w io.Writer) error {
-	ew := &errWriter{w: w}
-	ew.printf("bench compare: threshold ±%.0f%% ns/ref\n", r.Threshold)
-	for _, note := range r.EnvNotes {
-		ew.printf("note: %s\n", note)
+	var b strings.Builder
+	if len(r.HostDiffs) > 0 {
+		fmt.Fprintf(&b, "timings not gated: the baseline was captured on another host (%s)\n",
+			strings.Join(r.HostDiffs, "; "))
 	}
-	for _, d := range r.Regressions {
-		ew.printf("REGRESSION %-40s %8.2f -> %8.2f ns/ref (%+.1f%%)\n",
-			d.Key, d.OldNs, d.NewNs, d.DeltaPct)
-	}
-	for _, d := range r.Improved {
-		ew.printf("improved   %-40s %8.2f -> %8.2f ns/ref (%+.1f%%)\n",
-			d.Key, d.OldNs, d.NewNs, d.DeltaPct)
+	for _, d := range r.Deltas {
+		mark := ""
+		if len(r.HostDiffs) == 0 && d.Regressed() {
+			mark = "REGRESSION"
+		}
+		fmt.Fprintf(&b, "%-10s %+7.1f%% (bound %3.0f%%) %14.1f -> %14.1f ns/op  %s\n",
+			mark, (d.New-d.Old)/d.Old*100, d.Bound*100, d.Old, d.New, d.Key)
 	}
 	for _, key := range r.OnlyOld {
-		ew.printf("only in baseline: %s\n", key)
+		fmt.Fprintf(&b, "MISSING    only in baseline: %s\n", key)
 	}
 	for _, key := range r.OnlyNew {
-		ew.printf("only in this run: %s\n", key)
+		fmt.Fprintf(&b, "MISSING    only in this run: %s\n", key)
 	}
-	ew.printf("%d regressions, %d improved, %d unchanged\n",
-		len(r.Regressions), len(r.Improved), r.Unchanged)
-	return ew.err
+	gated := "gated"
+	if len(r.HostDiffs) > 0 {
+		gated = "not gated"
+	}
+	fmt.Fprintf(&b, "%d regressions (timings %s), %d cells only in the baseline, %d only in this run\n",
+		len(r.Regressions()), gated, len(r.OnlyOld), len(r.OnlyNew))
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -1,8 +1,9 @@
-// Package bench runs the trace→cache replay pipeline as a benchmark and
-// records the outcome in a schema-versioned run manifest, the
-// machine-readable perf trajectory that dvf-bench writes and CI gates on.
-// A manifest from one commit can be compared against a manifest from
-// another (Compare) to flag ns/ref regressions before they merge.
+// Package bench reads the output of `go test -bench` into a
+// schema-versioned run manifest, the machine-readable perf trajectory
+// that dvf-bench writes and CI gates on. The benchmarks themselves are
+// the repository's ordinary Go benchmarks; a manifest summarizes each
+// one's samples (median, quartiles) with a regression bound derived from
+// their spread, and Compare gates a fresh manifest against a baseline.
 package bench
 
 import (
@@ -15,66 +16,54 @@ import (
 	"runtime"
 	"strings"
 	"time"
-
-	"github.com/resilience-models/dvf/internal/cache"
-	"github.com/resilience-models/dvf/internal/metrics"
 )
 
 // Schema identifies the manifest layout. Compare refuses manifests with a
 // different schema rather than misreading them; bump on any field-meaning
 // change.
-const Schema = "dvf-bench/v1"
+const Schema = "dvf-bench/v2"
 
-// Cell is one benchmarked (kernel, cache, engine) combination. WallNs is
-// the best (minimum) wall time across iterations — the standard defense
-// against scheduler noise in short benchmarks — and NsPerRef is WallNs
-// divided by the replayed reference count.
+// Cell is one benchmark's samples, summarized: one sample per result
+// line Go printed for it, in ns/op.
 type Cell struct {
-	Kernel   string      `json:"kernel"`
-	Cache    string      `json:"cache"`
-	Engine   string      `json:"engine"` // "sequential", "analytic" or "serve"
-	Workers  int         `json:"workers"`
-	Iters    int         `json:"iters"`
-	Refs     int64       `json:"refs"`
-	WallNs   int64       `json:"wall_ns"`
-	NsPerRef float64     `json:"ns_per_ref"`
-	Stats    cache.Stats `json:"stats"` // total replay counters; zero on analytic and serve cells
+	Pkg     string  `json:"pkg"`
+	Name    string  `json:"name"` // without the -GOMAXPROCS suffix, Go's escaping kept
+	Samples int     `json:"samples"`
+	Median  float64 `json:"median_ns"`
+	Q1      float64 `json:"q1_ns"`
+	Q3      float64 `json:"q3_ns"`
+	// Bound is the fraction by which a later run's median may exceed
+	// this cell's median before Compare reports a regression.
+	Bound float64 `json:"bound"`
 }
 
 // Key returns the identity under which cells are matched across manifests.
-func (c Cell) Key() string {
-	return fmt.Sprintf("%s/%s/%s", c.Kernel, c.Cache, c.Engine)
-}
+func (c Cell) Key() string { return c.Pkg + ":" + c.Name }
 
-// Manifest is one dvf-bench run: the environment it ran in, every
-// benchmarked cell, and the pipeline's own metrics snapshot (recording
-// and replay counters, memory high-water marks).
+// Manifest is one benchmark run: the host it ran on and every cell.
+// GOOS, GOARCH, CPU, GOMAXPROCS and the cells come from the `go test`
+// output; Stamp fills in the rest.
 type Manifest struct {
-	Schema     string           `json:"schema"`
-	Timestamp  string           `json:"timestamp"` // RFC3339 UTC
-	GoVersion  string           `json:"go_version"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	NumCPU     int              `json:"num_cpu"`
-	GitRev     string           `json:"git_rev,omitempty"` // short commit hash, "" outside a checkout
-	Cells      []Cell           `json:"cells"`
-	Metrics    metrics.Snapshot `json:"metrics"`
+	Schema     string `json:"schema"`
+	Timestamp  string `json:"timestamp"` // RFC3339 UTC
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GitRev     string `json:"git_rev,omitempty"` // short commit hash, "" outside a checkout
+	Cells      []Cell `json:"cells"`
 }
 
-// NewManifest returns an empty manifest stamped with the current
-// environment and time.
-func NewManifest() *Manifest {
-	return &Manifest{
-		Schema:     Schema,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GitRev:     gitRev(),
-	}
+// Stamp records the time, the Go version, the CPU count and the git
+// revision of the process reading the run, which is the host and tree
+// that produced it.
+func (m *Manifest) Stamp() {
+	m.Timestamp = time.Now().UTC().Format(time.RFC3339)
+	m.GoVersion = runtime.Version()
+	m.NumCPU = runtime.NumCPU()
+	m.GitRev = gitRev()
 }
 
 // gitRev returns the short commit hash of the working tree, with a
@@ -98,13 +87,10 @@ func gitRev() string {
 }
 
 // Filename returns the canonical manifest file name for this run,
-// BENCH_<timestamp>.json, safe for globbing as BENCH_*.json.
+// BENCH_<timestamp>.json (BENCH_20060102T150405Z.json), safe for
+// globbing as BENCH_*.json.
 func (m *Manifest) Filename() string {
-	t, err := time.Parse(time.RFC3339, m.Timestamp)
-	if err != nil {
-		t = time.Now().UTC()
-	}
-	return "BENCH_" + t.UTC().Format("20060102T150405Z") + ".json"
+	return "BENCH_" + strings.NewReplacer("-", "", ":", "").Replace(m.Timestamp) + ".json"
 }
 
 // WriteJSON encodes the manifest as indented JSON.

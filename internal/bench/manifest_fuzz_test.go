@@ -24,7 +24,7 @@ func TestReadManifestFailsClosed(t *testing.T) {
 		t.Fatalf("baseline with trailing whitespace rejected: %v", err)
 	}
 	for name, in := range map[string]io.Reader{
-		"trailing object": io.MultiReader(bytes.NewReader(raw), strings.NewReader(`{"schema":"dvf-bench/v1"}`)),
+		"trailing object": io.MultiReader(bytes.NewReader(raw), strings.NewReader(`{"schema":"dvf-bench/v2"}`)),
 		"trailing junk":   io.MultiReader(bytes.NewReader(raw), strings.NewReader("x")),
 		"oversized":       io.MultiReader(bytes.NewReader(raw), strings.NewReader(strings.Repeat(" ", maxManifestBytes))),
 		"endless string":  io.MultiReader(strings.NewReader(`{"schema":"`), neverEnding('a')),
@@ -61,21 +61,54 @@ func FuzzReadManifestCompare(f *testing.F) {
 	}
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
-	f.Add([]byte(`{"schema":"dvf-bench/v1","cells":[{"kernel":"VM","cache":"Verify32KB","engine":"sequential","ns_per_ref":-1}],` +
-		`"metrics":{"histograms":{"h":{"count":-5,"buckets":{"-1":3,"99":-7}}}}}`))
+	f.Add([]byte(`{"schema":"dvf-bench/v2","cpu":"` + base.CPU + `","num_cpu":-1,"cells":[` +
+		`{"pkg":"p","name":"BenchmarkA","samples":0,"median_ns":-1,"bound":-5},` +
+		`{"pkg":"p","name":"BenchmarkA","median_ns":1e308,"bound":1e308}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadManifest(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		for _, res := range []*CompareResult{
-			Compare(base, m, CompareOptions{}),
-			Compare(m, base, CompareOptions{MaxRegressPct: -1}),
-			Compare(m, m, CompareOptions{}),
-		} {
+		for _, res := range []*CompareResult{Compare(base, m), Compare(m, base), Compare(m, m)} {
 			if err := res.Render(io.Discard); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := RenderSummary(io.Discard, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzParse feeds arbitrary bytes to the `go test -bench` reader. The
+// invariants: Parse returns an error or a manifest and never panics, and
+// a manifest has at least one cell, every cell at least one sample and a
+// bound within [minBound, maxBound]. Parse's own size limit bounds the
+// input (TestParseFailsClosed). The corpus is seeded from the committed
+// sample of real output.
+func FuzzParse(f *testing.F) {
+	raw, err := os.ReadFile(samplePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/3])
+	f.Add([]byte("pkg: p\nBenchmarkA-0 \t 1\t 1e308 ns/op\nBenchmarkA-0 \t 9\t 0 ns/op\nBenchmarkB \t 2\t 5e-324 ns/op 3 B/op\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(m.Cells) == 0 {
+			t.Fatal("a manifest without cells")
+		}
+		for _, c := range m.Cells {
+			if c.Samples <= 0 || !(c.Bound >= minBound && c.Bound <= maxBound) {
+				t.Fatalf("bad cell %+v", c)
+			}
+		}
+		if err := Compare(m, m).Render(io.Discard); err != nil {
+			t.Fatal(err)
 		}
 		if err := RenderSummary(io.Discard, m); err != nil {
 			t.Fatal(err)

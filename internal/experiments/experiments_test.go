@@ -314,35 +314,21 @@ func TestBaselineCostRatioZeroGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkVerifyKernelCG times one Figure 4 CG cell (n=500, 10
-// iterations) per verification cache: the traced run into the
-// simulator, which stops once the cache state repeats, plus the CGPMAC
-// models.
-func BenchmarkVerifyKernelCG(b *testing.B) {
-	for _, cfg := range cache.VerificationConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			for range b.N {
-				if _, err := VerifyKernel(kernels.NewCG(500, 10), cfg, Env{}); err != nil {
-					b.Fatal(err)
+// BenchmarkVerifyKernel times one Figure 4 cell per verification kernel
+// and cache, as dvf-verify runs it: the traced run into the simulator,
+// which stops CG once the cache state repeats and takes CG's matvec and
+// MG's grid loops as strided groups, plus the CGPMAC models.
+func BenchmarkVerifyKernel(b *testing.B) {
+	for _, k := range kernels.VerificationSuite() {
+		for _, cfg := range cache.VerificationConfigs() {
+			b.Run(k.Name()+"/"+cfg.Name, func(b *testing.B) {
+				for range b.N {
+					if _, err := VerifyKernel(k, cfg, Env{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkVerifyKernelMG times one Figure 4 MG cell (class S, 32^3,
-// one V-cycle) per verification cache: the traced run into the
-// simulator, whose smooth, restrict and prolong loops reach it as
-// strided groups, plus the CGPMAC model.
-func BenchmarkVerifyKernelMG(b *testing.B) {
-	for _, cfg := range cache.VerificationConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			for range b.N {
-				if _, err := VerifyKernel(kernels.NewMG(32, 1), cfg, Env{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -91,39 +91,7 @@ func (f *FT) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 	logN := bits.TrailingZeros(uint(n))
 	var flops int64
 	for round := 0; round < rounds; round++ {
-		// Bit-reversal permutation.
-		for i := 0; i < n; i++ {
-			j := int(bits.Reverse32(uint32(i)) >> (32 - logN))
-			if i < j {
-				m.mem.LoadN(reg, i, ftElemSize)
-				m.mem.LoadN(reg, j, ftElemSize)
-				x[i], x[j] = x[j], x[i]
-				m.mem.StoreN(reg, i, ftElemSize)
-				m.mem.StoreN(reg, j, ftElemSize)
-			}
-		}
-		// Butterfly passes.
-		for size := 2; size <= n; size *= 2 {
-			half := size / 2
-			ang := -2 * math.Pi / float64(size)
-			wStep := complex(math.Cos(ang), math.Sin(ang))
-			for start := 0; start < n; start += size {
-				w := complex(1, 0)
-				for j := 0; j < half; j++ {
-					a := start + j
-					b := a + half
-					m.mem.LoadN(reg, a, ftElemSize)
-					m.mem.LoadN(reg, b, ftElemSize)
-					t := w * x[b]
-					x[b] = x[a] - t
-					x[a] = x[a] + t
-					m.mem.StoreN(reg, a, ftElemSize)
-					m.mem.StoreN(reg, b, ftElemSize)
-					w *= wStep
-					flops += 10
-				}
-			}
-		}
+		flops += transform(m.mem, reg, x)
 	}
 
 	if inj != nil {
@@ -149,6 +117,48 @@ func (f *FT) run(sink trace.Consumer, fault *Fault) (*RunInfo, error) {
 		},
 		Checksum: checksum,
 	}, nil
+}
+
+// transform runs one forward FFT of x in place, the bit-reversal
+// permutation and then log2(n) butterfly passes, tracing every element
+// access through mem as region reg. It returns the flops performed.
+func transform(mem *trace.Memory, reg trace.Region, x []complex128) (flops int64) {
+	n := len(x)
+	logN := bits.TrailingZeros(uint(n))
+	// Bit-reversal permutation.
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse32(uint32(i)) >> (32 - logN))
+		if i < j {
+			mem.LoadN(reg, i, ftElemSize)
+			mem.LoadN(reg, j, ftElemSize)
+			x[i], x[j] = x[j], x[i]
+			mem.StoreN(reg, i, ftElemSize)
+			mem.StoreN(reg, j, ftElemSize)
+		}
+	}
+	// Butterfly passes.
+	for size := 2; size <= n; size *= 2 {
+		half := size / 2
+		ang := -2 * math.Pi / float64(size)
+		wStep := complex(math.Cos(ang), math.Sin(ang))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for j := 0; j < half; j++ {
+				a := start + j
+				b := a + half
+				mem.LoadN(reg, a, ftElemSize)
+				mem.LoadN(reg, b, ftElemSize)
+				t := w * x[b]
+				x[b] = x[a] - t
+				x[a] = x[a] + t
+				mem.StoreN(reg, a, ftElemSize)
+				mem.StoreN(reg, b, ftElemSize)
+				w *= wStep
+				flops += 10
+			}
+		}
+	}
+	return flops
 }
 
 // Models returns the template-based model for X: the exact bit-reversal +

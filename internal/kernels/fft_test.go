@@ -26,19 +26,32 @@ func naiveDFT(n int) []complex128 {
 	return out
 }
 
+// TestFTMatchesNaiveDFT checks the transform Run performs output by
+// output against the naive DFT: any misordered pass permutes or mixes the
+// outputs while keeping their total power, so comparing Run's checksum
+// alone would pass it.
 func TestFTMatchesNaiveDFT(t *testing.T) {
-	const n = 64
-	info, err := NewFT(n).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := naiveDFT(n)
-	var want float64
-	for _, v := range ref {
-		want += real(v)*real(v) + imag(v)*imag(v)
-	}
-	if math.Abs(info.Checksum-want) > 1e-6*want {
-		t.Errorf("FFT power %g, DFT power %g", info.Checksum, want)
+	for _, n := range []int{64, 512} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(math.Sin(0.3*float64(i)), 0)
+		}
+		m := newMemory(nil)
+		transform(m.mem, m.alloc("X", int64(n)*ftElemSize), x)
+		var power float64
+		for k, want := range naiveDFT(n) {
+			if d := cmplx.Abs(x[k] - want); d > 1e-9*float64(n) {
+				t.Fatalf("n=%d: X[%d] = %v, DFT %v (|diff| %g)", n, k, x[k], want, d)
+			}
+			power += real(x[k])*real(x[k]) + imag(x[k])*imag(x[k])
+		}
+		info, err := NewFT(n).Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Checksum != power {
+			t.Errorf("n=%d: Run's output power %g, transform's %g", n, info.Checksum, power)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // SnapshotSchema versions the encoded snapshot layout; bump it whenever a
-// field changes meaning so downstream tooling (dvf-bench manifests, CI
+// field changes meaning so downstream tooling (-metrics files, CI
 // artifacts) can refuse mismatched inputs instead of misreading them.
 const SnapshotSchema = 1
 

@@ -72,8 +72,8 @@ func TestSnapshotDiffArithmetic(t *testing.T) {
 }
 
 // TestSnapshotJSONRoundTrip encodes a snapshot and decodes it back,
-// requiring exact structural equality — the property the dvf-bench
-// manifest and its -compare mode depend on.
+// requiring exact structural equality — the property a -metrics file
+// read back by other tooling depends on.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	s := deterministicRegistry().Snapshot()
 	var buf bytes.Buffer

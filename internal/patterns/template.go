@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"github.com/resilience-models/dvf/internal/cache"
-	"github.com/resilience-models/dvf/internal/mathx"
 )
 
 // Template models the template-based access pattern (Section III-C): data
@@ -29,8 +28,8 @@ import (
 // reuse misses in an LRU cache of C blocks exactly when its stack distance
 // is at least C.
 type Template struct {
-	// Blocks is the cache-block access template. Use ElementTemplate to
-	// derive it from element indices.
+	// Blocks is the cache-block access template: block i covers bytes
+	// [i*LineSize, (i+1)*LineSize) of a line-aligned structure.
 	Blocks []int64
 	// CapacityBlocks overrides the cache capacity in blocks (CA*NA) when
 	// positive — "maximum available cache capacity" in the paper — e.g. to
@@ -71,29 +70,6 @@ func (t Template) MemoryAccesses(c cache.Config) (float64, error) {
 		ctr.Visit(b)
 	}
 	return float64(ctr.Misses()), nil
-}
-
-// ElementTemplate converts an element-index template into a cache-block
-// template given the element size and cache line size, assuming the
-// structure is contiguous and line-aligned at offset 0 (which the trace
-// registry guarantees). Elements larger than a line expand into all the
-// lines they span, mirroring how the hardware touches them.
-func ElementTemplate(elems []int64, elemSize, lineSize int) ([]int64, error) {
-	if elemSize <= 0 || lineSize <= 0 {
-		return nil, fmt.Errorf("template: element size %d and line size %d must be positive", elemSize, lineSize)
-	}
-	out := make([]int64, 0, len(elems))
-	for _, e := range elems {
-		if e < 0 {
-			return nil, fmt.Errorf("template: negative element index %d", e)
-		}
-		first := e * int64(elemSize) / int64(lineSize)
-		last := (e*int64(elemSize) + int64(elemSize) - 1) / int64(lineSize)
-		for b := first; b <= last; b++ {
-			out = append(out, b)
-		}
-	}
-	return out, nil
 }
 
 // TemplateCounter is the streaming form of the two-step algorithm, letting
@@ -425,19 +401,3 @@ func (tc *TemplateCounter) Visits() int64 { return tc.visits }
 // DistinctBlocks returns how many unique blocks have been visited; a
 // BlockCounter counts every block it numbered as visited.
 func (tc *TemplateCounter) DistinctBlocks() int { return len(tc.nodes) }
-
-// RepeatedTraversalMisses is a closed-form shortcut for the common
-// template "traverse the whole structure, passes times": the first pass
-// costs all blocks, and later passes cost all blocks again only when the
-// structure does not fit in the available capacity. It equals feeding the
-// full template through a TemplateCounter but runs in O(1).
-func RepeatedTraversalMisses(structBytes int64, passes int, c cache.Config) float64 {
-	blocks := mathx.CeilDiv(structBytes, int64(c.LineSize))
-	if passes < 1 {
-		passes = 1
-	}
-	if blocks <= int64(c.Lines()) {
-		return float64(blocks)
-	}
-	return float64(blocks) * float64(passes)
-}

@@ -134,74 +134,10 @@ func TestTemplateCounterDistinctBlocks(t *testing.T) {
 	}
 }
 
-func TestElementTemplateConversion(t *testing.T) {
-	// 16-byte elements on 32-byte lines: elements 0,1 share block 0;
-	// element 2 is block 1.
-	blocks, err := ElementTemplate([]int64{0, 1, 2}, 16, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 0, 1}
-	if len(blocks) != len(want) {
-		t.Fatalf("blocks = %v, want %v", blocks, want)
-	}
-	for i := range want {
-		if blocks[i] != want[i] {
-			t.Fatalf("blocks = %v, want %v", blocks, want)
-		}
-	}
-}
-
-func TestElementTemplateLargeElementSpansLines(t *testing.T) {
-	// 80-byte elements on 32-byte lines: element 0 covers blocks 0,1,2.
-	blocks, err := ElementTemplate([]int64{0}, 80, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 3 || blocks[0] != 0 || blocks[2] != 2 {
-		t.Errorf("blocks = %v, want [0 1 2]", blocks)
-	}
-}
-
-func TestElementTemplateErrors(t *testing.T) {
-	if _, err := ElementTemplate([]int64{0}, 0, 32); err == nil {
-		t.Error("zero element size accepted")
-	}
-	if _, err := ElementTemplate([]int64{-1}, 8, 32); err == nil {
-		t.Error("negative element index accepted")
-	}
-}
-
 func TestTemplateNegativeBlockRejected(t *testing.T) {
 	tpl := Template{Blocks: []int64{0, -1}}
 	if _, err := tpl.MemoryAccesses(small()); err == nil {
 		t.Error("negative block id accepted")
-	}
-}
-
-func TestRepeatedTraversalMissesMatchesCounter(t *testing.T) {
-	c := small() // 256 lines of 32 B
-	for _, tc := range []struct {
-		bytes  int64
-		passes int
-	}{
-		{4096, 5},  // fits: 128 blocks resident
-		{16384, 3}, // 512 blocks > 256 lines: thrash
-		{8192, 4},  // exactly capacity: fits
-		{8224, 2},  // one block over: thrash
-	} {
-		closed := RepeatedTraversalMisses(tc.bytes, tc.passes, c)
-		nBlocks := mathx.CeilDiv(tc.bytes, int64(c.LineSize))
-		ctr := NewTemplateCounter(c.Lines(), false)
-		for p := 0; p < tc.passes; p++ {
-			for b := int64(0); b < nBlocks; b++ {
-				ctr.Visit(b)
-			}
-		}
-		if closed != float64(ctr.Misses()) {
-			t.Errorf("bytes=%d passes=%d: closed-form %g, counter %d",
-				tc.bytes, tc.passes, closed, ctr.Misses())
-		}
 	}
 }
 
@@ -220,7 +156,16 @@ func TestTemplateMatchesSimulatorOnTraversals(t *testing.T) {
 					sim.Access(uint64(off), 32, false, 1)
 				}
 			}
-			got := RepeatedTraversalMisses(bytes, passes, cfg)
+			tpl := Template{}
+			for p := 0; p < passes; p++ {
+				for b := int64(0); b < bytes/32; b++ {
+					tpl.Blocks = append(tpl.Blocks, b)
+				}
+			}
+			got, err := tpl.MemoryAccesses(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := float64(sim.StructStats(1).Misses)
 			if !mathx.ApproxEqual(got, want, 0.01) {
 				t.Errorf("bytes=%d passes=%d: model %g, simulator %g",

@@ -1,10 +1,9 @@
 // Package loadtest is the dvf-serve load harness: a concurrent client
 // fleet that drives campaign-shaped sweep requests at a running service
 // and reports throughput (evaluations/sec) plus a request-latency
-// histogram digest. dvf-bench uses it to record the "serve" bench cell
-// (internal/bench.RunServe) and `dvf-serve -smoke` uses it as the
-// end-to-end smoke client, so the number CI gates on is produced by the
-// same code path a capacity test would use.
+// histogram digest. `dvf-serve -smoke` uses it as the end-to-end smoke
+// client, so the number CI gates on is produced by the same code path a
+// capacity test would use.
 package loadtest
 
 import (
