@@ -33,13 +33,13 @@
 #                     either side; about 2 minutes on 2 cores
 #   make bench        full benchmark suite (regenerates every figure)
 #   make fuzz-smoke   bounded fuzz of the simulator against its naive LRU
-#                     oracle, line-run repeats (AccessRun, VisitRun),
-#                     strided groups (AccessStrided) and the set-restricted
-#                     simulator against plain walks, CG's quiet rows and
-#                     MG's plane translation against their element
-#                     walks, the kernels' descriptors against their
-#                     traces at sizes the suites do not use, the trace
-#                     container round-trip
+#                     oracle, line-run repeats (AccessRun, VisitRun) and
+#                     strided groups (AccessStrided) against plain walks,
+#                     CG's p miss count by stack distance and MG's plane
+#                     translation against their element walks, the
+#                     kernels' descriptors against their traces at sizes
+#                     the suites do not use, the trace container
+#                     round-trip in memory and through a trace file
 #                     (incl. misalignment and truncation), the template
 #                     counter against its brute-force oracles, the Aspen
 #                     compiler end to end (never a panic; templates
@@ -141,13 +141,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessRunVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzStridedVsAccess$$' -fuzztime $(FUZZTIME) ./internal/cache
-	$(GO) test -run '^$$' -fuzz '^FuzzSetSimulatorVsSimulator$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyReplayVsFull$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTemplateCounterVsNaive$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzVisitRunVsVisit$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzSteadyStateVsFull$$' -fuzztime $(FUZZTIME) ./internal/patterns
-	$(GO) test -run '^$$' -fuzz '^FuzzCGQuietRowsVsElementWalk$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz '^FuzzCGPTemplateVsElementWalk$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz '^FuzzMGPlaneShiftVsElementWalk$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz '^FuzzDescriptorMatchesTrace$$' -fuzztime $(FUZZTIME) ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzAspenEvaluate$$' -fuzztime $(FUZZTIME) ./internal/aspen

@@ -21,9 +21,6 @@ type Program struct {
 	cgOnce sync.Once
 	cg     *CallGraph
 
-	hotOnce sync.Once
-	hot     map[*types.Func]token.Pos
-
 	// Clock-taint summaries, computed per package in dependency order
 	// under factsMu (coarse on purpose: summary computation is cheap next
 	// to type-checking, and one lock keeps the recursive dependency walk

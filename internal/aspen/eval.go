@@ -706,7 +706,7 @@ func (w *templateWalk) misses(cfg cache.Config) (int64, *patterns.TemplateCounte
 	run := patterns.NewLineRun(ctr, cfg.LineSize)
 	counts := patterns.RunPeriods(w.repeats, ctr, func(dst []cache.Stats) []cache.Stats {
 		return append(dst, ctr.Stats())
-	}, func(func() bool) {
+	}, func() {
 		for _, g := range w.groups {
 			stride := g.step * w.elem
 			for s := int64(0); s < g.count; {

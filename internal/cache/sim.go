@@ -549,19 +549,15 @@ func (s *Simulator) SaveState() {
 // and leaves equal states behind.
 func (s *Simulator) SameState() bool { return s.hasSaved && s.SameAs(s.saved) }
 
-// StateLen returns the length of AppendState's encoding of the current
+// stateLen returns the length of AppendState's encoding of the current
 // contents: two words per valid line.
-func (s *Simulator) StateLen() int {
+func (s *Simulator) stateLen() int {
 	valid := 0
 	for _, n := range s.fill {
 		valid += int(n)
 	}
 	return 2 * valid
 }
-
-// StateCap returns the length of the encoding of a full cache: two
-// words per line, as many bytes as the line slab.
-func (s *Simulator) StateCap() int { return 2 * len(s.ways) }
 
 // AppendState appends an encoding of the cache contents to dst: for
 // each valid line, set after set and from most to least recently used,
@@ -573,7 +569,7 @@ func (s *Simulator) AppendState(dst []uint64) []uint64 {
 	// Grown by hand rather than by slices.Grow, whose append of a made
 	// slice allocates that slice too under the race detector: the bytes
 	// a walk allocates are then the same in every build.
-	if n := s.StateLen(); cap(dst)-len(dst) < n {
+	if n := s.stateLen(); cap(dst)-len(dst) < n {
 		grown := make([]uint64, len(dst), max(len(dst)+n, 2*cap(dst)))
 		copy(grown, dst)
 		dst = grown
@@ -590,7 +586,7 @@ func (s *Simulator) AppendState(dst []uint64) []uint64 {
 // SameAs reports whether the cache contents are those snap encodes (see
 // AppendState).
 func (s *Simulator) SameAs(snap []uint64) bool {
-	if len(snap) != s.StateLen() {
+	if len(snap) != s.stateLen() {
 		return false
 	}
 	i := 0

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/resilience-models/dvf/internal/analytic"
 	"github.com/resilience-models/dvf/internal/cache"
@@ -285,30 +284,25 @@ func (c *CG) Models(info *RunInfo) ([]ModelSpec, error) {
 	}, nil
 }
 
-// templateModel replays the Algorithm 4 access template through a
-// set-associative LRU filter and reports the misses of one structure. The
-// template is derived from the pseudocode alone (loop structure and access
-// order), exactly the CGPMAC workflow: no instruction-level trace is
-// involved, but the element-level interleaving — which the closed-form
-// equations abstract away — is preserved.
+// templateModel counts p's misses in the Algorithm 4 access template
+// (cgTemplate). The template is derived from the pseudocode alone (loop
+// structure and access order), exactly the CGPMAC workflow: no
+// instruction-level trace is involved, but the element-level
+// interleaving — which the closed-form equations abstract away — is
+// kept. p is the one structure it models.
 func (c *CG) templateModel(iters int, structure string) (patterns.Estimator, error) {
-	n := c.N
-	// The regions are resolved once, up front: the walk touches them for
-	// every element of every phase.
-	regs := cgTemplateRegions(n)
-	target := slices.IndexFunc(regs, func(rg trace.Region) bool { return rg.Name == structure })
-	if target < 0 {
+	if structure != "p" {
 		return nil, fmt.Errorf("cg: template model has no structure %q", structure)
 	}
+	t := newCGTemplate(c.N)
 	return patterns.Func{
 		Name:  "template",
-		Bytes: int64(n) * elem8,
+		Bytes: int64(c.N) * elem8,
 		F: func(cfg cache.Config) (float64, error) {
-			counts, err := cgTemplateCounts(n, regs, target, cfg, iters)
-			if err != nil {
+			if err := cfg.Validate(); err != nil {
 				return 0, err
 			}
-			return float64(counts.Misses), nil
+			return float64(t.pMisses(cfg, iters)), nil
 		},
 	}, nil
 }
@@ -322,106 +316,6 @@ func cgTemplateRegions(n int) []trace.Region {
 		reg.Alloc(name, uint64(n)*elem8)
 	}
 	return reg.Regions()
-}
-
-// cgTemplateCounts replays the Algorithm 4 access template, iters
-// iterations, through a simulator of cfg and returns the accesses,
-// misses and evictions of regs[target] (regs is cgTemplateRegions).
-// The template presents every reference as a read: in a
-// write-allocate LRU cache, hits, misses and evictions do not depend on
-// dirty bits, and the template model reads only misses.
-//
-// Three exact shortcuts keep the walk short:
-//
-//   - Only the target's sets are simulated (cache.SetSimulator). The
-//     sets of an LRU cache are independent, so the target's counters
-//     are those of the whole cache.
-//   - A quiet matvec row, one whose A row and q element map to none of
-//     those sets, presents only p's lines there, in the same order in
-//     every row. LRU applied twice to one sequence leaves what it left
-//     once, so a quiet row that follows a quiet row changes no state;
-//     when p fits in the cache it also hits on every access. Such a row
-//     is counted as p's hits, not simulated. The vector loops touch
-//     the kept sets, so each period's first quiet row is simulated.
-//   - Every iteration replays the same body, so the iterations run as
-//     patterns.RunPeriods periods, with a mark after each matvec row:
-//     once the state proves that the rest repeats, the rest is counted.
-func cgTemplateCounts(n int, regs []trace.Region, target int, cfg cache.Config, iters int) (cache.Stats, error) {
-	tg := &regs[target]
-	sim, err := cache.NewSetSimulator(cfg, tg.Base, tg.Size)
-	if err != nil {
-		return cache.Stats{}, err
-	}
-	A, x, p, r, q := &regs[0], &regs[1], &regs[2], &regs[3], &regs[4]
-	touch := func(rg *trace.Region, i int) {
-		sim.Access(rg.Base+uint64(i)*elem8, elem8, false, cache.StructID(rg.ID))
-	}
-	// The matvec's inner loop over j is one strided group per row:
-	// A(i,j), then p(j), each moving one element per step.
-	row := [2]cache.Ref{
-		{Size: elem8, Owner: cache.StructID(A.ID)},
-		{Addr: p.Base, Size: elem8, Owner: cache.StructID(p.ID)},
-	}
-	strides := [2]int64{elem8, elem8}
-	rowBytes := uint64(n) * elem8
-	// Quiet rows are skipped only when p's lines fit in the cache, so
-	// that no set holds more of them than it has ways. A row presents
-	// each element of p as one block, or as several when lines are
-	// shorter than an element.
-	skipQuiet := mathx.CeilDiv(int64(rowBytes), int64(cfg.LineSize)) <= int64(cfg.Lines())
-	pRowAccesses := int64(n) * max(1, elem8/int64(cfg.LineSize))
-	// Initial rho = r.r.
-	for i := 0; i < n; i++ {
-		touch(r, i)
-	}
-	// Every structure's counters are read, though only the target's
-	// are those of the whole cache: RunPeriods bounds its snapshots by
-	// the accesses they hold.
-	counts := patterns.RunPeriods(iters, sim, func(dst []cache.Stats) []cache.Stats {
-		for _, rg := range regs {
-			dst = append(dst, sim.StructStats(cache.StructID(rg.ID)))
-		}
-		return dst
-	}, func(mark func() bool) {
-		prevQuiet := false
-		for i := 0; i < n; i++ { // q = A p
-			row[0].Addr = A.Base + uint64(i)*rowBytes
-			quiet := skipQuiet && !sim.Touches(row[0].Addr, rowBytes) && !sim.Touches(q.Base+uint64(i)*elem8, elem8)
-			if quiet && prevQuiet {
-				sim.AddHits(cache.StructID(p.ID), pRowAccesses)
-			} else {
-				sim.AccessStrided(row[:], strides[:], n)
-				touch(q, i)
-			}
-			prevQuiet = quiet
-			if mark() {
-				return
-			}
-		}
-		for i := 0; i < n; i++ { // p.q
-			touch(p, i)
-			touch(q, i)
-		}
-		for i := 0; i < n; i++ { // x += alpha p
-			touch(x, i)
-			touch(p, i)
-			touch(x, i)
-		}
-		for i := 0; i < n; i++ { // r -= alpha q
-			touch(r, i)
-			touch(q, i)
-			touch(r, i)
-		}
-		for i := 0; i < n; i++ { // rho' = r.r
-			touch(r, i)
-		}
-		for i := 0; i < n; i++ { // p = r + beta p
-			touch(r, i)
-			touch(p, i)
-			touch(p, i)
-		}
-	})
-	return counts[target], nil
 }
 
 // cgVectorParams describes the composite reuse behaviour of a CG vector:

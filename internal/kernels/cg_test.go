@@ -201,17 +201,18 @@ func TestCGResidualHelperRuns(t *testing.T) {
 	}
 }
 
-// An unknown structure is an error, not a template that reports zero
-// misses (which would read as a zero DVF).
+// The template model counts p only: any other structure is an error
+// naming it, not a template that reports zero misses (which would read
+// as a zero DVF).
 func TestCGTemplateModelUnknownStructure(t *testing.T) {
 	c := NewCG(50, 2)
-	if _, err := c.templateModel(2, "z"); err == nil || !strings.Contains(err.Error(), `"z"`) {
-		t.Errorf("unknown structure: err = %v, want one naming \"z\"", err)
-	}
-	for _, name := range []string{"A", "x", "p", "r", "q"} {
-		if _, err := c.templateModel(2, name); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, name := range []string{"z", "A", "x", "r", "q"} {
+		if _, err := c.templateModel(2, name); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("%s: err = %v, want one naming %q", name, err, name)
 		}
+	}
+	if _, err := c.templateModel(2, "p"); err != nil {
+		t.Errorf("p: %v", err)
 	}
 }
 
@@ -224,38 +225,19 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestCGTemplateWalkMemory bounds what a CG template walk allocates at
-// the verification size (n=500, 10 iterations), on every Table IV
-// cache: at most as much as building a simulator of the whole cache,
-// which a walk of every set needs, plus twice the line slab of the sets
-// it keeps, p's: one period-end snapshot and one state's worth of
-// checkpoint snapshots, each at most as large as that slab, plus a
-// little bookkeeping.
+// TestCGTemplateWalkMemory bounds what counting p's template misses
+// allocates: nothing on lines no longer than the regions' alignment,
+// and on longer lines the run list and the scan's marks, whatever the
+// size or the geometry.
 func TestCGTemplateWalkMemory(t *testing.T) {
-	const n, iters = 500, 10
-	regs := cgTemplateRegions(n)
-	for _, cfg := range append(cache.VerificationConfigs(), cache.ProfilingConfigs()...) {
-		var err error
-		built := allocated(func() {
-			if _, err = cache.NewSimulator(cfg); err != nil {
-				t.Fatal(err)
+	geoms := append(lineRunGeometries(), cache.Config{Name: "8KB-lines", Associativity: 2, Sets: 4, LineSize: 8192})
+	for _, n := range []int{37, 500} {
+		tmpl := newCGTemplate(n)
+		for _, cfg := range geoms {
+			const bound = 2
+			if allocs := testing.AllocsPerRun(5, func() { tmpl.pMisses(cfg, 10) }); allocs > bound {
+				t.Errorf("n=%d %s: a count makes %v allocations, want at most %d", n, cfg.Name, allocs, bound)
 			}
-		})
-		kept, err := cache.NewSetSimulator(cfg, regs[cgP].Base, regs[cgP].Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walk := allocated(func() {
-			if _, err := cgTemplateCounts(n, regs, cgP, cfg, iters); err != nil {
-				t.Fatal(err)
-			}
-		})
-		slab := uint64(kept.StateCap()) * 8
-		const bookkeeping = 16 << 10
-		t.Logf("%s: walk %d, simulator %d, kept slab %d", cfg.Name, walk, built, slab)
-		if walk > built+2*slab+bookkeeping {
-			t.Errorf("%s: a walk allocates %d bytes, want at most its %d-byte simulator + twice the %d-byte kept line slab + %d",
-				cfg.Name, walk, built, slab, bookkeeping)
 		}
 	}
 }

@@ -206,21 +206,13 @@ func lineRunGeometries() []cache.Config {
 // cgP is p's index in cgTemplateRegions.
 const cgP = 2
 
-// requireSameCG fails unless CG's template walk for structure target of
-// cgTemplateRegions, n x n for iters iterations on cfg, gives the
-// accesses, misses and evictions of the element walk's counters want.
-// The walk presents writes as reads, which changes none of them, and
-// reports no writebacks.
-func requireSameCG(t testing.TB, n, iters, target int, cfg cache.Config, want []cache.Stats) {
+// requireSameCG fails unless CG's count of p's template misses, n x n
+// for iters iterations on cfg, equals the element walk's (cgElementWalk).
+func requireSameCG(t testing.TB, n, iters int, cfg cache.Config) {
 	t.Helper()
-	regs := cgTemplateRegions(n)
-	got, err := cgTemplateCounts(n, regs, target, cfg, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := want[target]
-	if got.Accesses != w.Accesses || got.Misses != w.Misses || got.Evictions != w.Evictions || got.Writebacks != 0 {
-		t.Errorf("CG n=%d iters=%d %s on %v: walk %+v, element walk %+v", n, iters, regs[target].Name, cfg, got, w)
+	tmpl := newCGTemplate(n)
+	if got, want := tmpl.pMisses(cfg, iters), cgElementWalk(t, n, iters, cfg)[cgP].Misses; got != want {
+		t.Errorf("CG n=%d iters=%d p on %v: count %d, element walk %d", n, iters, cfg, got, want)
 	}
 }
 
@@ -244,18 +236,13 @@ func requireSameCounter(t *testing.T, got, want *patterns.TemplateCounter) {
 }
 
 // TestLineRunWalksMatchElementWalks is the line-run differential: MG,
-// FT and CG's template models give the same counters as their element
+// FT and CG's template models give the same counts as their element
 // walks on every geometry, at sizes whose rows do not line up with the
 // cache lines. MG's walk counts the caches it fits in and moves planes
-// that repeat by translation; all of its Stats are compared. CG's walk
-// models p, simulating only p's sets, and presents its writes as reads,
-// which changes no access, miss or eviction, so p's are compared; it
-// reports no writebacks. CG at its verification size, n=500 for 10
-// iterations, stops at row 4 of iteration 2 on the Small and 16KB
-// caches and at row 64 on 128KB (checkpoint repeats), after iteration 1
-// on Large and 8MB (no eviction), and at the end of iteration 2 on 1MB
-// (state repeat); on all but Small and 16KB most rows are quiet and
-// counted, not simulated.
+// that repeat by translation; all of its Stats are compared. CG's model
+// counts p's misses from stack distances without walking, in time that
+// does not grow with the iterations, so at its verification size, n=500
+// for 10 iterations, it is held to an element walk of all ten.
 func TestLineRunWalksMatchElementWalks(t *testing.T) {
 	geoms := lineRunGeometries()
 	for _, n := range []int{8, 16, 32} {
@@ -283,7 +270,7 @@ func TestLineRunWalksMatchElementWalks(t *testing.T) {
 	for _, c := range cgCases {
 		for _, cfg := range geoms {
 			t.Run(fmt.Sprintf("CG/n%d/%s", c.n, cfg.Name), func(t *testing.T) {
-				requireSameCG(t, c.n, c.iters, cgP, cfg, cgElementWalk(t, c.n, c.iters, cfg))
+				requireSameCG(t, c.n, c.iters, cfg)
 			})
 		}
 	}

@@ -12,29 +12,24 @@ import (
 // cache.Simulator (per-structure counters) and a TemplateCounter in
 // either distance mode (visits, misses and evictions). Each input byte
 // is one 8-byte reference: element b&31, a write when b&32 is set, owned
-// by structure 1+b>>6. Each of the first 32 bytes of marks places one
-// mark call before body reference m%(len(body)+1), or after the last
-// one. The geometry has 1-8 ways, 1-8 sets and 8-32 byte lines. The
-// committed corpus under testdata/fuzz pins one period, a state that
-// does not repeat before the last period (two periods, and raw-distance
-// mode, which never repeats), a direct-mapped and a one-set geometry,
-// three warm starts where a period's counter deltas, or its fill counts,
-// or everything but its dirty bits match the state it started from while
-// the next period behaves differently, a repeat found at a mark in the
-// middle of a period, a stop after a period that evicts nothing, and a
-// warm start whose state matches the snapshot at a mark in fill counts
-// only.
+// by structure 1+b>>6. The geometry has 1-8 ways, 1-8 sets and 8-32
+// byte lines. The committed corpus under testdata/fuzz pins one period,
+// a state that does not repeat before the last period (two periods, and
+// raw-distance mode, which never repeats), a direct-mapped and a one-set
+// geometry, three warm starts where a period's counter deltas, or its
+// fill counts, or everything but its dirty bits match the state it
+// started from while the next period behaves differently, a stop after
+// a period that evicts nothing, a stream of 16 elements through a
+// 4-way geometry, and a warm start of four other elements before a
+// body of 23 references.
 func FuzzSteadyStateVsFull(f *testing.F) {
-	f.Add([]byte{}, []byte{0, 1, 2, 3, 36, 5, 6, 7}, uint8(10), uint8(1), uint8(1), uint8(0), false, []byte{4})
-	f.Fuzz(func(t *testing.T, prefix, body []byte, periods, assocSel, setSel, lineSel uint8, raw bool, marks []byte) {
+	f.Add([]byte{}, []byte{0, 1, 2, 3, 36, 5, 6, 7}, uint8(10), uint8(1), uint8(1), uint8(0), false)
+	f.Fuzz(func(t *testing.T, prefix, body []byte, periods, assocSel, setSel, lineSel uint8, raw bool) {
 		if len(prefix) > 256 {
 			prefix = prefix[:256]
 		}
 		if len(body) > 256 {
 			body = body[:256]
-		}
-		if len(marks) > 32 {
-			marks = marks[:32]
 		}
 		n := 1 + int(periods%64)
 		cfg := cache.Config{
@@ -54,7 +49,7 @@ func FuzzSteadyStateVsFull(f *testing.F) {
 		}
 		sim := warmSim()
 		got := RunPeriods(n, sim, func(dst []cache.Stats) []cache.Stats { return simCounts(sim, dst) },
-			markedBody(body, marks, func(b byte) { feedSim(sim, []byte{b}) }))
+			func() { feedSim(sim, body) })
 		full := warmSim()
 		for range n {
 			feedSim(full, body)
@@ -70,7 +65,7 @@ func FuzzSteadyStateVsFull(f *testing.F) {
 		}
 		ctr := warmCounter()
 		gotCtr := RunPeriods(n, ctr, func(dst []cache.Stats) []cache.Stats { return append(dst, ctr.Stats()) },
-			markedBody(body, marks, func(b byte) { feedCounter(ctr, []byte{b}, cfg.LineSize) }))
+			func() { feedCounter(ctr, body, cfg.LineSize) })
 		fullCtr := warmCounter()
 		for range n {
 			feedCounter(fullCtr, body, cfg.LineSize)
@@ -80,25 +75,6 @@ func FuzzSteadyStateVsFull(f *testing.F) {
 				raw, cfg.Lines(), n, gotCtr[0], fullCtr.Stats())
 		}
 	})
-}
-
-// markedBody returns a period body that feeds each byte of refs in turn
-// and calls mark before reference m%(len(refs)+1) for each byte m of
-// marks, position len(refs) being after the last one. It returns as
-// soon as mark does.
-func markedBody(refs, marks []byte, feed func(b byte)) func(mark func() bool) {
-	return func(mark func() bool) {
-		for i := 0; i <= len(refs); i++ {
-			for _, m := range marks {
-				if int(m)%(len(refs)+1) == i && mark() {
-					return
-				}
-			}
-			if i < len(refs) {
-				feed(refs[i])
-			}
-		}
-	}
 }
 
 // feedSim presents each byte of refs as one reference (see

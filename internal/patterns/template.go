@@ -306,24 +306,15 @@ func (tc *TemplateCounter) unlink(i int32) {
 	}
 }
 
-// StateLen implements Periodic: the length of AppendState's encoding,
-// half the resident list's length rounded up, in stack-distance mode.
+// stateLen returns the length of AppendState's encoding, half the
+// resident list's length rounded up, in stack-distance mode.
 // Raw-distance mode has no state to compare: each block's last visit
 // time only grows, so its state never repeats.
-func (tc *TemplateCounter) StateLen() int {
+func (tc *TemplateCounter) stateLen() int {
 	if tc.raw {
 		return 0
 	}
 	return (tc.resident + 1) / 2
-}
-
-// StateCap implements Periodic: the encoding's length for a full
-// resident list in stack-distance mode.
-func (tc *TemplateCounter) StateCap() int {
-	if tc.raw {
-		return 0
-	}
-	return (max(tc.capacity, 0) + 1) / 2
 }
 
 // AppendState implements Periodic: it appends the resident list in
@@ -336,7 +327,7 @@ func (tc *TemplateCounter) AppendState(dst []uint64) []uint64 {
 	if tc.raw {
 		return dst
 	}
-	dst = slices.Grow(dst, tc.StateLen())
+	dst = slices.Grow(dst, tc.stateLen())
 	for i := tc.mru; i != noNode; {
 		var w uint64
 		w, i = tc.pair(i)
@@ -358,7 +349,7 @@ func (tc *TemplateCounter) pair(i int32) (uint64, int32) {
 // SameAs implements Periodic: it reports whether the resident list
 // equals the one snap encodes. It is always false in raw-distance mode.
 func (tc *TemplateCounter) SameAs(snap []uint64) bool {
-	if tc.raw || len(snap) != tc.StateLen() {
+	if tc.raw || len(snap) != tc.stateLen() {
 		return false
 	}
 	i := tc.mru
