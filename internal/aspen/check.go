@@ -5,9 +5,10 @@ import "fmt"
 // Check performs the semantic validation pass of the extended-Aspen
 // compiler (Figure 3's "syntax analysis" stage): duplicate declarations,
 // resolvable parameters, complete data declarations, and well-formed
-// pattern parameter tuples. A model that passes Check will evaluate
-// without declaration-level errors (data-dependent errors, such as a
-// template index outside its structure, are still reported at evaluation).
+// pattern parameter tuples, and the model's templates within one budget
+// of work. A model that passes Check will evaluate without
+// declaration-level errors (data-dependent errors, such as a template
+// index outside its structure, are still reported at evaluation).
 func Check(m *Model) error {
 	if m.Name == "" {
 		return fmt.Errorf("aspen: model has no name")
@@ -18,6 +19,7 @@ func Check(m *Model) error {
 	}
 
 	seen := map[string]Pos{}
+	budget := int64(maxTemplateAccesses)
 	for _, d := range m.Data {
 		if prev, dup := seen[d.Name]; dup {
 			return errAt(d.Pos, "duplicate data structure %q (first declared at %s)", d.Name, prev)
@@ -35,7 +37,7 @@ func Check(m *Model) error {
 		if d.Pattern == nil {
 			return errAt(d.Pos, "data %q lacks an access pattern", d.Name)
 		}
-		if err := checkPattern(m, d, vars); err != nil {
+		if err := checkPattern(m, d, vars, &budget); err != nil {
 			return err
 		}
 	}
@@ -72,7 +74,10 @@ func Check(m *Model) error {
 	return nil
 }
 
-func checkPattern(m *Model, d *Data, vars env) error {
+// checkPattern checks d's pattern clause. A template's element accesses,
+// times its repeats, are charged to budget, the model's template work
+// left.
+func checkPattern(m *Model, d *Data, vars env, budget *int64) error {
 	switch p := d.Pattern.(type) {
 	case *StreamingPattern:
 		for _, e := range []Expr{p.ElemSize, p.Count, p.Stride} {
@@ -118,9 +123,11 @@ func checkPattern(m *Model, d *Data, vars env) error {
 		if err != nil {
 			return err
 		}
-		if _, err := lowerTemplateWalk(p, vars, repeats); err != nil {
+		w, err := lowerTemplateWalk(p, vars, repeats, *budget)
+		if err != nil {
 			return err
 		}
+		*budget -= w.accesses() * int64(repeats)
 	default:
 		return errAt(d.Pos, "data %q: unknown pattern clause", d.Name)
 	}

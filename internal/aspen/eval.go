@@ -15,11 +15,6 @@ import (
 // env holds evaluated parameter bindings.
 type env map[string]float64
 
-// EvalExpr evaluates an expression under the given parameter bindings.
-func EvalExpr(e Expr, bindings map[string]float64) (float64, error) {
-	return evalExpr(e, env(bindings))
-}
-
 func evalExpr(e Expr, vars env) (float64, error) {
 	switch n := e.(type) {
 	case *NumLit:
@@ -258,7 +253,6 @@ type Option func(*evalOptions)
 type evalOptions struct {
 	cacheOverride *cache.Config
 	rateOverride  *dvf.FIT
-	cost          dvf.CostModel
 }
 
 // WithCache evaluates against cfg instead of the model's machine block.
@@ -271,17 +265,11 @@ func WithFIT(rate dvf.FIT) Option {
 	return func(o *evalOptions) { o.rateOverride = &rate }
 }
 
-// WithCostModel replaces the default execution-time cost model, used when
-// kernels do not declare an explicit time.
-func WithCostModel(cm dvf.CostModel) Option {
-	return func(o *evalOptions) { o.cost = cm }
-}
-
 // Evaluate computes N_ha and DVF for every data structure of the model —
 // the full workflow of the paper's Figure 3: user-described application and
 // hardware information in, DVF out.
 func Evaluate(m *Model, opts ...Option) (*Evaluation, error) {
-	options := evalOptions{cost: dvf.DefaultCostModel}
+	var options evalOptions
 	for _, o := range opts {
 		o(&options)
 	}
@@ -305,8 +293,9 @@ func Evaluate(m *Model, opts ...Option) (*Evaluation, error) {
 
 	ev := &Evaluation{Model: m.Name, Cache: cfg, Rate: rate}
 	var totalNHa float64
+	budget := int64(maxTemplateAccesses)
 	for _, d := range m.Data {
-		res, err := evalData(m, d, vars, cfg)
+		res, err := evalData(m, d, vars, cfg, &budget)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +331,7 @@ func Evaluate(m *Model, opts ...Option) (*Evaluation, error) {
 	if haveExplicit {
 		ev.ExecSeconds = explicit
 	} else {
-		ev.ExecSeconds = options.cost.ExecSeconds(0, totalNHa, flops)
+		ev.ExecSeconds = dvf.DefaultCostModel.ExecSeconds(0, totalNHa, flops)
 	}
 
 	hours := ev.ExecSeconds / 3600
@@ -354,7 +343,10 @@ func Evaluate(m *Model, opts ...Option) (*Evaluation, error) {
 	return ev, nil
 }
 
-func evalData(m *Model, d *Data, vars env, cfg cache.Config) (StructResult, error) {
+// evalData lowers d's pattern and estimates its N_ha on cfg; a
+// template's block visits are charged to budget, the model's template
+// work left.
+func evalData(m *Model, d *Data, vars env, cfg cache.Config, budget *int64) (StructResult, error) {
 	if d.Size == nil {
 		return StructResult{}, errAt(d.Pos, "data %q lacks a size", d.Name)
 	}
@@ -369,7 +361,7 @@ func evalData(m *Model, d *Data, vars env, cfg cache.Config) (StructResult, erro
 	if d.Pattern == nil {
 		return StructResult{}, errAt(d.Pos, "data %q lacks an access pattern", d.Name)
 	}
-	est, err := lowerPattern(m, d, size, vars)
+	est, err := lowerPattern(m, d, size, vars, budget)
 	if err != nil {
 		return StructResult{}, err
 	}
@@ -385,8 +377,9 @@ func evalData(m *Model, d *Data, vars env, cfg cache.Config) (StructResult, erro
 	}, nil
 }
 
-// lowerPattern lowers a pattern clause onto a CGPMAC estimator.
-func lowerPattern(m *Model, d *Data, size int64, vars env) (patterns.Estimator, error) {
+// lowerPattern lowers a pattern clause onto a CGPMAC estimator. A
+// template's estimator charges its work to budget.
+func lowerPattern(m *Model, d *Data, size int64, vars env, budget *int64) (patterns.Estimator, error) {
 	switch p := d.Pattern.(type) {
 	case *StreamingPattern:
 		elem, err := evalInt(p.ElemSize, vars, "element size", p.Pos)
@@ -453,7 +446,7 @@ func lowerPattern(m *Model, d *Data, size int64, vars env) (patterns.Estimator, 
 		}, nil
 
 	case *TemplatePattern:
-		return lowerTemplate(p, size, vars)
+		return lowerTemplate(p, size, vars, budget)
 	}
 	return nil, errAt(d.Pos, "unsupported pattern for data %q", d.Name)
 }
@@ -600,8 +593,10 @@ func orderInterference(seq []string, target string, sizes map[string]int64) (int
 
 // lowerTemplate lowers a template pattern onto its walk, then counts
 // misses through the two-step algorithm lazily per cache configuration,
-// one repeat per patterns.RunPeriods period.
-func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator, error) {
+// one repeat per patterns.RunPeriods period. The walk must fit in
+// budget, the model's template work left, and each count charges its
+// block visits to budget before it walks.
+func lowerTemplate(p *TemplatePattern, size int64, vars env, budget *int64) (patterns.Estimator, error) {
 	elem, err := evalInt(p.ElemSize, vars, "element size", p.Pos)
 	if err != nil {
 		return nil, err
@@ -613,7 +608,7 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 	if err != nil {
 		return nil, err
 	}
-	w, err := lowerTemplateWalk(p, vars, repeats)
+	w, err := lowerTemplateWalk(p, vars, repeats, *budget)
 	if err != nil {
 		return nil, err
 	}
@@ -634,10 +629,12 @@ func lowerTemplate(p *TemplatePattern, size int64, vars env) (patterns.Estimator
 			// a misaligned element may touch) before the counter grows a
 			// node per block.
 			span := mathx.CeilDiv(w.elem, int64(cfg.LineSize))
-			if w.accesses()*int64(w.repeats) > maxTemplateAccesses/span {
-				return 0, errAt(p.Pos, "template of %d-byte elements on %d-byte lines exceeds the %d block-visit limit",
-					w.elem, cfg.LineSize, int64(maxTemplateAccesses))
+			work := w.accesses() * int64(w.repeats)
+			if work > *budget/span {
+				return 0, errAt(p.Pos, "template of %d-byte elements on %d-byte lines exceeds the %d visits left of the model's %d block-visit limit",
+					w.elem, cfg.LineSize, *budget, int64(maxTemplateAccesses))
 			}
+			*budget -= work * span
 			misses, _ := w.misses(cfg)
 			return float64(misses), nil
 		},
@@ -702,7 +699,7 @@ func (w *templateWalk) accesses() int64 {
 // repeat evicts nothing, the remaining repeats are counted, not
 // replayed.
 func (w *templateWalk) misses(cfg cache.Config) (int64, *patterns.TemplateCounter) {
-	ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
+	ctr := patterns.NewTemplateCounter(cfg.Lines())
 	run := patterns.NewLineRun(ctr, cfg.LineSize)
 	counts := patterns.RunPeriods(w.repeats, ctr, func(dst []cache.Stats) []cache.Stats {
 		return append(dst, ctr.Stats())
@@ -738,21 +735,23 @@ func templateRepeats(p *TemplatePattern, vars env) (int, error) {
 	return max(repeats, 1), nil
 }
 
-// maxTemplateAccesses bounds the work a template may ask for: its element
-// accesses times its repeat count (the bundled models need at most about
-// 25 thousand). Checking it against each range's bounds keeps a hostile
-// range, say 1..1e12 in a hundred-byte model, from being materialized
-// before it is rejected.
+// maxTemplateAccesses bounds the work all of a model's templates may
+// ask for together: the sum of their element accesses times their
+// repeat counts (the bundled models need at most about 114 thousand).
+// Checking it against each range's bounds keeps a hostile range, say
+// 1..1e12 in a hundred-byte model, from being materialized before it is
+// rejected, and charging every template to one budget keeps many
+// templates from multiplying the work.
 const maxTemplateAccesses = 1 << 22
 
 // lowerTemplateWalk evaluates a template's ranged groups (in declaration
 // order) and explicit list into its walk, with no element size yet. The
 // walk's element accesses, replayed repeats times, must stay within
-// maxTemplateAccesses; each range's size is checked from its bounds
-// before it is kept.
-func lowerTemplateWalk(p *TemplatePattern, vars env, repeats int) (*templateWalk, error) {
+// left, what remains of maxTemplateAccesses; each range's size is
+// checked from its bounds before it is kept.
+func lowerTemplateWalk(p *TemplatePattern, vars env, repeats int, left int64) (*templateWalk, error) {
 	w := &templateWalk{repeats: repeats}
-	budget := int64(maxTemplateAccesses / repeats) // accesses one repeat may use
+	budget := left / int64(repeats) // accesses one repeat may use
 	var used int64
 	if len(p.Ranges) > 0 && len(p.Dims) == 0 {
 		return nil, errAt(p.Pos, "ranged templates require a dims declaration")
@@ -788,15 +787,15 @@ func lowerTemplateWalk(p *TemplatePattern, vars env, repeats int) (*templateWalk
 			}
 		}
 		if count > (budget-used)/int64(len(from)) {
-			return nil, errAt(r.Pos, "range of %d steps x %d references, repeated %d times, exceeds the %d-access template limit",
-				count, len(from), repeats, int64(maxTemplateAccesses))
+			return nil, errAt(r.Pos, "range of %d steps x %d references, repeated %d times, exceeds the %d accesses left of the model's %d-access template limit",
+				count, len(from), repeats, left, int64(maxTemplateAccesses))
 		}
 		used += count * int64(len(from))
 		w.groups = append(w.groups, rangeGroup{bases: from, step: step, count: count})
 	}
 	if used+int64(len(p.List)) > budget {
-		return nil, errAt(p.Pos, "template of %d accesses, repeated %d times, exceeds the %d-access template limit",
-			used+int64(len(p.List)), repeats, int64(maxTemplateAccesses))
+		return nil, errAt(p.Pos, "template of %d accesses, repeated %d times, exceeds the %d accesses left of the model's %d-access template limit",
+			used+int64(len(p.List)), repeats, left, int64(maxTemplateAccesses))
 	}
 	for _, le := range p.List {
 		v, err := evalExpr(le, vars)

@@ -2,6 +2,7 @@ package aspen
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -71,14 +72,6 @@ func TestEvalExprErrors(t *testing.T) {
 		if _, err := bindParams(m); err == nil {
 			t.Errorf("%q: expected evaluation error", src)
 		}
-	}
-}
-
-func TestEvalExprPublicAPI(t *testing.T) {
-	m := mustParse(t, "model m { param x = n * 2 }")
-	v, err := EvalExpr(m.Params[0].Expr, map[string]float64{"n": 21})
-	if err != nil || v != 42 {
-		t.Errorf("EvalExpr = %g, %v; want 42", v, err)
 	}
 }
 
@@ -398,7 +391,7 @@ model m {
 }
 
 func TestEvalNaNGuard(t *testing.T) {
-	if v, err := EvalExpr(&NumLit{Value: math.NaN()}, nil); err != nil || !math.IsNaN(v) {
+	if v, err := evalExpr(&NumLit{Value: math.NaN()}, nil); err != nil || !math.IsNaN(v) {
 		t.Errorf("NaN literal should evaluate to NaN: %g %v", v, err)
 	}
 }
@@ -468,4 +461,38 @@ func TestTemplateWorkBoundedBeforeExpansion(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTemplateBudgetIsPerModel gives 32 structures one template each of
+// 262,144 accesses, a sixteenth of maxTemplateAccesses and so within it
+// alone, twice it together. Check must reject the 17th, the first past
+// the model's shared budget, with an error positioned on its line, and
+// allocate no walk doing so. Evaluate, which walks the first 16, must
+// reject the same template.
+func TestTemplateBudgetIsPerModel(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("model m {\n machine { cache { assoc 1 sets 1 line 8 } }\n")
+	for i := range 32 {
+		fmt.Fprintf(&src, " data X%d { size 8e6 pattern template(8) { dims (1e6) range (R(0)) : 1 : (R(262143)) } }\n", i)
+	}
+	src.WriteString("}\n")
+	m := mustParse(t, src.String())
+	const line = 3 + 16 // X16's
+	requireAt := func(what string, err error) {
+		t.Helper()
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "template limit") || se.Pos.Line != line {
+			t.Errorf("%s: got %v, want a template-limit error positioned on line %d", what, err, line)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	checkErr := Check(m)
+	runtime.ReadMemStats(&after)
+	requireAt("Check", checkErr)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("Check allocated %d bytes, want under 1 MiB", grew)
+	}
+	_, err := Evaluate(m)
+	requireAt("Evaluate", err)
 }

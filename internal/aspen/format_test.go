@@ -138,8 +138,8 @@ func TestFormatExprRoundTripProperty(t *testing.T) {
 			t.Logf("seed %d: %q failed to parse: %v", seed, src, err)
 			return false
 		}
-		v1, err1 := EvalExpr(e, env)
-		v2, err2 := EvalExpr(m.Params[0].Expr, env)
+		v1, err1 := evalExpr(e, env)
+		v2, err2 := evalExpr(m.Params[0].Expr, env)
 		if err1 != nil || err2 != nil {
 			// Division by zero etc. must at least fail identically.
 			return (err1 == nil) == (err2 == nil)

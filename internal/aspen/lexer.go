@@ -172,19 +172,3 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	return Token{Kind: kind, Text: string(r), Pos: pos}, nil
 }
-
-// LexAll tokenizes the whole input (excluding the trailing EOF token).
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-		toks = append(toks, t)
-	}
-}

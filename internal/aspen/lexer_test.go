@@ -2,6 +2,22 @@ package aspen
 
 import "testing"
 
+// lexAll tokenizes the whole input (excluding the trailing EOF token).
+func lexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+		toks = append(toks, t)
+	}
+}
+
 func kinds(toks []Token) []TokenKind {
 	out := make([]TokenKind, len(toks))
 	for i, t := range toks {
@@ -11,7 +27,7 @@ func kinds(toks []Token) []TokenKind {
 }
 
 func TestLexBasicTokens(t *testing.T) {
-	toks, err := LexAll(`model vm { param n = 8 }`)
+	toks, err := lexAll(`model vm { param n = 8 }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +58,7 @@ func TestLexNumbers(t *testing.T) {
 		{".5", 0.5},
 	}
 	for _, c := range cases {
-		toks, err := LexAll(c.src)
+		toks, err := lexAll(c.src)
 		if err != nil {
 			t.Fatalf("%q: %v", c.src, err)
 		}
@@ -54,7 +70,7 @@ func TestLexNumbers(t *testing.T) {
 
 func TestLexMagnitudeSuffixNotPartOfIdent(t *testing.T) {
 	// "4Kb" must not silently become 4096 followed by "b".
-	toks, err := LexAll("4Kb")
+	toks, err := lexAll("4Kb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +80,7 @@ func TestLexMagnitudeSuffixNotPartOfIdent(t *testing.T) {
 }
 
 func TestLexString(t *testing.T) {
-	toks, err := LexAll(`order "r(Ap)p(xp)"`)
+	toks, err := lexAll(`order "r(Ap)p(xp)"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +90,7 @@ func TestLexString(t *testing.T) {
 }
 
 func TestLexComments(t *testing.T) {
-	toks, err := LexAll("a // line comment\n /* block\ncomment */ b")
+	toks, err := lexAll("a // line comment\n /* block\ncomment */ b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +100,7 @@ func TestLexComments(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks, err := LexAll("a\n  b")
+	toks, err := lexAll("a\n  b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +111,14 @@ func TestLexPositions(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, src := range []string{`"unterminated`, "/* unterminated", "@"} {
-		if _, err := LexAll(src); err == nil {
+		if _, err := lexAll(src); err == nil {
 			t.Errorf("%q: expected lex error", src)
 		}
 	}
 }
 
 func TestLexOperators(t *testing.T) {
-	toks, err := LexAll("+-*/%^(),:=")
+	toks, err := lexAll("+-*/%^(),:=")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func flatTemplateMisses(t *testing.T, m *Model, d *Data, cfg cache.Config) float
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := lowerTemplateWalk(p, vars, repeats)
+	w, err := lowerTemplateWalk(p, vars, repeats, maxTemplateAccesses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func flatTemplateMisses(t *testing.T, m *Model, d *Data, cfg cache.Config) float
 		}
 	}
 	elems = append(elems, w.list...)
-	ctr := patterns.NewTemplateCounter(cfg.Lines(), false)
+	ctr := patterns.NewTemplateCounter(cfg.Lines())
 	size, line := int64(elem), int64(cfg.LineSize)
 	for range repeats {
 		for _, e := range elems {
@@ -114,7 +114,7 @@ func TestTemplateRepeatThatFitsRunsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.Data[0].Pattern.(*TemplatePattern)
-	w, err := lowerTemplateWalk(p, vars, 12)
+	w, err := lowerTemplateWalk(p, vars, 12, maxTemplateAccesses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestTemplateRepeatThatFitsRunsOnce(t *testing.T) {
 	if want := flatTemplateMisses(t, m, m.Data[0], cache.Profile8MB); float64(misses) != want {
 		t.Errorf("misses %d, flattened walk %g", misses, want)
 	}
-	if pass := w.accesses(); ctr.Visits() != pass {
-		t.Errorf("%d visits simulated, want one pass of %d", ctr.Visits(), pass)
+	if pass, visits := w.accesses(), ctr.Stats().Accesses; visits != pass {
+		t.Errorf("%d visits simulated, want one pass of %d", visits, pass)
 	}
 }
 

@@ -6,8 +6,8 @@
 //
 //   - AnalyzeKernel: run one of the built-in Table II kernels, model its
 //     data structures with CGPMAC, and report DVFs on a cache of choice.
-//   - AnalyzeModel / AnalyzeSource: evaluate a user-written extended-Aspen
-//     model (the DSL of Section III-D).
+//   - AnalyzeSource: evaluate a user-written extended-Aspen model (the
+//     DSL of Section III-D).
 //   - VerifyKernel: compare a kernel's analytical model against the cache
 //     simulator driven by the kernel's own reference trace (Figure 4).
 //
@@ -170,14 +170,6 @@ func AnalyzeSource(src string, opts ...aspen.Option) (*aspen.Evaluation, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := aspen.Check(m); err != nil {
-		return nil, err
-	}
-	return aspen.Evaluate(m, opts...)
-}
-
-// AnalyzeModel evaluates an already-parsed extended-Aspen model.
-func AnalyzeModel(m *aspen.Model, opts ...aspen.Option) (*aspen.Evaluation, error) {
 	if err := aspen.Check(m); err != nil {
 		return nil, err
 	}

@@ -147,16 +147,6 @@ func TestAnalyzeSourceRejectsBadModels(t *testing.T) {
 	}
 }
 
-func TestAnalyzeModelChecksFirst(t *testing.T) {
-	m, err := aspen.Parse(`model m { data A { size 8 } }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AnalyzeModel(m); err == nil {
-		t.Error("AnalyzeModel skipped the checker")
-	}
-}
-
 func TestSelectProtectionPicksWeakestSufficient(t *testing.T) {
 	const (
 		hours = 1e-3

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/resilience-models/dvf/internal/aspen"
 	"github.com/resilience-models/dvf/internal/core"
 )
 
@@ -85,27 +84,4 @@ func ExampleSelectProtection() {
 	fmt.Printf("%s at %.0f%% degradation\n", mech.Name, point.DegradationPct)
 	// Output:
 	// SECDED at 5% degradation
-}
-
-// ExampleAnalyzeModel shows the parse-check-evaluate pipeline with a cache
-// override, sweeping one model across machines.
-func ExampleAnalyzeModel() {
-	m, err := aspen.Parse(`
-model sweep {
-    data X { size 65536  pattern streaming(8, 8192, 1) }
-}`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, cfg := range []core.CacheConfig{core.CacheSmall, core.CacheLarge} {
-		ev, err := core.AnalyzeModel(m, aspen.WithCache(cfg))
-		if err != nil {
-			log.Fatal(err)
-		}
-		x, _ := ev.Structure("X")
-		fmt.Printf("line %dB: N_ha=%.0f\n", cfg.LineSize, x.NHa)
-	}
-	// Output:
-	// line 32B: N_ha=2048
-	// line 64B: N_ha=1024
 }

@@ -51,24 +51,3 @@ func ExampleECC_Sweep() {
 	// minimum DVF at 5% degradation
 	// 0% vs 30%: protection still wins: true
 }
-
-// ExampleWeighting shows the paper's weighting-factor refinement: under
-// beta emphasis the access-heavy structure outranks the size-heavy one.
-func ExampleWeighting() {
-	app, err := dvf.NewApplication("demo", dvf.FITNoECC, 1e-3,
-		[]string{"big", "hot"},
-		[]int64{10 << 20, 1 << 20},
-		[]float64{1e4, 1e5})
-	if err != nil {
-		log.Fatal(err)
-	}
-	weighted, err := dvf.Weighting{Alpha: 1, Beta: 2}.Rescore(app)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, _ := weighted.Structure("big")
-	h, _ := weighted.Structure("hot")
-	fmt.Printf("beta-weighted: hot outranks big: %v\n", h.DVF > b.DVF)
-	// Output:
-	// beta-weighted: hot outranks big: true
-}

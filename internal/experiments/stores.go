@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/resilience-models/dvf/internal/cache"
 	"github.com/resilience-models/dvf/internal/kernels"
@@ -73,17 +72,4 @@ func StoreModelers() []kernels.StoreModeler {
 		kernels.NewMG(32, 1),
 		kernels.NewFT(2048),
 	}
-}
-
-// RenderStoreRows formats a writeback-verification table.
-func RenderStoreRows(rows []StoreRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "store-traffic verification (modeled vs simulated writebacks)\n")
-	fmt.Fprintf(&b, "%-4s %-22s %-6s %14s %14s %9s\n",
-		"kern", "cache", "struct", "model", "simulated", "error")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-4s %-22s %-6s %14.0f %14.0f %+8.1f%%\n",
-			r.Kernel, r.Cache, r.Structure, r.Model, r.Simulated, r.ErrorPct())
-	}
-	return b.String()
 }

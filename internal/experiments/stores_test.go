@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/resilience-models/dvf/internal/cache"
@@ -56,14 +55,6 @@ func TestStoreResidentWorkingSetZero(t *testing.T) {
 					r.Kernel, r.Structure, r.Model, r.Simulated)
 			}
 		}
-	}
-}
-
-func TestRenderStoreRows(t *testing.T) {
-	rows := []StoreRow{{Kernel: "VM", Cache: "Small", Structure: "C", Model: 213, Simulated: 213}}
-	out := RenderStoreRows(rows)
-	if !strings.Contains(out, "writebacks") || !strings.Contains(out, "C") {
-		t.Errorf("render incomplete:\n%s", out)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestTableIIMetadataComplete(t *testing.T) {
 			t.Errorf("%s patterns = %q, want %q", k.Name(), k.PatternSummary(), w[1])
 		}
 	}
-	pcg := NewPCG(10, 1)
+	pcg := (&PCG{N: 10, MaxIters: 1})
 	if pcg.Class() == "" || pcg.PatternSummary() == "" {
 		t.Error("PCG metadata empty")
 	}

@@ -191,7 +191,7 @@ func (f *FT) templateWalk(c cache.Config) *patterns.TemplateCounter {
 	}
 	n := f.N
 	logN := bits.TrailingZeros(uint(n))
-	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	ctr := patterns.NewTemplateCounter(c.Lines())
 	// The butterflies walk j by line runs (see LineRun); a bit-reversal
 	// swap is one step of its own.
 	run := patterns.NewLineRun(ctr, c.LineSize)

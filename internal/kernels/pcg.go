@@ -28,11 +28,6 @@ type PCG struct {
 	Tol      float64
 }
 
-// NewPCG returns a PCG kernel with a fixed iteration count.
-func NewPCG(n, iters int) *PCG {
-	return &PCG{N: n, MaxIters: iters}
-}
-
 // NewPCGToConvergence returns a PCG kernel that iterates to the relative
 // residual tolerance tol.
 func NewPCGToConvergence(n int, tol float64) *PCG {

@@ -138,7 +138,7 @@ func TestPCGIterationCountRoughlyFlat(t *testing.T) {
 }
 
 func TestPCGStructures(t *testing.T) {
-	info, err := NewPCG(40, 2).Run(nil)
+	info, err := (&PCG{N: 40, MaxIters: 2}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +172,14 @@ func TestPCGValidateAndModels(t *testing.T) {
 	if _, err := (&PCG{N: 10, MaxIters: -1}).Run(nil); err == nil {
 		t.Error("negative iterations accepted")
 	}
-	if _, err := NewPCG(10, 1).Models(&RunInfo{Measured: map[string]float64{}}); err == nil {
+	if _, err := (&PCG{N: 10, MaxIters: 1}).Models(&RunInfo{Measured: map[string]float64{}}); err == nil {
 		t.Error("missing iters accepted")
 	}
-	info, err := NewPCG(40, 3).Run(nil)
+	info, err := (&PCG{N: 40, MaxIters: 3}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := NewPCG(40, 3).Models(info)
+	specs, err := (&PCG{N: 40, MaxIters: 3}).Models(info)
 	if err != nil {
 		t.Fatal(err)
 	}

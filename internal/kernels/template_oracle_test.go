@@ -25,7 +25,7 @@ func visitElem(ctr *patterns.TemplateCounter, elem int, size, lineSize int64) {
 
 // mgElementWalk is MG's template, element by element.
 func mgElementWalk(mg *MG, c cache.Config) *patterns.TemplateCounter {
-	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	ctr := patterns.NewTemplateCounter(c.Lines())
 	mgElementVisits(mg, int64(c.LineSize), func(b int64) { ctr.Visit(b) })
 	return ctr
 }
@@ -111,7 +111,7 @@ func mgElementVisits(mg *MG, lineSize int64, visitBlock func(int64)) {
 func ftElementWalk(f *FT, c cache.Config) *patterns.TemplateCounter {
 	n := f.N
 	logN := bits.TrailingZeros(uint(n))
-	ctr := patterns.NewTemplateCounter(c.Lines(), false)
+	ctr := patterns.NewTemplateCounter(c.Lines())
 	visit := func(elem int) { visitElem(ctr, elem, ftElemSize, int64(c.LineSize)) }
 	for round := 0; round < max(f.Rounds, 1); round++ {
 		for i := 0; i < n; i++ {
@@ -229,9 +229,8 @@ func requireSameMG(t testing.TB, mg *MG, cfg cache.Config) {
 // element walk's in every counter.
 func requireSameCounter(t *testing.T, got, want *patterns.TemplateCounter) {
 	t.Helper()
-	if got.Misses() != want.Misses() || got.Visits() != want.Visits() || got.DistinctBlocks() != want.DistinctBlocks() {
-		t.Errorf("line runs: misses %d, visits %d, distinct %d; element walk: %d, %d, %d",
-			got.Misses(), got.Visits(), got.DistinctBlocks(), want.Misses(), want.Visits(), want.DistinctBlocks())
+	if got.Stats() != want.Stats() {
+		t.Errorf("line runs: %+v; element walk: %+v", got.Stats(), want.Stats())
 	}
 }
 

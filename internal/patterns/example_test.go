@@ -38,20 +38,17 @@ func ExampleRandom() {
 	// 8KB cache: 149800 accesses; 4MB cache: 500 (tree resident)
 }
 
-// ExampleTemplate runs the two-step reuse-distance algorithm on a short
-// explicit cache-block template.
-func ExampleTemplate() {
-	tpl := patterns.Template{
-		Blocks:         []int64{0, 1, 2, 0, 1, 2, 9, 0},
-		CapacityBlocks: 4,
-	}
-	nha, err := tpl.MemoryAccesses(cache.Small)
-	if err != nil {
-		log.Fatal(err)
+// ExampleTemplateCounter runs the two-step reuse-distance algorithm on a
+// short explicit cache-block template.
+func ExampleTemplateCounter() {
+	blocks := []int64{0, 1, 2, 0, 1, 2, 9, 0}
+	ctr := patterns.NewTemplateCounter(4)
+	for _, b := range blocks {
+		ctr.Visit(b)
 	}
 	// 4 cold misses (blocks 0, 1, 2, 9); every reuse distance stays below
 	// the 4-block capacity, so the repeats hit.
-	fmt.Printf("misses = %.0f of %d visits\n", nha, len(tpl.Blocks))
+	fmt.Printf("misses = %d of %d visits\n", ctr.Misses(), len(blocks))
 	// Output:
 	// misses = 4 of 8 visits
 }

@@ -7,19 +7,19 @@ import "testing"
 // clear snapshots both counters' states; any other op byte is a group
 // of 1 + op>>5 blocks, the next bytes, each folded to one of 8 ids so
 // groups repeat blocks, visited 1 + (op>>2)&7 times. After every op both
-// counters must agree on Misses, Visits, Evictions, DistinctBlocks and
-// whether their states equal their snapshots.
+// counters must agree on their Stats, their node counts and whether
+// their states equal their snapshots.
 // Capacity is folded into 0-8, so groups both fit and overflow it. The
 // committed corpus under testdata/fuzz pins a group that fits, one that
-// overflows, capacity 0 and raw-distance mode.
+// overflows, and capacity 0.
 func FuzzVisitRunVsVisit(f *testing.F) {
-	f.Add([]byte{0x25, 1, 2, 0, 0x2d, 1, 2}, uint8(4), false)
-	f.Fuzz(func(t *testing.T, prog []byte, capSel uint8, raw bool) {
+	f.Add([]byte{0x25, 1, 2, 0, 0x2d, 1, 2}, uint8(4))
+	f.Fuzz(func(t *testing.T, prog []byte, capSel uint8) {
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
 		capacity := int(capSel % 9)
-		run, loop := NewTemplateCounter(capacity, raw), NewTemplateCounter(capacity, raw)
+		run, loop := NewTemplateCounter(capacity), NewTemplateCounter(capacity)
 		var runSaved, loopSaved []uint64
 		for len(prog) > 0 {
 			op := prog[0]
@@ -42,11 +42,11 @@ func FuzzVisitRunVsVisit(f *testing.F) {
 					}
 				}
 			}
-			if run.Stats() != loop.Stats() || run.DistinctBlocks() != loop.DistinctBlocks() ||
+			if run.Stats() != loop.Stats() || len(run.nodes) != len(loop.nodes) ||
 				run.SameAs(runSaved) != loop.SameAs(loopSaved) {
-				t.Fatalf("capacity %d raw=%v: VisitRun %+v distinct %d same %v; Visit loop %+v %d %v",
-					capacity, raw, run.Stats(), run.DistinctBlocks(), run.SameAs(runSaved),
-					loop.Stats(), loop.DistinctBlocks(), loop.SameAs(loopSaved))
+				t.Fatalf("capacity %d: VisitRun %+v distinct %d same %v; Visit loop %+v %d %v",
+					capacity, run.Stats(), len(run.nodes), run.SameAs(runSaved),
+					loop.Stats(), len(loop.nodes), loop.SameAs(loopSaved))
 			}
 		}
 	})

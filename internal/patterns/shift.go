@@ -3,10 +3,9 @@ package patterns
 // BlockShift moves the blocks in [Lo, Hi) by Delta blocks.
 type BlockShift struct{ Lo, Hi, Delta int64 }
 
-// BlockCounter is a stack-distance TemplateCounter for templates over
-// the blocks 0, ..., blocks-1, with a node for each made up front: node
-// b is block b. That lets RunShifted move blocks. DistinctBlocks counts
-// those nodes too.
+// BlockCounter is a TemplateCounter for templates over the blocks 0,
+// ..., blocks-1, with a node for each made up front: node b is block b.
+// That lets RunShifted move blocks.
 type BlockCounter struct {
 	TemplateCounter
 	blocks int
@@ -16,7 +15,7 @@ type BlockCounter struct {
 // NewBlockCounter returns a BlockCounter of capacityBlocks for the
 // blocks 0, ..., blocks-1.
 func NewBlockCounter(capacityBlocks, blocks int) *BlockCounter {
-	bc := &BlockCounter{TemplateCounter: *NewTemplateCounter(capacityBlocks, false), blocks: blocks}
+	bc := &BlockCounter{TemplateCounter: *NewTemplateCounter(capacityBlocks), blocks: blocks}
 	bc.nodes = make([]tcNode, blocks)
 	bc.dense = make([]int32, blocks)
 	for b := range bc.nodes {

@@ -19,7 +19,7 @@ func TestRunShiftedMatchesPlanes(t *testing.T) {
 		capacity := 1 + rng.Intn(120)
 		const blocks = 4096
 		shifted := NewBlockCounter(capacity, blocks)
-		plain := NewTemplateCounter(capacity, false)
+		plain := NewTemplateCounter(capacity)
 		for phase := 0; phase < 4; phase++ {
 			planes := 1 + rng.Intn(40)
 			delta, delta2 := int64(1+rng.Intn(8)), int64(rng.Intn(4))

@@ -12,9 +12,7 @@ type Periodic interface {
 	AppendState(dst []uint64) []uint64
 	// SameAs reports whether the state equals the one snap encodes.
 	SameAs(snap []uint64) bool
-	// Evictions returns how many blocks the model has evicted so far, or
-	// -1 when it cannot tell, as when a block can miss without anything
-	// leaving the model.
+	// Evictions returns how many blocks the model has evicted so far.
 	Evictions() int64
 }
 
@@ -49,7 +47,7 @@ func RunPeriods(periods int, m Periodic, read func(dst []cache.Stats) []cache.St
 		cur = read(cur[:0])
 		if !last {
 			left := int64(periods - period)
-			if evictions >= 0 && m.Evictions() == evictions {
+			if m.Evictions() == evictions {
 				for i := range cur {
 					d := cur[i].Accesses - start[i].Accesses
 					cur[i].Accesses += left * d

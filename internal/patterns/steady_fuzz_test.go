@@ -9,13 +9,13 @@ import (
 
 // FuzzSteadyStateVsFull checks RunPeriods against running every period.
 // A prefix warms the models, then a body repeats 1-64 times, through a
-// cache.Simulator (per-structure counters) and a TemplateCounter in
-// either distance mode (visits, misses and evictions). Each input byte
+// cache.Simulator (per-structure counters) and a TemplateCounter
+// (visits, misses and evictions). Each input byte
 // is one 8-byte reference: element b&31, a write when b&32 is set, owned
 // by structure 1+b>>6. The geometry has 1-8 ways, 1-8 sets and 8-32
 // byte lines. The committed corpus under testdata/fuzz pins one period,
-// a state that does not repeat before the last period (two periods, and
-// raw-distance mode, which never repeats), a direct-mapped and a one-set
+// a state that does not repeat before the last period, the most periods
+// (64), a direct-mapped and a one-set
 // geometry, three warm starts where a period's counter deltas, or its
 // fill counts, or everything but its dirty bits match the state it
 // started from while the next period behaves differently, a stop after
@@ -23,8 +23,8 @@ import (
 // 4-way geometry, and a warm start of four other elements before a
 // body of 23 references.
 func FuzzSteadyStateVsFull(f *testing.F) {
-	f.Add([]byte{}, []byte{0, 1, 2, 3, 36, 5, 6, 7}, uint8(10), uint8(1), uint8(1), uint8(0), false)
-	f.Fuzz(func(t *testing.T, prefix, body []byte, periods, assocSel, setSel, lineSel uint8, raw bool) {
+	f.Add([]byte{}, []byte{0, 1, 2, 3, 36, 5, 6, 7}, uint8(10), uint8(1), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, prefix, body []byte, periods, assocSel, setSel, lineSel uint8) {
 		if len(prefix) > 256 {
 			prefix = prefix[:256]
 		}
@@ -59,7 +59,7 @@ func FuzzSteadyStateVsFull(f *testing.F) {
 		}
 
 		warmCounter := func() *TemplateCounter {
-			ctr := NewTemplateCounter(cfg.Lines(), raw)
+			ctr := NewTemplateCounter(cfg.Lines())
 			feedCounter(ctr, prefix, cfg.LineSize)
 			return ctr
 		}
@@ -71,8 +71,8 @@ func FuzzSteadyStateVsFull(f *testing.F) {
 			feedCounter(fullCtr, body, cfg.LineSize)
 		}
 		if gotCtr[0] != fullCtr.Stats() {
-			t.Fatalf("raw=%v capacity %d, %d periods: counter %+v, full run %+v",
-				raw, cfg.Lines(), n, gotCtr[0], fullCtr.Stats())
+			t.Fatalf("capacity %d, %d periods: counter %+v, full run %+v",
+				cfg.Lines(), n, gotCtr[0], fullCtr.Stats())
 		}
 	})
 }

@@ -1,16 +1,17 @@
 package patterns
 
 import (
-	"fmt"
 	"slices"
 
 	"github.com/resilience-models/dvf/internal/cache"
 )
 
-// Template models the template-based access pattern (Section III-C): data
-// structures whose accesses follow an explicit, regular template — more
-// structured than random access but not a plain stream (stencils, FFT
-// butterflies, mesh traversals).
+// TemplateCounter counts the template-based access pattern (Section
+// III-C): data structures whose accesses follow an explicit, regular
+// template — more structured than random access but not a plain stream
+// (stencils, FFT butterflies, mesh traversals). Callers (like the Aspen
+// evaluator) feed the template a block at a time, without materializing
+// it.
 //
 // The paper's two-step algorithm over the cache-block template
 // B = {b1, ..., bn}:
@@ -20,86 +21,32 @@ import (
 //     distance since its previous appearance exceeds the maximum available
 //     cache capacity.
 //
-// We measure the reuse distance as the LRU stack distance (the number of
-// distinct blocks touched in between), which is the distance that decides
-// residency in an LRU cache; the raw index distance the paper sketches is
-// available via DistanceRaw for comparison. TemplateCounter decides step 2
-// with an LRU stack-property counter rather than computing distances: a
-// reuse misses in an LRU cache of C blocks exactly when its stack distance
-// is at least C.
-type Template struct {
-	// Blocks is the cache-block access template: block i covers bytes
-	// [i*LineSize, (i+1)*LineSize) of a line-aligned structure.
-	Blocks []int64
-	// CapacityBlocks overrides the cache capacity in blocks (CA*NA) when
-	// positive — "maximum available cache capacity" in the paper — e.g. to
-	// model a structure that owns only a fraction of the cache.
-	CapacityBlocks int
-	// DistanceRaw selects the raw index distance instead of the LRU stack
-	// distance for step 2.
-	DistanceRaw bool
-	// ElemSize records the element size in bytes for Footprint reporting;
-	// zero means unknown (Footprint then reports blocks, not bytes).
-	ElemSize int
-	// FootprintBytes reports the structure size D; zero means "derive from
-	// the largest block index and the cache line size".
-	FootprintBytes int64
-}
-
-// PatternName implements Estimator.
-func (Template) PatternName() string { return "template" }
-
-// Footprint returns the declared footprint, or 0 when unknown at this layer
-// (the Aspen evaluator supplies it from the data-structure declaration).
-func (t Template) Footprint() int64 { return t.FootprintBytes }
-
-// MemoryAccesses runs the two-step algorithm against cache c.
-func (t Template) MemoryAccesses(c cache.Config) (float64, error) {
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	capBlocks := t.CapacityBlocks
-	if capBlocks <= 0 {
-		capBlocks = c.Lines()
-	}
-	ctr := NewTemplateCounter(capBlocks, t.DistanceRaw)
-	for _, b := range t.Blocks {
-		if b < 0 {
-			return 0, fmt.Errorf("template: negative block id %d", b)
-		}
-		ctr.Visit(b)
-	}
-	return float64(ctr.Misses()), nil
-}
-
-// TemplateCounter is the streaming form of the two-step algorithm, letting
-// callers (like the Aspen evaluator) feed very long templates without
-// materializing them.
-//
-// Stack-distance mode runs a fully associative LRU cache of capacity
-// blocks. This is exact by the LRU stack property: a block's stack
+// The reuse distance is the LRU stack distance (the number of distinct
+// blocks touched in between), which is the distance that decides
+// residency in an LRU cache. The counter decides step 2 by running a
+// fully associative LRU cache of capacity blocks rather than computing
+// distances. This is exact by the LRU stack property: a block's stack
 // distance is its depth in the recency stack, so a reuse has distance
 // >= capacity exactly when the block has fallen out of the top capacity
 // entries, i.e. out of the cache. Each distinct block owns one node in an
 // intrusive recency list, so a visit costs O(1) and memory grows with the
-// distinct blocks, not with the visits. Raw-distance mode needs no list:
-// the node records the block's last visit time.
+// distinct blocks, not with the visits.
 type TemplateCounter struct {
 	capacity  int
-	raw       bool
 	misses    int64
 	visits    int64
 	evictions int64
 
 	// Block -> node index. dense[b] holds 1 + the node of block b, or 0
 	// while b is unseen; blocks it does not cover live in sparse. dense
-	// grows only while it stays within denseSlack of twice the distinct
-	// count, so hostile block ids fall back to the map, allocated on
-	// first use, and memory stays O(distinct blocks).
+	// takes in only blocks below twice the distinct count plus
+	// denseSlack, and grows to at most twice that, so it stays within
+	// four times the distinct count plus 2*denseSlack entries. Hostile
+	// block ids fall back to the map, allocated on first use, and memory
+	// stays O(distinct blocks).
 	dense    []int32
 	sparse   map[int64]int32
 	nodes    []tcNode // one per distinct block; int32 indexes reach 2^31 of them
-	last     []int64  // raw mode: each node's last visit time
 	mru, lru int32    // ends of the resident list, noNode when empty
 	resident int
 }
@@ -113,8 +60,7 @@ const denseSlack = 4096
 // would cost more allocations than its 256 bytes.
 const minDense = 64
 
-// tcNode is one distinct block's links in the resident list (stack
-// mode).
+// tcNode is one distinct block's links in the resident list.
 type tcNode struct {
 	prev, next int32 // toward mru / toward lru; noNode at the ends
 }
@@ -125,11 +71,9 @@ const (
 )
 
 // NewTemplateCounter creates a counter with the given capacity in blocks.
-// raw selects the paper's raw index distance instead of stack distance.
-func NewTemplateCounter(capacityBlocks int, raw bool) *TemplateCounter {
+func NewTemplateCounter(capacityBlocks int) *TemplateCounter {
 	return &TemplateCounter{
 		capacity: capacityBlocks,
-		raw:      raw,
 		mru:      noNode,
 		lru:      noNode,
 	}
@@ -139,28 +83,18 @@ func NewTemplateCounter(capacityBlocks int, raw bool) *TemplateCounter {
 // as a main-memory access (first touch or reuse beyond capacity).
 func (tc *TemplateCounter) Visit(block int64) bool {
 	tc.visits++
-	var (
-		i    int32
-		seen bool
-	)
+	var i int32
 	// A block the dense index already holds, the common case, skips the
 	// call to find.
 	if uint64(block) < uint64(len(tc.dense)) && tc.dense[block] != 0 {
-		i, seen = tc.dense[block]-1, true
+		i = tc.dense[block] - 1
 	} else {
-		i, seen = tc.find(block)
+		i = tc.find(block)
 	}
-	var miss bool
-	if tc.raw {
-		// step 2 on the raw index distance: entries strictly in between.
-		miss = !seen || tc.visits-tc.last[i]-1 >= int64(tc.capacity)
-		tc.last[i] = tc.visits
-	} else {
-		// step 1 (first appearance) and step 2 (evicted, so its stack
-		// distance reached capacity) are both "not resident".
-		miss = tc.nodes[i].prev == detached
-		tc.touch(i)
-	}
+	// step 1 (first appearance) and step 2 (evicted, so its stack
+	// distance reached capacity) are both "not resident".
+	miss := tc.nodes[i].prev == detached
+	tc.touch(i)
 	if miss {
 		tc.misses++
 	}
@@ -169,14 +103,12 @@ func (tc *TemplateCounter) Visit(block int64) bool {
 
 // VisitRun feeds blocks, as a group, times over: the same as calling
 // Visit for every block of the group, pass after pass. Only the first
-// pass is walked when the counter is in stack-distance mode and the
-// group fits, len(blocks) <= capacity. By the LRU stack property, the
-// first pass leaves the group's distinct blocks at the top of the
-// recency stack, ordered by their last visits. Each later pass therefore
-// hits on every block and leaves that order, and so the whole state, as
-// the first pass left it. Those passes are counted as visits, not
-// walked. Raw-distance mode walks every pass, since each visit moves a
-// block's last-visit time.
+// pass is walked when the group fits, len(blocks) <= capacity. By the
+// LRU stack property, the first pass leaves the group's distinct blocks
+// at the top of the recency stack, ordered by their last visits. Each
+// later pass therefore hits on every block and leaves that order, and so
+// the whole state, as the first pass left it. Those passes are counted
+// as visits, not walked.
 func (tc *TemplateCounter) VisitRun(blocks []int64, times int) {
 	if times < 1 {
 		return
@@ -190,7 +122,7 @@ func (tc *TemplateCounter) VisitRun(blocks []int64, times int) {
 // revisit feeds blocks, the group just visited, times more over:
 // VisitRun after its first pass.
 func (tc *TemplateCounter) revisit(blocks []int64, times int) {
-	if !tc.raw && len(blocks) <= tc.capacity {
+	if len(blocks) <= tc.capacity {
 		tc.visits += int64(times) * int64(len(blocks))
 		return
 	}
@@ -202,24 +134,24 @@ func (tc *TemplateCounter) revisit(blocks []int64, times int) {
 }
 
 // find returns block's node, creating it on first sight.
-func (tc *TemplateCounter) find(block int64) (i int32, seen bool) {
+func (tc *TemplateCounter) find(block int64) int32 {
 	if uint64(block) < uint64(len(tc.dense)) || tc.growDense(block) {
 		if i := tc.dense[block]; i != 0 {
-			return i - 1, true
+			return i - 1
 		}
-		i = tc.newNode()
+		i := tc.newNode()
 		tc.dense[block] = i + 1
-		return i, false
+		return i
 	}
 	if i, ok := tc.sparse[block]; ok {
-		return i, true
+		return i
 	}
-	i = tc.newNode()
+	i := tc.newNode()
 	if tc.sparse == nil {
 		tc.sparse = make(map[int64]int32)
 	}
 	tc.sparse[block] = i
-	return i, false
+	return i
 }
 
 // newNode appends a detached node, doubling the backing array when full:
@@ -231,20 +163,19 @@ func (tc *TemplateCounter) newNode() int32 {
 		tc.nodes = grown
 	}
 	tc.nodes = append(tc.nodes, tcNode{prev: detached, next: noNode})
-	if tc.raw {
-		tc.last = append(tc.last, 0)
-	}
 	return int32(len(tc.nodes) - 1)
 }
 
-// growDense extends the dense index to cover block, if that keeps it
-// within its memory bound, moving the sparse entries it comes to cover.
+// growDense extends the dense index to cover block, if block is below
+// the limit on what it takes in, moving the sparse entries it comes to
+// cover. The index at least doubles, up to twice that limit, so blocks
+// that run ahead of the distinct count still grow it geometrically.
 func (tc *TemplateCounter) growDense(block int64) bool {
 	limit := 2*int64(len(tc.nodes)) + denseSlack
 	if block < 0 || block >= limit {
 		return false
 	}
-	n := min(max(2*int64(len(tc.dense)), block+1, minDense), limit)
+	n := min(max(2*int64(len(tc.dense)), block+1, minDense), 2*limit)
 	grown := make([]int32, n)
 	copy(grown, tc.dense)
 	for b, i := range tc.sparse {
@@ -307,13 +238,8 @@ func (tc *TemplateCounter) unlink(i int32) {
 }
 
 // stateLen returns the length of AppendState's encoding, half the
-// resident list's length rounded up, in stack-distance mode.
-// Raw-distance mode has no state to compare: each block's last visit
-// time only grows, so its state never repeats.
+// resident list's length rounded up.
 func (tc *TemplateCounter) stateLen() int {
-	if tc.raw {
-		return 0
-	}
 	return (tc.resident + 1) / 2
 }
 
@@ -322,11 +248,8 @@ func (tc *TemplateCounter) stateLen() int {
 // visits miss. A node stands for one block, so equal node orders are
 // equal block orders. Each word packs two int32 nodes, the earlier one
 // in the low half; a list of odd length ends in noNode, which no node
-// equals. Raw-distance mode appends nothing.
+// equals.
 func (tc *TemplateCounter) AppendState(dst []uint64) []uint64 {
-	if tc.raw {
-		return dst
-	}
 	dst = slices.Grow(dst, tc.stateLen())
 	for i := tc.mru; i != noNode; {
 		var w uint64
@@ -347,9 +270,9 @@ func (tc *TemplateCounter) pair(i int32) (uint64, int32) {
 }
 
 // SameAs implements Periodic: it reports whether the resident list
-// equals the one snap encodes. It is always false in raw-distance mode.
+// equals the one snap encodes.
 func (tc *TemplateCounter) SameAs(snap []uint64) bool {
-	if tc.raw || len(snap) != tc.stateLen() {
+	if len(snap) != tc.stateLen() {
 		return false
 	}
 	i := tc.mru
@@ -363,14 +286,8 @@ func (tc *TemplateCounter) SameAs(snap []uint64) bool {
 }
 
 // Evictions implements Periodic: the blocks that have left the resident
-// list, or -1 in raw-distance mode, where a reuse can miss with nothing
-// evicted.
-func (tc *TemplateCounter) Evictions() int64 {
-	if tc.raw {
-		return -1
-	}
-	return tc.evictions
-}
+// list.
+func (tc *TemplateCounter) Evictions() int64 { return tc.evictions }
 
 // Stats returns the counter's tallies as cache counters: its visits as
 // accesses, and its misses and evictions.
@@ -385,10 +302,3 @@ func (tc *TemplateCounter) Stats() cache.Stats {
 
 // Misses returns the accumulated estimate of main-memory accesses.
 func (tc *TemplateCounter) Misses() int64 { return tc.misses }
-
-// Visits returns the number of template entries consumed.
-func (tc *TemplateCounter) Visits() int64 { return tc.visits }
-
-// DistinctBlocks returns how many unique blocks have been visited; a
-// BlockCounter counts every block it numbered as visited.
-func (tc *TemplateCounter) DistinctBlocks() int { return len(tc.nodes) }

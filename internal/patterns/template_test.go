@@ -32,53 +32,40 @@ func naiveStackMisses(blocks []int64, capacity int) int64 {
 	return misses
 }
 
-// naiveRawMisses is the raw-index-distance counterpart of
-// naiveStackMisses: a reuse misses when at least capacity template entries
-// lie between it and the block's previous visit.
-func naiveRawMisses(blocks []int64, capacity int) int64 {
-	var misses int64
-	last := map[int64]int{}
-	for i, b := range blocks {
-		prev, seen := last[b]
-		if !seen || i-prev-1 >= capacity {
-			misses++
-		}
-		last[b] = i
+// counterMisses feeds blocks to a TemplateCounter of capacity blocks
+// and returns its misses.
+func counterMisses(blocks []int64, capacity int) int64 {
+	ctr := NewTemplateCounter(capacity)
+	for _, b := range blocks {
+		ctr.Visit(b)
 	}
-	return misses
+	return ctr.Misses()
 }
 
 func TestTemplateFirstTouchOnly(t *testing.T) {
-	tpl := Template{Blocks: []int64{0, 1, 2, 3, 2, 1, 0, 3}}
 	// 4 distinct blocks, all reuses within the 8 KB cache's 256 lines.
-	if got := mustAccesses(t, tpl, small()); got != 4 {
-		t.Errorf("template misses = %g, want 4", got)
+	if got := counterMisses([]int64{0, 1, 2, 3, 2, 1, 0, 3}, small().Lines()); got != 4 {
+		t.Errorf("template misses = %d, want 4", got)
 	}
 }
 
 func TestTemplateReuseBeyondCapacity(t *testing.T) {
 	// Capacity 2 blocks: A, B, C, A -> A's reuse distance is 2 >= 2: miss.
-	tpl := Template{Blocks: []int64{10, 20, 30, 10}, CapacityBlocks: 2}
-	if got := mustAccesses(t, tpl, small()); got != 4 {
-		t.Errorf("template misses = %g, want 4 (3 cold + 1 capacity)", got)
+	blocks := []int64{10, 20, 30, 10}
+	if got := counterMisses(blocks, 2); got != 4 {
+		t.Errorf("template misses = %d, want 4 (3 cold + 1 capacity)", got)
 	}
 	// Capacity 3: distance 2 < 3: hit.
-	tpl.CapacityBlocks = 3
-	if got := mustAccesses(t, tpl, small()); got != 3 {
-		t.Errorf("template misses = %g, want 3", got)
+	if got := counterMisses(blocks, 3); got != 3 {
+		t.Errorf("template misses = %d, want 3", got)
 	}
 }
 
 func TestTemplateStackDistanceIgnoresDuplicates(t *testing.T) {
-	// A, B, B, B, A: raw distance is 3 but only 1 distinct block between.
-	blocks := []int64{1, 2, 2, 2, 1}
-	stack := Template{Blocks: blocks, CapacityBlocks: 2}
-	if got := mustAccesses(t, stack, small()); got != 2 {
-		t.Errorf("stack-distance misses = %g, want 2", got)
-	}
-	raw := Template{Blocks: blocks, CapacityBlocks: 2, DistanceRaw: true}
-	if got := mustAccesses(t, raw, small()); got != 3 {
-		t.Errorf("raw-distance misses = %g, want 3", got)
+	// A, B, B, B, A: the raw index distance is 3, past a 2-block
+	// capacity, but only 1 distinct block lies between, so A hits.
+	if got := counterMisses([]int64{1, 2, 2, 2, 1}, 2); got != 2 {
+		t.Errorf("stack-distance misses = %d, want 2", got)
 	}
 }
 
@@ -92,7 +79,7 @@ func TestTemplateCounterMatchesNaive(t *testing.T) {
 		}
 		capacity := rng.Intn(20) + 1
 		want := naiveStackMisses(blocks, capacity)
-		ctr := NewTemplateCounter(capacity, false)
+		ctr := NewTemplateCounter(capacity)
 		for _, b := range blocks {
 			ctr.Visit(b)
 		}
@@ -112,12 +99,12 @@ func TestTemplateCounterProperty(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = int64(rng.Intn(60))
 		}
-		ctr := NewTemplateCounter(capacity, false)
+		ctr := NewTemplateCounter(capacity)
 		for _, b := range blocks {
 			ctr.Visit(b)
 		}
 		return ctr.Misses() == naiveStackMisses(blocks, capacity) &&
-			ctr.Visits() == int64(n)
+			ctr.Stats().Accesses == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -125,19 +112,27 @@ func TestTemplateCounterProperty(t *testing.T) {
 }
 
 func TestTemplateCounterDistinctBlocks(t *testing.T) {
-	ctr := NewTemplateCounter(100, false)
+	ctr := NewTemplateCounter(100)
 	for _, b := range []int64{5, 5, 7, 9, 7} {
 		ctr.Visit(b)
 	}
-	if ctr.DistinctBlocks() != 3 {
-		t.Errorf("DistinctBlocks = %d, want 3", ctr.DistinctBlocks())
+	if len(ctr.nodes) != 3 {
+		t.Errorf("%d nodes, want one for each of 3 distinct blocks", len(ctr.nodes))
 	}
 }
 
-func TestTemplateNegativeBlockRejected(t *testing.T) {
-	tpl := Template{Blocks: []int64{0, -1}}
-	if _, err := tpl.MemoryAccesses(small()); err == nil {
-		t.Error("negative block id accepted")
+// TestTemplateCounterDenseGrowthIsGeometric feeds blocks 0, 2, 4, ...,
+// whose ids run ahead of the distinct count. The dense index must still
+// grow by doubling, not by a fixed step that copies it on every call.
+func TestTemplateCounterDenseGrowthIsGeometric(t *testing.T) {
+	allocs := testing.AllocsPerRun(1, func() {
+		ctr := NewTemplateCounter(4096)
+		for b := int64(0); b < 1<<21; b += 2 {
+			ctr.Visit(b)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("1<<20 stride-2 visits made %.0f allocations, want at most 64", allocs)
 	}
 }
 
@@ -156,32 +151,19 @@ func TestTemplateMatchesSimulatorOnTraversals(t *testing.T) {
 					sim.Access(uint64(off), 32, false, 1)
 				}
 			}
-			tpl := Template{}
+			var blocks []int64
 			for p := 0; p < passes; p++ {
 				for b := int64(0); b < bytes/32; b++ {
-					tpl.Blocks = append(tpl.Blocks, b)
+					blocks = append(blocks, b)
 				}
 			}
-			got, err := tpl.MemoryAccesses(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := float64(counterMisses(blocks, cfg.Lines()))
 			want := float64(sim.StructStats(1).Misses)
 			if !mathx.ApproxEqual(got, want, 0.01) {
 				t.Errorf("bytes=%d passes=%d: model %g, simulator %g",
 					bytes, passes, got, want)
 			}
 		}
-	}
-}
-
-func TestTemplatePatternName(t *testing.T) {
-	if (Template{}).PatternName() != "template" {
-		t.Error("wrong pattern name")
-	}
-	tpl := Template{FootprintBytes: 999}
-	if tpl.Footprint() != 999 {
-		t.Error("footprint not reported")
 	}
 }
 
@@ -194,7 +176,7 @@ func BenchmarkTemplateCounterLongStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctr := NewTemplateCounter(4096, false)
+		ctr := NewTemplateCounter(4096)
 		for _, blk := range blocks {
 			ctr.Visit(blk)
 		}

@@ -81,12 +81,6 @@ func appendEvent(b []byte, ev event) []byte {
 		b = append(b, `,"args":{"value":`...)
 		b = strconv.AppendInt(b, ev.val, 10)
 		b = append(b, '}')
-	case 'i':
-		b = append(b, `,"tid":`...)
-		b = strconv.AppendInt(b, ev.tid, 10)
-		b = append(b, `,"ts":`...)
-		b = appendMicros(b, ev.ts)
-		b = append(b, `,"s":"t"`...) // thread-scoped instant
 	default: // 'X'
 		b = append(b, `,"tid":`...)
 		b = strconv.AppendInt(b, ev.tid, 10)

@@ -59,7 +59,7 @@ type Tracer struct {
 
 // event is the internal, pre-encoding form of one trace event.
 type event struct {
-	ph   byte  // 'X' span, 'i' instant, 'C' counter sample, 'M' metadata
+	ph   byte  // 'X' span, 'C' counter sample, 'M' metadata
 	tid  int64 // track; 0 for process-scoped counter samples
 	ts   int64 // ns since the tracer's start
 	dur  int64 // ns, 'X' only
@@ -141,8 +141,8 @@ func (t *Tracer) append(e event) {
 // creation on the monotonic clock.
 func (t *Tracer) now() int64 { return int64(time.Since(t.start)) }
 
-// Track creates a new named track (a Perfetto thread lane). Spans and
-// instants on one track must not overlap in time, so give each
+// Track creates a new named track (a Perfetto thread lane). Spans on
+// one track must not overlap in time, so give each
 // concurrent actor — a shard worker, a figure cell, a pipeline stage —
 // its own track. A nil tracer returns a nil (no-op) track.
 func (t *Tracer) Track(name string) *Track {
@@ -269,14 +269,6 @@ func (s Span) EndInt(key string, val int64) {
 	}
 	now := s.tk.t.now()
 	s.tk.t.append(event{ph: 'X', tid: s.tk.tid, ts: s.t0, dur: now - s.t0, name: s.name, args: []Arg{{Key: key, Val: val}}})
-}
-
-// Instant records a zero-duration marker on the track.
-func (tk *Track) Instant(name string) {
-	if tk == nil {
-		return
-	}
-	tk.t.append(event{ph: 'i', tid: tk.tid, ts: tk.t.now(), name: name})
 }
 
 // Counter is a named value-over-time lane. All methods are safe on a
